@@ -210,6 +210,11 @@ def cmd_converge(cfg, args):
         "moment_bound_ok": moments.ok,
         "moment_trend_nonincreasing": moments.trend_nonincreasing,
         "failure_counts": {_fmt(k): v for k, v in result.failure_counts.items()},
+        "gronwall_margin_max": {
+            _fmt(eps): float(ens.gronwall_margin_max)
+            if np.isfinite(ens.gronwall_margin_max) else None
+            for eps, ens in result.kinetic.items()
+        },
     })
     for name, v in verdicts.items():
         print(f"{name}: {v}")

@@ -5,6 +5,7 @@ silently running a different experiment.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,46 @@ from .noise import ChainSpec, NoiseModel
 from .velocity import VelocityModel
 
 
+MAX_GRID_POINTS = 2 ** 14
+MAX_RING_VELOCITIES = 256
+MAX_OUTPUT_TIMES = 10 ** 5
+
+
 class ConfigError(ValueError):
     """Malformed configuration; mapped to exit code 2 by the CLI."""
+
+
+def _number(value, context) -> float:
+    """A finite JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = np.inf
+    if not np.isfinite(out):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return out
+
+
+def _integer(value, context) -> int:
+    """A JSON integer; an integral float such as 64.0 is accepted, 4.7 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value, context) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, context) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list, got {value!r}")
+    return value
 
 
 def _take(section: dict, allowed: dict, context: str) -> dict:
@@ -46,7 +85,7 @@ class ModeSpec:
             if self.fourier is not None:
                 return self.amplitude * nz.mode_from_fourier(grid, self.fourier)
             return nz.make_mode(grid, self.label, self.amplitude)
-        except ValueError as exc:
+        except (ValueError, TypeError, IndexError) as exc:  # malformed Fourier rows
             raise ConfigError(str(exc)) from exc
 
 
@@ -55,25 +94,29 @@ def _parse_mode(raw, context) -> ModeSpec:
     if ("label" in raw) == ("fourier" in raw):
         raise ConfigError(f"{context}: give exactly one of 'label' or 'fourier'")
     return ModeSpec(
-        label=raw.get("label", ""),
-        amplitude=float(raw.get("amplitude", 1.0)),
-        fourier=raw.get("fourier"),
+        label=_string(raw.get("label", ""), context + ".label"),
+        amplitude=_number(raw.get("amplitude", 1.0), context + ".amplitude"),
+        fourier=None if "fourier" not in raw else _list(raw["fourier"], context + ".fourier"),
     )
 
 
 def _parse_chain(raw, context) -> ChainSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context}: expected an object")
     if "kind" in raw:
         _take(raw, {"kind": True, "sigma": False, "rate": False}, context)
         if raw["kind"] != "telegraph":
             raise ConfigError(f"{context}: unknown chain kind {raw['kind']!r}")
+        sigma = _number(raw.get("sigma", 1.0), context + ".sigma")
+        rate = _number(raw.get("rate", 1.0), context + ".rate")
         try:
-            return nz.telegraph(float(raw.get("sigma", 1.0)), float(raw.get("rate", 1.0)))
+            return nz.telegraph(sigma, rate)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
     _take(raw, {"states": True, "rates": True}, context)
     try:
         return ChainSpec(np.asarray(raw["states"], float), np.asarray(raw["rates"], float))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -110,17 +153,23 @@ class ExperimentConfig:
         raw = self.velocity_raw
         try:
             if "model" in raw:
-                name = raw["model"]
+                name = _string(raw["model"], "velocity.model")
                 if name == "two_speed":
                     vm = vel.two_speed()
                 elif name.startswith("ring:"):
-                    vm = vel.ring(int(name.split(":")[1]))
+                    m = int(name.split(":")[1])
+                    if m > MAX_RING_VELOCITIES:
+                        raise ConfigError(f"velocity: at most {MAX_RING_VELOCITIES} "
+                                          f"ring velocities are supported")
+                    vm = vel.ring(m)
                 else:
                     raise ConfigError(f"velocity: unknown model {name!r}")
             else:
                 vm = VelocityModel(self.dim, np.asarray(raw["velocities"], float),
                                    np.asarray(raw["weights"], float))
-        except (ValueError, KeyError) as exc:
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"velocity: {exc}") from exc
         if vm.dim != self.dim:
             raise ConfigError("velocity: dimension disagrees with the grid")
@@ -140,9 +189,13 @@ class ExperimentConfig:
             modes.append(spec.build(grid))
         mode_arr = np.stack(modes) if modes else np.zeros((0,) + grid.shape)
         try:
-            return NoiseModel(grid, tuple(chains), mode_arr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nm = NoiseModel(grid, tuple(chains), mode_arr)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
+        if not (np.all(np.isfinite(nm.coefficients)) and np.isfinite(nm.bound)):
+            raise ConfigError("noise: chain statistics overflow; rescale states or rates")
+        return nm
 
     def initial_density(self, grid: TorusGrid) -> np.ndarray:
         rho = np.full(grid.shape, self.initial_mean)
@@ -158,7 +211,7 @@ class ExperimentConfig:
             if raw["kind"] not in ("linear", "quadratic"):
                 raise ConfigError(f"{ctx}: kind must be linear or quadratic")
             weight = _parse_mode(raw["weight"], ctx + ".weight").build(grid)
-            name = raw.get("name", f"{raw['kind']}_{i}")
+            name = _string(raw.get("name", f"{raw['kind']}_{i}"), ctx + ".name")
             out.append(TestFunctional(raw["kind"], weight, name))
         names = [t.name for t in out]
         if len(set(names)) != len(names):
@@ -167,13 +220,14 @@ class ExperimentConfig:
 
 
 def _parse_output_times(raw, final_time) -> list:
+    ctx = "experiment.output_times"
     if isinstance(raw, dict):
-        _take(raw, {"count": True}, "experiment.output_times")
-        count = int(raw["count"])
-        if count < 2:
-            raise ConfigError("experiment.output_times: count must be at least 2")
+        _take(raw, {"count": True}, ctx)
+        count = _integer(raw["count"], ctx + ".count")
+        if not 2 <= count <= MAX_OUTPUT_TIMES:
+            raise ConfigError(f"{ctx}: count must lie in [2, {MAX_OUTPUT_TIMES}]")
         return list(np.linspace(0.0, final_time, count))
-    times = [float(t) for t in raw]
+    times = [_number(t, ctx) for t in _list(raw, ctx)]
     if not times or any(t < 0 or t > final_time * (1 + 1e-12) for t in times):
         raise ConfigError("experiment.output_times must lie in [0, final_time]")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -186,10 +240,16 @@ def parse_config(data: dict) -> ExperimentConfig:
                  "initial": True, "functionals": False, "experiment": True}, "config")
 
     g = _take(data["grid"], {"dim": True, "n": True}, "grid")
+    dim = _integer(g["dim"], "grid.dim")
+    n = _integer(g["n"], "grid.n")
+    if dim not in (1, 2):
+        raise ConfigError("grid.dim must be 1 or 2")
+    if n ** dim > MAX_GRID_POINTS:
+        raise ConfigError(f"grid: at most {MAX_GRID_POINTS} points are supported")
     solver = _take(data.get("solver", {}), {"dt_factor": False, "spde_steps": False}, "solver")
     init = _take(data["initial"], {"mean": False, "modes": False}, "initial")
     init_modes = [_parse_mode(m, f"initial.modes[{i}]")
-                  for i, m in enumerate(init.get("modes", []))]
+                  for i, m in enumerate(_list(init.get("modes", []), "initial.modes"))]
     noise_sect = _take(data["noise"], {"modes": False}, "noise")
 
     exp = _take(data["experiment"], {
@@ -198,59 +258,66 @@ def parse_config(data: dict) -> ExperimentConfig:
         "moment_p2_factor": False, "moment_p4_factor": False,
     }, "experiment")
 
-    epsilons = [float(e) for e in exp["epsilons"]]
+    epsilons = [_number(e, "experiment.epsilons")
+                for e in _list(exp["epsilons"], "experiment.epsilons")]
     if not epsilons or any(not 0 < e <= 1 for e in epsilons):
         raise ConfigError("experiment.epsilons must lie in (0, 1]")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("experiment.epsilons must be strictly decreasing")
-    final_time = float(exp["final_time"])
+    final_time = _number(exp["final_time"], "experiment.final_time")
     if final_time <= 0:
         raise ConfigError("experiment.final_time must be positive")
-    dt_factor_check = float(_take(data.get("solver", {}),
-                                  {"dt_factor": False, "spde_steps": False},
-                                  "solver").get("dt_factor", 0.1))
+    dt_factor = _number(solver.get("dt_factor", 0.1), "solver.dt_factor")
+    if not 0 < dt_factor <= 1:
+        raise ConfigError("solver.dt_factor must lie in (0, 1]")
     for e in epsilons:
-        dt = dt_factor_check * e * e
-        if abs(round(final_time / dt) * dt - final_time) > 1e-9 * final_time:
+        dt = dt_factor * e * e
+        steps = final_time / dt if dt > 0 else np.inf
+        if not np.isfinite(steps):
+            raise ConfigError(f"final_time / (dt_factor * eps^2) overflows at eps={e}")
+        if abs(round(steps) * dt - final_time) > 1e-9 * final_time:
             raise ConfigError(
                 f"final_time must be an integer number of macroscopic steps "
                 f"(dt_factor * eps^2) at eps={e}; nearest valid values are "
-                f"{np.floor(final_time / dt) * dt:.6g} and "
-                f"{np.ceil(final_time / dt) * dt:.6g}"
+                f"{np.floor(steps) * dt:.6g} and {np.ceil(steps) * dt:.6g}"
             )
-    ensemble = int(exp["ensemble_size"])
+    ensemble = _integer(exp["ensemble_size"], "experiment.ensemble_size")
     if ensemble < 1:
         raise ConfigError("experiment.ensemble_size must be positive")
-    dt_factor = float(solver.get("dt_factor", 0.1))
-    if not 0 < dt_factor <= 1:
-        raise ConfigError("solver.dt_factor must lie in (0, 1]")
-    spde_steps = int(solver.get("spde_steps", spde.DEFAULT_STEPS))
+    spde_steps = _integer(solver.get("spde_steps", spde.DEFAULT_STEPS), "solver.spde_steps")
     if spde_steps < 1:
         raise ConfigError("solver.spde_steps must be positive")
+    base_seed = _integer(exp["base_seed"], "experiment.base_seed")
+    if base_seed < 0:
+        raise ConfigError("experiment.base_seed must be nonnegative")
+    moments = {}
+    for key, default in (("moment_p2_factor", 4.0), ("moment_p4_factor", 16.0)):
+        moments[key] = _number(exp.get(key, default), f"experiment.{key}")
+        if moments[key] <= 0:
+            raise ConfigError(f"experiment.{key} must be positive")
 
     cfg = ExperimentConfig(
-        dim=int(g["dim"]),
-        n=int(g["n"]),
+        dim=dim,
+        n=n,
         velocity_raw=_take(data["velocity"],
                            {"model": False, "velocities": False, "weights": False},
                            "velocity"),
         noise_raw=[_take(m, {"label": False, "amplitude": False, "fourier": False,
                              "chain": True}, f"noise.modes[{i}]")
-                   for i, m in enumerate(noise_sect.get("modes", []))],
+                   for i, m in enumerate(_list(noise_sect.get("modes", []), "noise.modes"))],
         dt_factor=dt_factor,
         spde_steps=spde_steps,
-        initial_mean=float(init.get("mean", 0.0)),
+        initial_mean=_number(init.get("mean", 0.0), "initial.mean"),
         initial_modes=init_modes,
-        functional_raw=data.get("functionals", []),
+        functional_raw=_list(data.get("functionals", []), "functionals"),
         epsilons=epsilons,
         ensemble_size=ensemble,
         final_time=final_time,
         output_times=_parse_output_times(exp["output_times"], final_time),
-        base_seed=int(exp["base_seed"]),
-        output_dir=str(exp.get("output_dir", "out")),
-        moment_p2_factor=float(exp.get("moment_p2_factor", 4.0)),
-        moment_p4_factor=float(exp.get("moment_p4_factor", 16.0)),
+        base_seed=base_seed,
+        output_dir=_string(exp.get("output_dir", "out"), "experiment.output_dir"),
         raw=data,
+        **moments,
     )
     # fail fast on model construction problems
     grid = cfg.build_grid()

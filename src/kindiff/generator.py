@@ -52,10 +52,8 @@ import numpy as np
 from . import noise as noise_mod
 from . import velocity as vel
 from .grid import TorusGrid
-from .noise import NoiseModel
+from .noise import MAX_PAIR_STATES, NoiseModel
 from .velocity import VelocityModel
-
-MAX_PAIR_STATES = 4096
 
 
 @dataclass

@@ -36,12 +36,12 @@ def _chunks(n: int):
 
 
 def _functional_values(functionals, grid, rho_series):
-    """phi(rho(t)) for each functional; rho_series is (n_times, *shape)."""
-    flat = rho_series.reshape(rho_series.shape[0], -1)
-    out = np.empty((len(functionals), rho_series.shape[0]))
+    """phi(rho(t)) per functional: (..., n_times, *shape) -> (..., n_functionals, n_times)."""
+    flat = rho_series.reshape(rho_series.shape[:rho_series.ndim - grid.dim] + (-1,))
+    out = np.empty(flat.shape[:-2] + (len(functionals), flat.shape[-2]))
     for k, tf in enumerate(functionals):
         mw = flat @ tf.weight.reshape(-1) * grid.cell_volume
-        out[k] = mw if tf.kind == "linear" else 0.5 * mw * mw
+        out[..., k, :] = mw if tf.kind == "linear" else 0.5 * mw * mw
     return out
 
 
@@ -58,6 +58,7 @@ class EpsEnsemble:
     sup_norm2: RunningStats = None
     attempted: int = 0
     failures: list = field(default_factory=list)
+    gronwall_margin_max: float = -np.inf         # largest margin of a finished trajectory
     samples: dict = field(default_factory=dict)   # name -> per-trajectory phi at final time
     diagnostics: dict = field(default_factory=dict)  # name -> dict of (n_traj, n_times) arrays
 
@@ -70,6 +71,7 @@ class EpsEnsemble:
             rho_mean=self.rho_mean.merge(other.rho_mean),
             attempted=self.attempted + other.attempted,
             failures=self.failures + other.failures,
+            gronwall_margin_max=max(self.gronwall_margin_max, other.gronwall_margin_max),
         )
         for name in ("norm2", "norm4", "sup_norm2"):
             a, b = getattr(self, name), getattr(other, name)
@@ -104,6 +106,16 @@ def _empty_eps_ensemble(times, functionals, kinetic_side, diag_names):
     return out
 
 
+def _reduce(acc, functionals, grid, rho):
+    """Fold a stacked chunk of density series (B, n_times, *shape) into acc."""
+    vals = _functional_values(functionals, grid, rho)
+    for k, st in enumerate(acc.functional_stats):
+        st.update_batch(vals[:, k])
+    acc.rho_mean.update_batch(rho)
+    for k, tf in enumerate(functionals):
+        acc.samples[tf.name] = vals[:, k, -1].copy()
+
+
 def _kinetic_chunk(args):
     raw, eps_index, indices, with_diag = args
     cfg = parse_config(raw)
@@ -118,39 +130,33 @@ def _kinetic_chunk(args):
     rho0 = cfg.initial_density(grid)
     f0 = vel.lift(vm, rho0)
     diag_names = [t.name for t in functionals] if with_diag else []
-    bundles = {t.name: PerturbedTestFunction(t, vm, nm, grid)
-               for t in functionals} if with_diag else {}
-    acc = _empty_eps_ensemble(cfg.output_times, functionals, True, diag_names)
+    bundles = [PerturbedTestFunction(t, vm, nm, grid)
+               for t in functionals] if with_diag else []
     n_times = len(cfg.output_times)
-    diag_rows = {name: {"values": [], "gens": [], "brackets": []} for name in diag_names}
-    for i in indices:
-        acc.attempted += 1
-        rng = make_stream(seed, KIN_NS, eps_index, i)
-        instruments = [GeneratorInstrument(bundles[name], eps, n_times)
-                       for name in diag_names]
-        try:
-            res = kinetic.solve_trajectory(f0, scfg, vm, grid, nm, rng,
-                                           cfg.output_times, instruments=instruments)
-        except (kinetic.TrajectoryOverflowError, kinetic.GronwallViolationError) as exc:
-            acc.failures.append((i, f"{type(exc).__name__}: {exc}"))
-            continue
-        vals = _functional_values(functionals, grid, res.rho)
-        for k, st in enumerate(acc.functional_stats):
-            st.update(vals[k])
-        acc.rho_mean.update(res.rho)
-        acc.norm2.update(res.norm2)
-        acc.norm4.update(res.norm2 ** 2)
-        acc.sup_norm2.update(res.sup_norm2)
-        for k, tf in enumerate(functionals):
-            acc.samples[tf.name] = np.concatenate([acc.samples[tf.name], [vals[k, -1]]])
-        for name, ins in zip(diag_names, instruments):
-            diag_rows[name]["values"].append(ins.values)
-            diag_rows[name]["gens"].append(ins.gens)
-            diag_rows[name]["brackets"].append(ins.brackets)
-    for name in diag_names:
+    rngs = [make_stream(seed, KIN_NS, eps_index, i) for i in indices]
+    instruments = [[GeneratorInstrument(bundle, eps, n_times) for bundle in bundles]
+                   for _ in indices]
+    res = kinetic.solve_batch(f0, scfg, vm, grid, nm, rngs, cfg.output_times,
+                              instruments=instruments)
+    acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
+    acc.attempted = len(indices)
+    acc.failures = [(indices[b], f"{type(exc).__name__}: {exc}")
+                    for b, exc in sorted(res.failures.items())]
+    ok = res.finished
+    if not ok:
+        return acc
+    rows = ok if res.failures else slice(None)  # a slice takes no copy
+    _reduce(acc, functionals, grid, res.rho[rows])
+    acc.norm2.update_batch(res.norm2[rows])
+    acc.norm4.update_batch(res.norm2[rows] ** 2)
+    acc.sup_norm2.update_batch(res.sup_norm2[rows])
+    acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
+    for j, name in enumerate(diag_names):
+        observed = [instruments[b][j] for b in ok]
         acc.diagnostics[name] = {
-            key: np.vstack(rows) if rows else np.zeros((0, n_times))
-            for key, rows in diag_rows[name].items()
+            "values": np.array([ins.values for ins in observed]),
+            "gens": np.array([ins.gens for ins in observed]),
+            "brackets": np.array([ins.brackets for ins in observed]),
         }
     return acc
 
@@ -176,13 +182,7 @@ def _limit_chunk(args):
         dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
     series = spde.solve_spde_batch(rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
     acc.attempted = len(indices)
-    for b in range(series.shape[0]):
-        vals = _functional_values(functionals, grid, series[b])
-        for k, st in enumerate(acc.functional_stats):
-            st.update(vals[k])
-        acc.rho_mean.update(series[b])
-        for k, tf in enumerate(functionals):
-            acc.samples[tf.name] = np.concatenate([acc.samples[tf.name], [vals[k, -1]]])
+    _reduce(acc, functionals, grid, series)
     return acc
 
 

@@ -10,6 +10,13 @@ exponential while the noise state is frozen.  A macroscopic step dt is split
 Strang-style, relaxation - transport - multiplier - transport - relaxation
 with half steps, and every noise jump inside the step partitions it exactly,
 so the only scheme error is the splitting commutator.
+
+`advance` composes the three sub-flows literally and is the reference oracle.
+Production runs go through `KineticStepper`, which advances a batch of
+trajectories together with the state held as an rfft over space: relaxation
+and transport act per frequency, so each piece costs one irfft -> noise
+multiplier -> rfft pair, and the energy check uses Parseval.
+`solve_trajectory` is its batch of one.
 """
 
 from dataclasses import dataclass, field
@@ -101,170 +108,368 @@ class TrajectoryResult:
     state_indices: np.ndarray = field(default=None)  # (n_times, J) chain states
 
 
-class _StrangStepper:
-    """Precomputed multipliers for the repeated full-step case."""
+@dataclass
+class BatchResult:
+    """Per-member records of one batch; failed members keep their exception."""
 
-    def __init__(self, model, grid, noise, path, eps):
-        self.model = model
-        self.grid = grid
-        self.noise = noise
-        self.path = path
-        self.eps = eps
+    times: np.ndarray            # (n_times,) snapped step times k * dt
+    rho: np.ndarray              # (B, n_times, *grid.shape)
+    norm2: np.ndarray            # (B, n_times)
+    sup_norm2: np.ndarray        # (B,)
+    gronwall_margin: np.ndarray  # (B,)
+    state_indices: np.ndarray    # (B, n_times, J)
+    failures: dict               # member -> TrajectoryOverflowError | GronwallViolationError
+    paths: list = None
+
+    @property
+    def finished(self) -> list:
+        """Members that ran to the final time, in batch order."""
+        return [b for b in range(self.sup_norm2.shape[0]) if b not in self.failures]
+
+    def member(self, b: int) -> TrajectoryResult:
+        """Member b as a single trajectory; re-raises its failure."""
+        if b in self.failures:
+            raise self.failures[b]
+        return TrajectoryResult(
+            times=self.times,
+            rho=self.rho[b],
+            norm2=self.norm2[b],
+            sup_norm2=float(self.sup_norm2[b]),
+            gronwall_margin=float(self.gronwall_margin[b]),
+            path=self.paths[b] if self.paths is not None else None,
+            state_indices=self.state_indices[b],
+        )
+
+
+def step_grid(config: SolverConfig):
+    """(dt, n_steps): the macroscopic step and the step count reaching final_time."""
+    dt = config.dt_factor * config.epsilon * config.epsilon
+    n_steps = int(round(config.final_time / dt))
+    if n_steps <= 0 or abs(n_steps * dt - config.final_time) > 1e-9 * config.final_time:
+        n_steps = max(1, int(np.ceil(config.final_time / dt - 1e-12)))
+    return dt, n_steps
+
+
+class KineticStepper:
+    """Strang stepper for a batch of trajectories sharing (model, grid, noise, config).
+
+    The state is f_hat = rfft_x f with layout (B, V, R), R the flattened
+    half-spectrum.  A piece of microscopic length delta with frozen noise is
+
+        C T  rfft( M  irfft( T C f_hat ) )
+
+    with C = exp(-delta/2) I + (1 - exp(-delta/2)) 1 mu^T the relaxation half
+    step, T the transport half-step phase and M = exp(m(x) delta eps).  C is
+    x-local and T is diagonal per frequency, so both act on the spectrum.  At
+    bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
+    which is what the `.real` after every complex ifft in `advance` applies.
+    A step without a jump is one full piece whose phase is cached; members
+    with jumps take further pieces with their own phases.
+    """
+
+    def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
+                 config: SolverConfig):
+        self.model, self.grid, self.noise = model, grid, noise
+        self.eps, self.beta = config.epsilon, config.dt_factor
+        self.dt, self.n_steps = step_grid(config)
         self.mu = model.weights
-        self.active = noise.n_modes > 0
-        # the phase multiplier for a half step is exp(base * delta) elementwise
-        base = np.zeros(grid.shape + (model.n_velocities,), dtype=complex)
+        self.axes = tuple(range(-grid.dim, 0))
+        half = grid.n // 2 + 1
+        self.rshape = grid.shape[:-1] + (half,)
+        # phase per unit delta: exp part off the Nyquist planes, cos part on them
+        expo = np.zeros(self.rshape + (model.n_velocities,))
+        nyq = np.zeros_like(expo)
         for d in range(grid.dim):
-            base += -2j * np.pi * grid.freqs[d][..., None] * model.velocities[:, d]
-        self._phase_base = base * (0.5 * eps)
-        self._phase_cache = {}
-        self._coll_cache = {}
-        self._field_cache = (None, None)
-        self._noise_cache = (None, None, None)
+            k_odd = grid.freqs_odd[d][..., :half, None]
+            k_nyq = np.abs(grid.freqs[d][..., :half, None]) * (k_odd == 0)
+            expo += k_odd * model.velocities[:, d]
+            nyq += k_nyq * model.velocities[:, d]
+        flat = (-1, model.n_velocities)
+        self._expo = (-2j * np.pi * 0.5 * self.eps) * expo.reshape(flat).T
+        nyq = nyq.reshape(flat).T
+        self._nyq_cols = np.flatnonzero(np.any(nyq != 0.0, axis=0))
+        self._nyq = (2.0 * np.pi * 0.5 * self.eps) * nyq[:, self._nyq_cols]
+        self._full_phase = self.phase(self.beta)
+        self._full_theta = np.exp(-0.5 * self.beta)
+        # Parseval: ||f||^2 = sum_{v,k} mu_v w_k |f_hat|^2 / N^2, w_k = 2 off the
+        # self-conjugate planes of the last axis
+        w = np.full(self.rshape, 2.0)
+        w[..., 0] = 1.0
+        w[..., -1] = 1.0  # n is even: the last bin is the Nyquist bin
+        parseval = self.mu[:, None] * w.reshape(-1) / float(grid.npoints) ** 2
+        self._parseval = np.repeat(parseval.reshape(-1), 2)  # real and imaginary parts
+        self._modes = noise.modes.reshape(noise.n_modes, grid.npoints)
+
+    # ---- spectral pieces -----------------------------------------------
 
     def phase(self, delta):
-        key = float(delta)
-        out = self._phase_cache.get(key)
-        if out is None:
-            out = np.exp(self._phase_base * delta)
-            if len(self._phase_cache) < 8:
-                self._phase_cache[key] = out
+        """Half-step transport phase (V, R) for a scalar delta, (A, V, R) for an array."""
+        d = np.asarray(delta, dtype=float)[..., None, None]
+        out = np.exp(self._expo * d)
+        out[..., self._nyq_cols] *= np.cos(self._nyq * d)
         return out
 
-    def collision_factor(self, delta):
-        key = float(delta)
-        out = self._coll_cache.get(key)
-        if out is None:
-            out = np.exp(-0.5 * delta)
-            if len(self._coll_cache) < 64:
-                self._coll_cache[key] = out
-        return out
+    def to_spectrum(self, f):
+        """(B, V, *shape) real fields -> (B, V, R) half-spectra."""
+        out = np.fft.rfftn(f, axes=self.axes) if self.grid.dim > 1 else np.fft.rfft(f)
+        return out.reshape(f.shape[:2] + (-1,))
 
-    def field(self, seg):
-        ck, cf = self._field_cache
-        if ck != seg:
-            cf = self.noise.field(self.path.seg_states[seg])
-            self._field_cache = (seg, cf)
-        return cf
+    def to_fields(self, fhat):
+        """(B, V, R) half-spectra -> (B, V, *shape) real fields."""
+        spec = fhat.reshape(fhat.shape[:2] + self.rshape)
+        if self.grid.dim > 1:
+            return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
+        return np.fft.irfft(spec, n=self.grid.n)
 
-    def noise_multiplier(self, seg, delta):
-        ck, cd, cm = self._noise_cache
-        if ck == seg and cd == delta:
-            return cm
-        mult = np.exp(self.field(seg) * (delta * self.eps))[..., None]
-        self._noise_cache = (seg, delta, mult)
-        return mult
+    def norm2(self, fhat):
+        """||f||^2_{L2_{x,v}} per member, by Parseval."""
+        sq = fhat.view(float)
+        return (sq * sq).reshape(fhat.shape[0], -1) @ self._parseval
 
-    def piece(self, f, delta, seg):
-        # relaxation half step
-        theta = self.collision_factor(delta)
-        rho = (f @ self.mu)[..., None]
-        f = rho + theta * (f - rho)
-        # transport half, multiplier, transport half
-        ph = self.phase(delta)
-        f = self.grid.ifft(self.grid.fft(f) * ph)
-        if self.active:
-            f = f * self.noise_multiplier(seg, delta)
-        f = self.grid.ifft(self.grid.fft(f) * ph)
-        # relaxation half step
-        rho = (f @ self.mu)[..., None]
-        return rho + theta * (f - rho)
+    def piece(self, fhat, phase, theta, mult):
+        """One Strang piece; theta/mult broadcast against the batch, mult None skips M."""
+        rho = (self.mu @ fhat)[:, None]
+        g = theta * fhat
+        g += (1.0 - theta) * rho
+        g *= phase
+        if mult is not None:
+            x = self.to_fields(g)
+            x *= mult
+            g = self.to_spectrum(x)
+        g *= phase
+        rho = (self.mu @ g)[:, None]
+        g *= theta
+        g += (1.0 - theta) * rho
+        return g
+
+    # ---- noise ---------------------------------------------------------
+
+    def _multiplier(self, values, delta):
+        """exp(m delta eps) for chain values (A, J) and lengths (A,) -> (A, 1, *shape)."""
+        m = values @ self._modes
+        d = np.asarray(delta, dtype=float).reshape(-1, 1)
+        return np.exp(m * (d * self.eps)).reshape((-1, 1) + self.grid.shape)
+
+    def _chain_values(self, path, seg):
+        """Chain state values (len(seg), J) on the given segments of a path."""
+        states = path.seg_states[seg]
+        return np.stack([ch.states[states[:, j]] for j, ch in enumerate(self.noise.chains)],
+                        axis=1)
+
+    def _schedule(self, paths):
+        """The pieces of every step that has jumps, as flat sorted columns.
+
+        Step k owns the jumps in (k beta, (k+1) beta]: its pieces end at each
+        of them and at (k+1) beta (a jump on that edge leaves a zero-length
+        last piece, which is dropped).  Round r is each member's r-th piece.
+        Returns (pieces, tails, blocks): ``pieces`` holds member, length and
+        chain values sorted by (step, round, member); ``tails`` holds the
+        segment and chain values each jumping member ends its step in, sorted
+        by (step, member); ``blocks[k]`` is (one slice of ``pieces`` per
+        round, the slice of ``tails``).
+        """
+        edges = np.arange(self.n_steps + 1) * self.beta
+        cols, tail_cols = [], []
+        for b, path in enumerate(paths):
+            jt = path.seg_times[1:-1]
+            ks = np.searchsorted(edges, jt, side="left") - 1
+            n = int(np.count_nonzero(ks < self.n_steps))
+            if n == 0:
+                continue
+            jt, ks, j = jt[:n], ks[:n], np.arange(n)
+            first = np.r_[True, ks[1:] != ks[:-1]]
+            last = np.r_[ks[1:] != ks[:-1], True]
+            start = np.where(first, edges[ks], np.r_[0.0, jt[:-1]])
+            rnd = j - np.maximum.accumulate(np.where(first, j, 0))
+            tail_seg = j[last] + 1
+            tail_values = self._chain_values(path, tail_seg)
+            # the pieces ending at a jump, then the tail piece of each step
+            cols.append((np.r_[ks, ks[last]],
+                         np.r_[rnd, rnd[last] + 1],
+                         np.full(n + tail_seg.size, b),
+                         np.r_[jt - start, edges[ks[last] + 1] - jt[last]],
+                         np.concatenate([self._chain_values(path, j), tail_values])))
+            tail_cols.append((ks[last], np.full(tail_seg.size, b), tail_seg, tail_values))
+        if not cols:
+            return None, None, {}
+
+        step, rnd, member, delta, values = (np.concatenate(c) for c in zip(*cols))
+        keep = np.flatnonzero(delta > 0.0)
+        order = keep[np.lexsort((member[keep], rnd[keep], step[keep]))]
+        pieces = {"member": member[order], "delta": delta[order], "values": values[order]}
+        step, rnd = step[order], rnd[order]
+        t_step, t_member, t_seg, t_values = (np.concatenate(c) for c in zip(*tail_cols))
+        t_order = np.lexsort((t_member, t_step))
+        tails = {"member": t_member[t_order], "seg": t_seg[t_order], "values": t_values[t_order]}
+        t_step = t_step[t_order]
+
+        rounds = {}
+        starts = np.flatnonzero(np.r_[True, (np.diff(step) != 0) | (np.diff(rnd) != 0)])
+        for lo, hi in zip(starts, np.r_[starts[1:], step.size]):
+            rounds.setdefault(int(step[lo]), []).append(slice(lo, hi))
+        starts = np.flatnonzero(np.r_[True, np.diff(t_step) != 0])
+        blocks = {int(t_step[lo]): (rounds[int(t_step[lo])], slice(lo, hi))
+                  for lo, hi in zip(starts, np.r_[starts[1:], t_step.size])}
+        return pieces, tails, blocks
+
+    # ---- driver --------------------------------------------------------
+
+    def run(self, f0, paths, out_steps, instruments) -> BatchResult:
+        grid, noise, eps = self.grid, self.noise, self.eps
+        batch = len(paths)
+        pieces, tails, blocks = self._schedule(paths)  # before the records: lower peak memory
+        x0 = np.moveaxis(f0, -1, 1)
+        fhat = self.to_spectrum(np.ascontiguousarray(
+            np.broadcast_to(x0, (batch,) + x0.shape[1:])))
+        nrm = self.norm2(fhat)
+        log_norm0 = np.log(np.maximum(nrm, np.finfo(float).tiny))
+        c_star = noise.bound
+
+        n_out = len(out_steps)
+        rho_rec = np.zeros((batch, n_out) + grid.shape)
+        norm2_rec = np.zeros((batch, n_out))
+        state_rec = np.zeros((batch, n_out, noise.n_modes), dtype=np.int64)
+        sup_norm2 = nrm.copy()
+        margin = np.full(batch, -np.inf)
+        failures = {}
+        rec_for_step = {}
+        for i, k in enumerate(out_steps):
+            rec_for_step.setdefault(int(k), []).append(i)
+
+        seg = np.zeros(batch, dtype=np.int64)   # current segment of each member's path
+        full_mult = None
+        if noise.n_modes:
+            full_mult = self._multiplier(
+                np.concatenate([self._chain_values(p, [0]) for p in paths]),
+                np.full(batch, self.beta))
+
+        def record(step):
+            outs = rec_for_step.get(step)
+            if outs is None:
+                return
+            f = np.moveaxis(self.to_fields(fhat), 1, -1)
+            rho = f @ self.mu
+            for b in range(batch):
+                if b in failures:
+                    continue
+                states = paths[b].seg_states[seg[b]]
+                for i in outs:
+                    rho_rec[b, i] = rho[b]
+                    norm2_rec[b, i] = nrm[b]
+                    state_rec[b, i] = states
+                    for ins in instruments[b]:
+                        ins.observe(i, step * self.dt, np.ascontiguousarray(f[b]),
+                                    state_rec[b, i])
+
+        def fail(b, exc):
+            failures[b] = exc
+            fhat[b] = 0.0
+
+        record(0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(self.n_steps):
+                block = blocks.get(k)
+                if block is None:
+                    fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
+                else:
+                    fhat = self._jump_step(fhat, pieces, block[0], full_mult)
+                    tl = block[1]
+                    members = tails["member"][tl]
+                    seg[members] = tails["seg"][tl]
+                    full_mult[members] = self._multiplier(
+                        tails["values"][tl], np.full(members.size, self.beta))
+                nrm = self.norm2(fhat)
+                t_macro = (k + 1) * self.dt
+                for b in np.flatnonzero(~(nrm <= OVERFLOW_NORM ** 2)):
+                    fail(int(b), TrajectoryOverflowError(
+                        f"||f||_L2 exceeded {OVERFLOW_NORM:g} at t={t_macro:.6g}"))
+                    nrm[b] = 0.0
+                np.maximum(sup_norm2, nrm, out=sup_norm2)
+                gap = np.log(nrm) - (log_norm0 + 2.0 * c_star * t_macro / eps)
+                np.maximum(margin, gap, out=margin)
+                for b in np.flatnonzero(gap > GRONWALL_SLACK):
+                    fail(int(b), GronwallViolationError(
+                        f"energy bound violated by exp({gap[b]:.3g}) at t={t_macro:.6g}"))
+                record(k + 1)
+
+        return BatchResult(
+            times=np.asarray(out_steps) * self.dt,
+            rho=rho_rec,
+            norm2=norm2_rec,
+            sup_norm2=sup_norm2,
+            gronwall_margin=margin,
+            state_indices=state_rec,
+            failures=failures,
+        )
+
+    def _jump_step(self, fhat, pieces, rounds, full_mult):
+        """A step in which some members jump; ``rounds`` slice ``pieces`` by round.
+
+        Round 0 covers the whole batch, members without a jump taking the
+        cached full piece; later rounds gather only the members that still
+        have pieces left.
+        """
+        member, delta, values = pieces["member"], pieces["delta"], pieces["values"]
+        rows, d0 = member[rounds[0]], delta[rounds[0]]
+        phase = np.repeat(self._full_phase[None], fhat.shape[0], axis=0)
+        phase[rows] = self.phase(d0)
+        theta = np.full((fhat.shape[0], 1, 1), self._full_theta)
+        theta[rows, 0, 0] = np.exp(-0.5 * d0)
+        mult = full_mult.copy()
+        mult[rows] = self._multiplier(values[rounds[0]], d0)
+        fhat = self.piece(fhat, phase, theta, mult)
+        for sl in rounds[1:]:
+            sub, d = member[sl], delta[sl]
+            fhat[sub] = self.piece(fhat[sub], self.phase(d), np.exp(-0.5 * d)[:, None, None],
+                                   self._multiplier(values[sl], d))
+        return fhat
+
+
+def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
+                noise: NoiseModel, rngs, output_times, instruments=None,
+                keep_path: bool = False, paths=None) -> BatchResult:
+    """Integrate a batch of trajectories and record the density at the requested times.
+
+    Member b simulates its noise path from ``rngs[b]`` over the whole
+    microscopic horizon first (or uses ``paths[b]``), so each member is a
+    deterministic function of (f0, config, its stream) whatever the batch.
+    ``f0`` is one initial field shared by all members or one per member.
+    The pathwise energy bound ||f(t)||^2 <= e^{2 C_* t / eps} ||f0||^2 is
+    checked at every step; a member that violates it or overflows is
+    recorded in ``failures`` and the others continue.
+    """
+    stepper = KineticStepper(model, grid, noise, config)
+    horizon = stepper.n_steps * stepper.beta  # microscopic, an exact multiple of beta
+    if paths is None:
+        paths = [noise.simulate_path(horizon, rng) for rng in rngs]
+    elif any(p.horizon < horizon * (1 - 1e-12) for p in paths):
+        raise ValueError("supplied path does not cover the horizon")
+    f0 = np.asarray(f0, dtype=float)
+    if f0.shape[-grid.dim - 1:] != grid.shape + (model.n_velocities,) or \
+            f0.ndim not in (grid.dim + 1, grid.dim + 2) or \
+            (f0.ndim == grid.dim + 2 and f0.shape[0] != len(paths)):
+        raise ValueError("initial field shape mismatch")
+    if f0.ndim == grid.dim + 1:
+        f0 = f0[None]
+    if instruments is None:
+        instruments = [()] * len(paths)
+    steps = [min(max(int(round(t / stepper.dt)), 0), stepper.n_steps) for t in output_times]
+    res = stepper.run(f0, paths, steps, instruments)
+    if keep_path:
+        res.paths = list(paths)
+    return res
 
 
 def solve_trajectory(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
                      noise: NoiseModel, rng, output_times, instruments=(),
                      keep_path: bool = False, path: NoisePath = None) -> TrajectoryResult:
-    """Integrate one trajectory and record the density at the requested times.
+    """Integrate one trajectory: the batch of one of `solve_batch`.
 
-    The noise path is simulated first over the whole microscopic horizon, so
-    the result is a deterministic function of (f0, config, rng stream).  The
-    pathwise energy bound ||f(t)||^2 <= e^{2 C_* t / eps} ||f0||^2 is checked
-    at every step; a violation raises since the exact sub-flows make it
-    structurally impossible.
+    Raises TrajectoryOverflowError or GronwallViolationError if the
+    trajectory fails; the exact sub-flows make the latter structurally
+    impossible.
     """
-    eps, beta = config.epsilon, config.dt_factor
-    dt = beta * eps * eps
-    n_steps = int(round(config.final_time / dt))
-    if n_steps <= 0 or abs(n_steps * dt - config.final_time) > 1e-9 * config.final_time:
-        n_steps = max(1, int(np.ceil(config.final_time / dt - 1e-12)))
-    horizon = n_steps * beta  # microscopic horizon, exact multiple of beta
-    if path is None:
-        path = noise.simulate_path(horizon, rng)
-    elif path.horizon < horizon * (1 - 1e-12):
-        raise ValueError("supplied path does not cover the horizon")
-
-    out_steps = []
-    for t in output_times:
-        k = int(round(t / dt))
-        out_steps.append(min(max(k, 0), n_steps))
-    out_steps = np.asarray(out_steps, dtype=np.int64)
-    times = out_steps * dt
-
-    f = np.array(f0, dtype=float, copy=True)
-    if f.shape != grid.shape + (model.n_velocities,):
-        raise ValueError("initial field shape mismatch")
-    norm0_sq = velocity.inner_xv(model, grid, f, f)
-    log_norm0 = np.log(max(norm0_sq, np.finfo(float).tiny))
-    c_star = noise.bound
-
-    stepper = _StrangStepper(model, grid, noise, path, eps)
-    n_out = len(out_steps)
-    rho_rec = np.empty((n_out,) + grid.shape)
-    norm2_rec = np.empty(n_out)
-    state_rec = np.empty((n_out, noise.n_modes), dtype=np.int64)
-    sup_norm2 = norm0_sq
-    margin = -np.inf
-
-    rec_for_step = {}
-    for i, k in enumerate(out_steps):
-        rec_for_step.setdefault(int(k), []).append(i)
-
-    def record(step_idx, t_macro):
-        for i in rec_for_step.get(step_idx, ()):
-            rho_rec[i] = velocity.average(model, f)
-            nrm = velocity.inner_xv(model, grid, f, f)
-            norm2_rec[i] = nrm
-            state_rec[i] = path.state_at(t_macro / (eps * eps)) if noise.n_modes else []
-            for ins in instruments:
-                ins.observe(i, t_macro, f, state_rec[i])
-
-    record(0, 0.0)
-    with np.errstate(over="raise"):
-        for k in range(n_steps):
-            a_mic = k * beta
-            b_mic = (k + 1) * beta
-            try:
-                for ta, tb, seg in path.segments_between(a_mic, b_mic):
-                    delta = tb - ta
-                    if delta <= 0.0:
-                        continue
-                    f = stepper.piece(f, delta, seg)
-            except FloatingPointError as exc:
-                raise TrajectoryOverflowError(
-                    f"field overflow at t={(k + 1) * dt:.6g}"
-                ) from exc
-            nrm = velocity.inner_xv(model, grid, f, f)
-            if not np.isfinite(nrm) or nrm > OVERFLOW_NORM ** 2:
-                raise TrajectoryOverflowError(
-                    f"||f||_L2 exceeded {OVERFLOW_NORM:g} at t={(k + 1) * dt:.6g}"
-                )
-            sup_norm2 = max(sup_norm2, nrm)
-            t_macro = (k + 1) * dt
-            if nrm > 0.0:
-                gap = np.log(nrm) - (log_norm0 + 2.0 * c_star * t_macro / eps)
-                margin = max(margin, gap)
-                if gap > GRONWALL_SLACK:
-                    raise GronwallViolationError(
-                        f"energy bound violated by exp({gap:.3g}) at t={t_macro:.6g}"
-                    )
-            record(k + 1, t_macro)
-
-    return TrajectoryResult(
-        times=times,
-        rho=rho_rec,
-        norm2=norm2_rec,
-        sup_norm2=sup_norm2,
-        gronwall_margin=margin,
-        path=path if keep_path else None,
-        state_indices=state_rec,
-    )
+    res = solve_batch(f0, config, model, grid, noise, [rng], output_times,
+                      instruments=[instruments], keep_path=keep_path,
+                      paths=None if path is None else [path])
+    return res.member(0)

@@ -31,11 +31,12 @@ class RunningStats:
     def update_batch(self, xs):
         """Accumulate a batch with the leading axis as the sample axis."""
         xs = np.asarray(xs, dtype=float)
-        other = RunningStats(
-            count=xs.shape[0],
-            mean=xs.mean(axis=0),
-            m2=((xs - xs.mean(axis=0)) ** 2).sum(axis=0),
-        )
+        mean = xs.mean(axis=0)
+        m2 = np.zeros_like(mean)
+        for x in xs:  # one sample at a time: no batch-sized temporary
+            d = x - mean
+            m2 += d * d
+        other = RunningStats(count=xs.shape[0], mean=mean, m2=m2)
         merged = self.merge(other)
         self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
 

@@ -106,6 +106,9 @@ def test_converge_writes_tables(tmp_path):
                       "count", "stderr"]
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "verdicts" in manifest and "failure_counts" in manifest
+    margins = manifest["gronwall_margin_max"]
+    assert set(margins) == {"0.40000000000000002", "0.20000000000000001"}
+    assert all(m <= 0.0 for m in margins.values())
     assert code in (0, 3)  # tiny ensembles may be inconclusive
 
 
@@ -132,6 +135,22 @@ def test_config_error_exit_code(tmp_path):
     assert main(["coeffs", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("solver.dt_factor", 0),
+    ("experiment.ensemble_size", "abc"),
+    ("grid.n", 4.7),
+])
+def test_malformed_scalar_exit_code(tmp_path, key, value):
+    section, _, name = key.partition(".")
+    cfg = write_config(tmp_path)
+    with open(cfg) as fh:
+        data = json.load(fh)
+    data[section][name] = value
+    with open(cfg, "w") as fh:
+        json.dump(data, fh)
+    assert main(["converge", "--config", cfg]) == 2
+
+
 def test_seed_override_changes_manifest(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["coeffs", "--config", cfg, "--seed", "123"]) == 0
@@ -152,5 +171,5 @@ def test_worker_invariance_bitwise(tmp_path):
     main(["converge", "--config", cfg, "--workers", "1", "--out", str(out1)])
     main(["converge", "--config", cfg, "--workers", "2", "--out", str(out2)])
     for name in ("weak_error.csv", "ensemble_stats.csv", "mean_field_distance.csv",
-                 "moment_bounds.csv"):
+                 "moment_bounds.csv", "run_manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

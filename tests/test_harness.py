@@ -1,11 +1,14 @@
+import copy
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kindiff import harness
+from kindiff import harness, kinetic
+from kindiff import velocity as vel
 from kindiff.config import ConfigError, parse_config
 from kindiff.grid import TorusGrid
 from kindiff.stats import RunningStats
@@ -138,6 +141,34 @@ class TestRunEnsemble:
         res = harness.run_ensemble(cfg)
         assert res.failure_counts == {0.4: 0, 0.2: 0}
 
+    def test_times_are_the_solver_step_times(self):
+        # dt = 0.1 * 0.4^2 = 0.016 does not divide the output spacing 0.012
+        cfg = small_config(ensemble=3, epsilons=(0.4, 0.2))
+        res = harness.run_ensemble(cfg, kinetic_only=True)
+        grid, vm, nm = cfg.build_grid(), cfg.build_velocity(), cfg.build_noise(cfg.build_grid())
+        for e_idx, eps in enumerate(cfg.epsilons):
+            scfg = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time)
+            solo = kinetic.solve_trajectory(
+                np.ones(grid.shape + (2,)), scfg, vm, grid, nm,
+                harness.make_stream(cfg.base_seed, harness.KIN_NS, e_idx, 0), cfg.output_times)
+            assert np.array_equal(res.kinetic[eps].times, solo.times)
+        assert not np.array_equal(res.kinetic[0.4].times, cfg.output_times)
+
+    def test_gronwall_margin_kept_and_merged_by_max(self):
+        cfg = small_config(ensemble=40)  # two chunks
+        res = harness.run_ensemble(cfg, kinetic_only=True)
+        grid, vm, nm = cfg.build_grid(), cfg.build_velocity(), cfg.build_noise(cfg.build_grid())
+        f0 = vel.lift(vm, cfg.initial_density(grid))
+        for e_idx, eps in enumerate(cfg.epsilons):
+            scfg = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time)
+            streams = [harness.make_stream(cfg.base_seed, harness.KIN_NS, e_idx, i)
+                       for i in range(40)]
+            margins = [kinetic.solve_trajectory(f0, scfg, vm, grid, nm, rng,
+                                                cfg.output_times).gronwall_margin
+                       for rng in streams]
+            assert res.kinetic[eps].gronwall_margin_max == pytest.approx(max(margins), abs=1e-12)
+            assert res.kinetic[eps].gronwall_margin_max <= 0.0
+
 
 class TestSobolevDistance:
     grid = TorusGrid(1, 64)
@@ -229,7 +260,61 @@ class TestMomentCheck:
         assert rep.offender is not None
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = {}
+for _name in sorted(os.listdir(CONFIG_DIR)):
+    with open(os.path.join(CONFIG_DIR, _name)) as _fh:
+        SHIPPED[_name] = json.load(_fh)
+
+
+def _scalar_paths(node, prefix=()):
+    """Key paths of every scalar leaf of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for key, child in items:
+        yield from _scalar_paths(child, prefix + (key,))
+
+
+SCALAR_MUTANTS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=12),
+    st.sampled_from([0, -1, 1, 2, 3, 4.7, 64.0, 1e-300, 1e308, 10 ** 400, "abc", "",
+                     "ring:4", "cos:1", "telegraph", "quadratic"]),
+)
+
+
 class TestConfigValidation:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_mutation_gives_valid_config_or_config_error(self, data):
+        name = data.draw(st.sampled_from(sorted(SHIPPED)))
+        raw = copy.deepcopy(SHIPPED[name])
+        path = data.draw(st.sampled_from(list(_scalar_paths(raw))))
+        value = data.draw(SCALAR_MUTANTS)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "dt_factor", 0),
+        ("experiment", "ensemble_size", "abc"),
+        ("grid", "n", 4.7),
+    ])
+    def test_malformed_scalars_raise_config_error(self, section, key, value):
+        raw = copy.deepcopy(SHIPPED["standard.json"])
+        raw[section][key] = value
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+
     def base(self):
         return json.loads(json.dumps(small_config().raw))
 

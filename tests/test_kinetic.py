@@ -231,3 +231,87 @@ class TestSolveTrajectory:
             kinetic.SolverConfig(epsilon=0.0, dt_factor=0.1, final_time=1.0)
         with pytest.raises(ValueError):
             kinetic.SolverConfig(epsilon=0.5, dt_factor=1.5, final_time=1.0)
+
+
+def _scripted_path(noise, horizon, jump_times):
+    """Chain 0 flips at the given microscopic times; other chains stay put."""
+    n = noise.n_modes
+    times = (np.asarray(jump_times, dtype=float),) + (np.zeros(0),) * (n - 1)
+    states = (np.arange(1, len(jump_times) + 1) % 2,) + (np.zeros(0, int),) * (n - 1)
+    return nz.NoisePath(horizon, np.zeros(n, dtype=int), times, states)
+
+
+class TestBatchStepper:
+    """The batched spectral stepper against the literal sub-flow composition."""
+
+    # beta = 0.1: no jump in step 0, one in step 1, three in step 2, one on the
+    # right edge of step 4 and one more in step 6
+    JUMPS = [0.13, 0.21, 0.24, 0.27, 0.5, 0.61]
+
+    def _compare_with_advance(self, grid, vm, nm):
+        eps = 0.2
+        cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=8 * 0.1 * eps ** 2)
+        dt, n_steps = kinetic.step_grid(cfg)
+        horizon = n_steps * 0.1
+        paths = [_scripted_path(nm, horizon, self.JUMPS)]
+        paths += [nm.simulate_path(horizon, make_stream(11, 0, 0, i)) for i in range(3)]
+        rng = np.random.default_rng(12)
+        # white noise, so the Nyquist bins carry content
+        f0 = rng.standard_normal((len(paths),) + grid.shape + (vm.n_velocities,)) + 2.0
+        times = [k * dt for k in range(n_steps + 1)]
+        res = kinetic.solve_batch(f0, cfg, vm, grid, nm, None, times, paths=paths)
+        assert res.failures == {}
+        for b, path in enumerate(paths):
+            f = f0[b]
+            for k in range(n_steps):
+                f = kinetic.advance(f, dt, eps, vm, grid, nm, path, t_start=k * dt)
+                assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, f))) <= 1e-12
+            assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
+            solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
+            assert np.max(np.abs(solo.rho - res.rho[b])) <= 1e-12
+            assert np.array_equal(solo.state_indices, res.state_indices[b])
+
+    def test_matches_advance_dim1(self):
+        nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0),), nz.make_mode(GRID, "cos:1")[None])
+        self._compare_with_advance(GRID, VM, nm)
+
+    def test_matches_advance_dim2(self):
+        grid = TorusGrid(2, 16)
+        modes = np.stack([nz.make_mode(grid, "cos:1,0"), nz.make_mode(grid, "sin:0,1", 0.7)])
+        nm = nz.NoiseModel(grid, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), modes)
+        self._compare_with_advance(grid, vel.ring(4), nm)
+
+    def test_recorded_times_are_the_step_grid(self):
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=0.08)
+        res = kinetic.solve_trajectory(vel.lift(VM, np.ones(64)), cfg, VM, GRID, _no_noise(),
+                                       make_stream(13, 0, 0, 0), [0.0, 0.005, 0.01, 0.08])
+        dt, n_steps = kinetic.step_grid(cfg)
+        assert n_steps == 20 and dt == pytest.approx(0.004, rel=1e-12)
+        assert np.array_equal(res.times, np.array([0, 1, 2, 20]) * dt)
+
+    def test_failure_is_isolated(self):
+        # member 1 sits in the huge state and overflows; the others decay
+        grid = TorusGrid(1, 16)
+        big = 60.0
+        chain = nz.ChainSpec(np.array([-big, big]),
+                             np.array([[-1e-9, 1e-9], [1e-9, -1e-9]]))
+        nm = nz.NoiseModel(grid, (chain,), np.ones((1, 16)))
+
+        def frozen(state):
+            return nz.NoisePath(horizon=1000.0, initial=np.array([state]),
+                                jump_times=(np.zeros(0),), jump_states=(np.zeros(0, int),))
+
+        paths = [frozen(0), frozen(1), frozen(0), frozen(0)]
+        f0 = vel.lift(VM, 1.0 + 0.5 * np.cos(2 * np.pi * grid.coords()[0]))
+        cfg = kinetic.SolverConfig(epsilon=0.05, dt_factor=0.1, final_time=1.0)
+        times = [0.0, 0.5, 1.0]
+        res = kinetic.solve_batch(f0, cfg, VM, grid, nm, None, times, paths=paths)
+        assert list(res.failures) == [1]
+        assert isinstance(res.failures[1], kinetic.TrajectoryOverflowError)
+        assert res.finished == [0, 2, 3]
+        for b in res.finished:
+            solo = kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[b])
+            assert np.max(np.abs(solo.rho - res.rho[b])) <= 1e-12
+            assert solo.gronwall_margin == res.gronwall_margin[b]
+        with pytest.raises(kinetic.TrajectoryOverflowError):
+            res.member(1)
