@@ -271,10 +271,25 @@ class WeakErrorRow:
     lim_stderr: float
 
 
+def _check_same_time(result: EnsembleResult, time_index: int):
+    """Refuse to compare kinetic and limit records taken at different times.
+
+    The limit ensemble snaps its output times to the spde_steps grid and each
+    kinetic ensemble to its own step times k * dt, so only some indices agree.
+    """
+    t_lim = float(result.limit.times[time_index])
+    for eps, ens in result.kinetic.items():
+        t_kin = float(ens.times[time_index])
+        if abs(t_kin - t_lim) > 1e-9 * result.config.final_time:
+            raise ValueError(f"time index {time_index}: the kinetic ensemble at "
+                             f"epsilon={eps} is at t={t_kin}, the limit at t={t_lim}")
+
+
 def weak_error_table(result: EnsembleResult, time_index: int = -1):
     """Per-functional weak errors |E phi(rho_eps) - E phi(rho)| with CIs and verdicts."""
     if len(result.epsilons) < 2:
         raise ValueError("need at least two epsilon values")
+    _check_same_time(result, time_index)
     rows, verdicts = [], {}
     names = result.limit.functional_names
     for k, name in enumerate(names):
@@ -304,6 +319,7 @@ def weak_error_table(result: EnsembleResult, time_index: int = -1):
 def mean_field_distances(result: EnsembleResult, eta: float = 1.0,
                          time_index: int = -1) -> dict:
     """H^{-eta} distance between kinetic and limit ensemble-mean densities."""
+    _check_same_time(result, time_index)
     grid = result.config.build_grid()
     ref = np.asarray(result.limit.rho_mean.mean)[time_index]
     return {

@@ -2,15 +2,15 @@
 
     d rho = div(K grad rho) dt + (1/2) F rho dt + rho sum_j sqrt(c_j) eta_j dbeta_j
 
-The heat part is propagated exactly in Fourier space.  The noise and the Ito
-drift are applied jointly as the pointwise multiplier
+A batch is held as real fields with a leading batch axis; a step of length dt is
 
-    exp( sum_j sqrt(c_j) eta_j(x) dbeta_j ),
+    rho <- irfft(rfft(rho) * exp(-4 pi^2 xi^T K xi dt)) * exp(sum_j sqrt(c_j) eta_j dbeta_j),
 
-whose mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F: a geometric step that
-is exact in law at frozen x, preserves positivity, and reduces to the exact
-heat flow when no modes are present.  Q^{1/2} is never formed; the finite-rank
-factor beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
+the exact heat flow (its half-spectrum multiplier built once per call) and then
+the geometric noise multiplier (its exponents formed NOISE_BLOCK steps at a time).
+The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
+the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
+never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from .noise import NoiseModel
 from .velocity import VelocityModel
 
 DEFAULT_STEPS = 2048
+NOISE_BLOCK = 16  # steps whose noise multipliers are formed together
 
 
 @dataclass
@@ -45,11 +46,8 @@ class LimitCoefficients:
             (slice(None),) + (None,) * self.grid.dim
         ] * self.modes
         # heat multiplier exponent: -4 pi^2 xi^T K xi on the odd-symmetric frequencies
-        expo = np.zeros(self.grid.shape)
-        for p in range(self.grid.dim):
-            for q in range(self.grid.dim):
-                expo += self.grid.freqs_odd[p] * self.grid.freqs_odd[q] * self.K[p, q]
-        self.heat_exponent = -4.0 * np.pi ** 2 * expo
+        xi = np.stack(self.grid.freqs_odd)
+        self.heat_exponent = -4.0 * np.pi ** 2 * np.einsum("p...,pq,q...->...", xi, self.K, xi)
 
     @property
     def n_modes(self) -> int:
@@ -66,46 +64,37 @@ class LimitCoefficients:
         return np.einsum("j...,j...->...", self.root_factors, self.root_factors)
 
 
+def _heat(rho, spec, mult, grid: TorusGrid):
+    """rho <- irfft(rfft(rho) * mult) in place for real fields (batch, *grid.shape)."""
+    if grid.dim == 1:
+        np.fft.rfft(rho, out=spec)
+        spec *= mult
+        np.fft.irfft(spec, n=grid.n, out=rho)
+    else:
+        np.fft.rfftn(rho, axes=(-2, -1), out=spec)
+        spec *= mult
+        np.fft.irfftn(spec, s=grid.shape, axes=(-2, -1), out=rho)
+
+
 def heat_step(rho, dt, K, grid: TorusGrid):
     """Exact spectral propagation of d rho = div(K grad rho) dt."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    rho = np.asarray(rho, dtype=float)
-    expo = np.zeros(grid.shape)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    for p in range(grid.dim):
-        for q in range(grid.dim):
-            expo += grid.freqs_odd[p] * grid.freqs_odd[q] * K[p, q]
-    mult = np.exp(-4.0 * np.pi ** 2 * expo * dt)
-    return grid.ifft(grid.fft(rho) * mult)
+    no_noise = LimitCoefficients(grid, np.atleast_2d(K), np.zeros(0),
+                                 np.zeros((0,) + grid.shape))
+    return spde_step(rho, dt, no_noise, np.zeros(0))
 
 
 def spde_step(rho, dt, coeffs: LimitCoefficients, increments):
-    """Heat propagation over dt followed by the geometric noise multiplier.
+    """One step of solve_spde_batch: heat flow over dt, then the noise multiplier.
 
     ``increments`` holds one N(0, dt) variate per mode; for a batch of
     trajectories pass rho with a leading batch axis and increments (batch, J).
     """
-    rho = np.asarray(rho, dtype=float)
-    batched = rho.ndim == coeffs.grid.dim + 1
     dw = np.asarray(increments, dtype=float)
     if dw.shape[-1] != coeffs.n_modes:
         raise ValueError("one Gaussian increment per mode is required")
-    grid = coeffs.grid
-    mult = np.exp(coeffs.heat_exponent * dt)
-    if batched:
-        # batch axis first: transform over the trailing spatial axes
-        axes = tuple(range(1, grid.dim + 1))
-        out = np.fft.ifftn(np.fft.fftn(rho, axes=axes) * mult[None], axes=axes).real
-        if coeffs.n_modes:
-            expo = np.tensordot(dw, coeffs.root_factors, axes=(1, 0))
-            out = out * np.exp(expo)
-        return out
-    out = grid.ifft(grid.fft(rho) * mult)
-    if coeffs.n_modes:
-        expo = np.tensordot(dw, coeffs.root_factors, axes=(0, 0))
-        out = out * np.exp(expo)
-    return out
+    rho = np.asarray(rho, dtype=float)
+    dw = dw.reshape(rho.size // coeffs.grid.npoints, 1, coeffs.n_modes)
+    return solve_spde_batch(rho, dt, 1, coeffs, dw, [1]).reshape(rho.shape)
 
 
 def drift_consistency(coeffs: LimitCoefficients, trace_field) -> float:
@@ -123,25 +112,35 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
                      increments, output_steps):
     """Evolve a batch of trajectories with the supplied Gaussian increments.
 
-    ``increments`` has shape (batch, n_steps, J); ``output_steps`` is a sorted
-    list of step indices at which the batch is recorded.  Returns an array of
-    shape (batch, n_out, *grid.shape).
+    ``increments`` has shape (batch, n_steps, J); ``output_steps`` lists the
+    step indices at which the batch is recorded (an index may repeat).  Returns
+    an array of shape (batch, n_out, *grid.shape).
     """
+    grid, n_modes = coeffs.grid, coeffs.n_modes
     dt = final_time / n_steps
-    rho = np.array(rho0, dtype=float, copy=True)
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    # even in xi with the Nyquist bins zeroed: the rfft half spectrum is exact
+    mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1] * dt)
+    factors = coeffs.root_factors.reshape(n_modes, grid.npoints)
     batch = increments.shape[0]
-    if rho.ndim == coeffs.grid.dim:
-        rho = np.broadcast_to(rho, (batch,) + rho.shape).copy()
-    out = np.empty((batch, len(output_steps)) + coeffs.grid.shape)
-    pos = 0
-    if output_steps and output_steps[0] == 0:
-        out[:, 0] = rho
-        pos = 1
-    for k in range(n_steps):
-        rho = spde_step(rho, dt, coeffs, increments[:, k])
-        while pos < len(output_steps) and output_steps[pos] == k + 1:
-            out[:, pos] = rho
-            pos += 1
+    rho = np.array(np.broadcast_to(rho0, (batch,) + grid.shape), dtype=float)
+    spec = np.empty(rho.shape[:-1] + mult.shape[-1:], dtype=complex)
+    where = np.asarray(output_steps)
+    recorded = set(where.tolist())
+    out = np.empty((batch, where.size) + grid.shape)
+    out[:, where == 0] = rho[:, None]
+    for k0 in range(0, n_steps, NOISE_BLOCK):
+        if n_modes:
+            dw = increments[:, k0:k0 + NOISE_BLOCK].swapaxes(0, 1)
+            block = dw.reshape(-1, n_modes) @ factors
+            noise = np.exp(block, out=block).reshape((-1, batch) + grid.shape)
+        for k in range(k0, min(k0 + NOISE_BLOCK, n_steps)):
+            _heat(rho, spec, mult, grid)
+            if n_modes:
+                rho *= noise[k - k0]
+            if k + 1 in recorded:
+                out[:, where == k + 1] = rho[:, None]
     return out
 
 

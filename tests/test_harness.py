@@ -237,6 +237,21 @@ class TestWeakErrorTable:
             harness.weak_error_table(res)
 
 
+class TestComparisonTimes:
+    def test_mismatched_interior_time_rejected(self):
+        # kinetic steps of 0.016 and 0.004 against the limit grid of 0.00075:
+        # the output time 0.012 is recorded at 0.016 at eps 0.4, the final time
+        # 0.048 is hit exactly on every side
+        res = harness.run_ensemble(small_config(ensemble=4))
+        assert res.kinetic[0.4].times[1] != pytest.approx(res.limit.times[1])
+        with pytest.raises(ValueError, match="time index 1"):
+            harness.weak_error_table(res, time_index=1)
+        with pytest.raises(ValueError, match="time index 1"):
+            harness.mean_field_distances(res, time_index=1)
+        harness.weak_error_table(res, time_index=-1)
+        harness.mean_field_distances(res, time_index=-1)
+
+
 class TestMomentCheck:
     def test_zero_noise_dissipative(self):
         cfg = small_config(noise=False, ensemble=2)

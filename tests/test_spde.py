@@ -113,6 +113,13 @@ class TestSpdeStep:
         out = spde.spde_step(rho, 0.01, coeffs, np.zeros(0))
         assert np.array_equal(out, spde.heat_step(rho, 0.01, coeffs.K, GRID))
 
+    def test_negative_dt_rejected(self):
+        coeffs, _ = _coeffs([("const", nz.telegraph(1.0, 1.0))])
+        with pytest.raises(ValueError):
+            spde.spde_step(np.ones(64), -0.01, coeffs, np.zeros(1))
+        with pytest.raises(ValueError):
+            spde.heat_step(np.ones(64), -0.01, coeffs.K, GRID)
+
     def test_positivity(self):
         coeffs, _ = _coeffs([("cos:1", nz.telegraph(1.0, 1.0))])
         rng = make_stream(42, 1, 0, 0)
@@ -120,6 +127,63 @@ class TestSpdeStep:
         for _ in range(50):
             rho = spde.spde_step(rho, 0.01, coeffs, rng.normal(0, 0.1, size=1))
             assert np.all(rho > 0)
+
+
+def _literal_batch(rho0, final_time, n_steps, coeffs, dw, output_steps):
+    """Per-member, per-step composition with the complex FFT: the reference."""
+    grid = coeffs.grid
+    dt = final_time / n_steps
+    expo = sum(grid.freqs_odd[p] * grid.freqs_odd[q] * coeffs.K[p, q]
+               for p in range(grid.dim) for q in range(grid.dim))
+    mult = np.exp(-4.0 * np.pi ** 2 * expo * dt)
+    out = []
+    for b in range(dw.shape[0]):
+        rho = np.array(rho0, dtype=float)
+        states = [rho]
+        for k in range(n_steps):
+            rho = np.fft.ifftn(np.fft.fftn(rho) * mult).real
+            rho = rho * np.exp(np.tensordot(dw[b, k], coeffs.root_factors, axes=(0, 0)))
+            states.append(rho)
+        out.append([states[s] for s in output_steps])
+    return np.array(out)
+
+
+class TestBatchOracle:
+    """solve_spde_batch against the literal composition, Nyquist bins included."""
+
+    n_steps = 2 * spde.NOISE_BLOCK + 5  # ends in a partial block
+    output_steps = [0, 0, 5, spde.NOISE_BLOCK, spde.NOISE_BLOCK, n_steps]
+
+    def _problem(self, dim, n_modes):
+        grid = TorusGrid(dim, 16)
+        K = np.array([[0.7]]) if dim == 1 else np.array([[0.5, 0.1], [0.1, 0.3]])
+        rng = np.random.default_rng(10 * dim + n_modes)
+        # white-noise fields so that every bin, the Nyquist ones too, is excited
+        modes = rng.standard_normal((n_modes,) + grid.shape)
+        coeffs = spde.LimitCoefficients(grid, K, rng.uniform(0.5, 2.0, n_modes), modes)
+        rho0 = 1.0 + 0.3 * rng.standard_normal(grid.shape)
+        T = 0.01
+        dw = rng.normal(0.0, np.sqrt(T / self.n_steps), size=(3, self.n_steps, n_modes))
+        return rho0, T, coeffs, dw
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_literal_composition(self, dim, n_modes):
+        rho0, T, coeffs, dw = self._problem(dim, n_modes)
+        got = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
+        ref = _literal_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_modes", [0, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_member_equals_solo_run(self, dim, n_modes):
+        rho0, T, coeffs, dw = self._problem(dim, n_modes)
+        batch = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
+        for b in range(dw.shape[0]):
+            solo = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw[b:b + 1],
+                                         self.output_steps)
+            assert np.max(np.abs(batch[b] - solo[0])) <= 1e-12 * np.max(np.abs(solo))
 
 
 class TestDriftConsistency:
