@@ -164,6 +164,7 @@ def cmd_converge(cfg, args):
         raise ConfigError("converge needs ensemble_size >= 100")
     if len(cfg.epsilons) < 2:
         raise ConfigError("converge needs at least two epsilons")
+    harness.check_comparison_time(cfg)
     result = harness.run_ensemble(cfg, workers=args.workers)
     rows, verdicts = harness.weak_error_table(result)
     _write_csv(os.path.join(args.out, "weak_error.csv"),

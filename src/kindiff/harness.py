@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kinetic, spde
 from . import velocity as vel
-from .config import ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .generator import GeneratorInstrument, PerturbedTestFunction
 from .grid import TorusGrid
 from .stats import RunningStats
@@ -172,7 +172,7 @@ def _limit_chunk(args):
     rho0 = cfg.initial_density(grid)
     n_steps = cfg.spde_steps
     dt = cfg.final_time / n_steps
-    out_steps = [min(max(int(round(t / dt)), 0), n_steps) for t in cfg.output_times]
+    out_steps = kinetic.snap_steps(cfg.output_times, dt, n_steps)
     acc = _empty_eps_ensemble(np.asarray(out_steps) * dt, functionals, False, [])
     if not indices:
         return acc
@@ -269,6 +269,24 @@ class WeakErrorRow:
     kin_stderr: float
     lim_mean: float
     lim_stderr: float
+
+
+def check_comparison_time(cfg: ExperimentConfig, time_index: int = -1):
+    """Raise ConfigError unless every ensemble will record output time_index at one time.
+
+    Works from the config alone, so that converge can refuse a config before
+    any trajectory is run; _check_same_time makes the same check on a result.
+    """
+    dt = cfg.final_time / cfg.spde_steps
+    t_lim = kinetic.snap_steps(cfg.output_times, dt, cfg.spde_steps)[time_index] * dt
+    for eps in cfg.epsilons:
+        kdt, n_steps = kinetic.step_grid(kinetic.SolverConfig(
+            epsilon=eps, dt_factor=cfg.dt_factor, final_time=cfg.final_time))
+        t_kin = kinetic.snap_steps(cfg.output_times, kdt, n_steps)[time_index] * kdt
+        if abs(t_kin - t_lim) > 1e-9 * cfg.final_time:
+            raise ConfigError(f"output time {cfg.output_times[time_index]} is recorded at "
+                              f"t={t_kin} at epsilon={eps} but at t={t_lim} in the limit "
+                              f"ensemble; choose a time on both step grids")
 
 
 def _check_same_time(result: EnsembleResult, time_index: int):

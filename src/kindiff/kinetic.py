@@ -150,6 +150,11 @@ def step_grid(config: SolverConfig):
     return dt, n_steps
 
 
+def snap_steps(times, dt, n_steps):
+    """Indices k of the steps k * dt at which the requested times are recorded."""
+    return [min(max(int(round(t / dt)), 0), n_steps) for t in times]
+
+
 class KineticStepper:
     """Strang stepper for a batch of trajectories sharing (model, grid, noise, config).
 
@@ -453,7 +458,7 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
         f0 = f0[None]
     if instruments is None:
         instruments = [()] * len(paths)
-    steps = [min(max(int(round(t / stepper.dt)), 0), stepper.n_steps) for t in output_times]
+    steps = snap_steps(output_times, stepper.dt, stepper.n_steps)
     res = stepper.run(f0, paths, steps, instruments)
     if keep_path:
         res.paths = list(paths)

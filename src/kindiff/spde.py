@@ -7,7 +7,7 @@ A batch is held as real fields with a leading batch axis; a step of length dt is
     rho <- irfft(rfft(rho) * exp(-4 pi^2 xi^T K xi dt)) * exp(sum_j sqrt(c_j) eta_j dbeta_j),
 
 the exact heat flow (its half-spectrum multiplier built once per call) and then
-the geometric noise multiplier (its exponents formed NOISE_BLOCK steps at a time).
+the geometric noise multiplier (its exponent one matrix product per step).
 The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
 the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
@@ -23,7 +23,6 @@ from .noise import NoiseModel
 from .velocity import VelocityModel
 
 DEFAULT_STEPS = 2048
-NOISE_BLOCK = 16  # steps whose noise multipliers are formed together
 
 
 @dataclass
@@ -64,23 +63,11 @@ class LimitCoefficients:
         return np.einsum("j...,j...->...", self.root_factors, self.root_factors)
 
 
-def _heat(rho, spec, mult, grid: TorusGrid):
-    """rho <- irfft(rfft(rho) * mult) in place for real fields (batch, *grid.shape)."""
+def _heat(rho, mult, grid: TorusGrid):
+    """irfft(rfft(rho) * mult) for real fields (batch, *grid.shape)."""
     if grid.dim == 1:
-        np.fft.rfft(rho, out=spec)
-        spec *= mult
-        np.fft.irfft(spec, n=grid.n, out=rho)
-    else:
-        np.fft.rfftn(rho, axes=(-2, -1), out=spec)
-        spec *= mult
-        np.fft.irfftn(spec, s=grid.shape, axes=(-2, -1), out=rho)
-
-
-def heat_step(rho, dt, K, grid: TorusGrid):
-    """Exact spectral propagation of d rho = div(K grad rho) dt."""
-    no_noise = LimitCoefficients(grid, np.atleast_2d(K), np.zeros(0),
-                                 np.zeros((0,) + grid.shape))
-    return spde_step(rho, dt, no_noise, np.zeros(0))
+        return np.fft.irfft(np.fft.rfft(rho) * mult, n=grid.n)
+    return np.fft.irfftn(np.fft.rfftn(rho, axes=(-2, -1)) * mult, s=grid.shape, axes=(-2, -1))
 
 
 def spde_step(rho, dt, coeffs: LimitCoefficients, increments):
@@ -125,22 +112,16 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     factors = coeffs.root_factors.reshape(n_modes, grid.npoints)
     batch = increments.shape[0]
     rho = np.array(np.broadcast_to(rho0, (batch,) + grid.shape), dtype=float)
-    spec = np.empty(rho.shape[:-1] + mult.shape[-1:], dtype=complex)
     where = np.asarray(output_steps)
     recorded = set(where.tolist())
     out = np.empty((batch, where.size) + grid.shape)
     out[:, where == 0] = rho[:, None]
-    for k0 in range(0, n_steps, NOISE_BLOCK):
+    for k in range(n_steps):
+        rho = _heat(rho, mult, grid)
         if n_modes:
-            dw = increments[:, k0:k0 + NOISE_BLOCK].swapaxes(0, 1)
-            block = dw.reshape(-1, n_modes) @ factors
-            noise = np.exp(block, out=block).reshape((-1, batch) + grid.shape)
-        for k in range(k0, min(k0 + NOISE_BLOCK, n_steps)):
-            _heat(rho, spec, mult, grid)
-            if n_modes:
-                rho *= noise[k - k0]
-            if k + 1 in recorded:
-                out[:, where == k + 1] = rho[:, None]
+            rho *= np.exp(increments[:, k] @ factors).reshape(rho.shape)
+        if k + 1 in recorded:
+            out[:, where == k + 1] = rho[:, None]
     return out
 
 

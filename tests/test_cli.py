@@ -117,6 +117,15 @@ def test_converge_requires_statistical_ensemble(tmp_path):
     assert main(["converge", "--config", cfg]) == 2
 
 
+def test_converge_refuses_mismatched_output_time_before_running(tmp_path):
+    # the last output time 0.012 is step 16 of the limit grid (dt 0.00075) but
+    # is recorded at 0.016, the first kinetic step, at eps 0.4
+    cfg = write_config(tmp_path, **{"experiment.ensemble_size": 128,
+                                    "experiment.output_times": [0.0, 0.012]})
+    assert main(["converge", "--config", cfg]) == 2
+    assert not (tmp_path / "out" / "weak_error.csv").exists()
+
+
 def test_diagnose_generator(tmp_path):
     cfg = write_config(tmp_path, **{"experiment.epsilons": [0.2, 0.1]})
     assert main(["diagnose-generator", "--config", cfg, "--states", "40"]) == 0

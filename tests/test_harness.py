@@ -237,6 +237,13 @@ class TestWeakErrorTable:
             harness.weak_error_table(res)
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = {}
+for _name in sorted(os.listdir(CONFIG_DIR)):
+    with open(os.path.join(CONFIG_DIR, _name)) as _fh:
+        SHIPPED[_name] = json.load(_fh)
+
+
 class TestComparisonTimes:
     def test_mismatched_interior_time_rejected(self):
         # kinetic steps of 0.016 and 0.004 against the limit grid of 0.00075:
@@ -250,6 +257,14 @@ class TestComparisonTimes:
             harness.mean_field_distances(res, time_index=1)
         harness.weak_error_table(res, time_index=-1)
         harness.mean_field_distances(res, time_index=-1)
+        # the config-level check, made before any run, gives the same verdicts
+        with pytest.raises(ConfigError, match="epsilon=0.4"):
+            harness.check_comparison_time(res.config, time_index=1)
+        harness.check_comparison_time(res.config, time_index=-1)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_shipped_configs_compare_at_final_time(self, name):
+        harness.check_comparison_time(parse_config(SHIPPED[name]))
 
 
 class TestMomentCheck:
@@ -273,13 +288,6 @@ class TestMomentCheck:
         rep = harness.uniform_moment_check(res, 1e-9)
         assert not rep.ok
         assert rep.offender is not None
-
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-SHIPPED = {}
-for _name in sorted(os.listdir(CONFIG_DIR)):
-    with open(os.path.join(CONFIG_DIR, _name)) as _fh:
-        SHIPPED[_name] = json.load(_fh)
 
 
 def _scalar_paths(node, prefix=()):

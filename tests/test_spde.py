@@ -20,26 +20,33 @@ def _coeffs(labels_chains):
     return spde.LimitCoefficients.from_models(vel.two_speed(), nm, GRID), nm
 
 
+def _heat(rho, dt, K, grid=GRID):
+    """spde_step without noise modes: the exact heat flow of div(K grad rho)."""
+    coeffs = spde.LimitCoefficients(grid, np.atleast_2d(K), np.zeros(0),
+                                    np.zeros((0,) + grid.shape))
+    return spde.spde_step(rho, dt, coeffs, np.zeros(0))
+
+
 class TestHeatStep:
     def test_zero_time_identity(self):
         rho = np.random.default_rng(0).standard_normal(64)
-        assert spde.heat_step(rho, 0.0, np.array([[1.0]]), GRID) == pytest.approx(rho)
+        assert _heat(rho, 0.0, np.array([[1.0]])) == pytest.approx(rho)
 
     def test_cosine_eigenfunction(self):
         rho = np.cos(2 * np.pi * X)
         dt = 0.037
-        out = spde.heat_step(rho, dt, np.array([[1.0]]), GRID)
+        out = _heat(rho, dt, np.array([[1.0]]))
         assert out == pytest.approx(np.exp(-4 * np.pi ** 2 * dt) * rho, abs=1e-13)
 
     def test_constant_preserved(self):
         rho = np.full(64, 3.3)
-        out = spde.heat_step(rho, 0.5, np.array([[1.0]]), GRID)
+        out = _heat(rho, 0.5, np.array([[1.0]]))
         assert out == pytest.approx(rho)
 
     def test_l2_contraction_and_mean(self):
         rng = np.random.default_rng(1)
         rho = rng.standard_normal(64)
-        out = spde.heat_step(rho, 0.01, np.array([[1.0]]), GRID)
+        out = _heat(rho, 0.01, np.array([[1.0]]))
         assert GRID.norm(out) <= GRID.norm(rho)
         assert out.mean() == pytest.approx(rho.mean(), abs=1e-14)
 
@@ -50,7 +57,7 @@ class TestHeatStep:
         rho = np.cos(2 * np.pi * (xs[0] + 2 * xs[1]))
         xi = np.array([1.0, 2.0])
         rate = 4 * np.pi ** 2 * xi @ K @ xi
-        out = spde.heat_step(rho, 0.02, K, grid)
+        out = _heat(rho, 0.02, K, grid)
         assert out == pytest.approx(np.exp(-rate * 0.02) * rho, abs=1e-12)
 
 
@@ -60,7 +67,8 @@ class TestSpdeStep:
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
         dt = 0.01
         out = spde.spde_step(rho, dt, coeffs, np.zeros(1))
-        assert out == pytest.approx(spde.heat_step(rho, dt, coeffs.K, GRID))
+        heat = 1.0 + 0.4 * np.exp(-4 * np.pi ** 2 * coeffs.K[0, 0] * dt) * np.cos(2 * np.pi * X)
+        assert out == pytest.approx(heat, abs=1e-13)
 
     def test_lognormal_mean_single_step(self):
         # K = 0, one constant mode: E[rho'] = rho * e^{F dt / 2} exactly;
@@ -111,14 +119,15 @@ class TestSpdeStep:
         coeffs, _ = _coeffs([])
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
         out = spde.spde_step(rho, 0.01, coeffs, np.zeros(0))
-        assert np.array_equal(out, spde.heat_step(rho, 0.01, coeffs.K, GRID))
+        heat = 1.0 + 0.4 * np.exp(-4 * np.pi ** 2 * coeffs.K[0, 0] * 0.01) * np.cos(2 * np.pi * X)
+        assert out == pytest.approx(heat, abs=1e-13)
 
     def test_negative_dt_rejected(self):
         coeffs, _ = _coeffs([("const", nz.telegraph(1.0, 1.0))])
         with pytest.raises(ValueError):
             spde.spde_step(np.ones(64), -0.01, coeffs, np.zeros(1))
         with pytest.raises(ValueError):
-            spde.heat_step(np.ones(64), -0.01, coeffs.K, GRID)
+            spde.solve_spde_batch(np.ones(64), -0.01, 1, coeffs, np.zeros((1, 1, 1)), [1])
 
     def test_positivity(self):
         coeffs, _ = _coeffs([("cos:1", nz.telegraph(1.0, 1.0))])
@@ -151,8 +160,8 @@ def _literal_batch(rho0, final_time, n_steps, coeffs, dw, output_steps):
 class TestBatchOracle:
     """solve_spde_batch against the literal composition, Nyquist bins included."""
 
-    n_steps = 2 * spde.NOISE_BLOCK + 5  # ends in a partial block
-    output_steps = [0, 0, 5, spde.NOISE_BLOCK, spde.NOISE_BLOCK, n_steps]
+    n_steps = 37
+    output_steps = [0, 0, 5, 16, 16, n_steps]
 
     def _problem(self, dim, n_modes):
         grid = TorusGrid(dim, 16)
@@ -223,7 +232,7 @@ class TestWeakSelfConvergence:
         dt = self.T / steps
         mult = np.exp(self.coeffs.trace_field() * dt / 2)
         for _ in range(steps):
-            u = spde.heat_step(u, dt, self.coeffs.K, GRID) * mult
+            u = _heat(u, dt, self.coeffs.K) * mult
         return u
 
     def test_exact_expectation_bias_is_first_order(self):
