@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as noise_mod
-from . import velocity as vel
 from .grid import TorusGrid
 from .noise import MAX_PAIR_STATES, NoiseModel
 from .velocity import VelocityModel
@@ -91,40 +90,45 @@ class TestFunctional:
 
 
 class _DirData:
-    """Directional data for one full kinetic direction h."""
+    """Pairings of a batch of kinetic fields h (B, *shape, V) with the functional's weights.
 
-    __slots__ = ("h", "bar", "w", "eta", "pairs", "bAw", "A2w", "cAw")
+    One product with the bundle's projection matrix gives every pairing the
+    pieces below need, for a direction h and for the state f itself.
+    """
+
+    __slots__ = ("w", "cAw", "bAw", "A2w", "eta", "Aeta", "mAw", "pairs")
 
     def __init__(self, owner: "PerturbedTestFunction", h: np.ndarray):
-        cell = owner.grid.cell_volume
-        self.h = h
-        self.bar = h @ owner.vm.weights
-        flat = self.bar.reshape(-1)
-        self.w = float(flat @ owner._w_flat) * cell
-        if owner.J:
-            self.eta = owner._weta_flat @ flat * cell
-            self.pairs = (owner._wpair_flat @ flat * cell).reshape(owner.J, owner.J)
-        else:
-            self.eta = owner._empty
-            self.pairs = owner._empty2
-        self.bAw = -owner._inner_xv(h, owner.Aw)   # (bar(Ah), w) by skew-adjointness
-        self.A2w = owner._inner_xv(h, owner.A2w)   # (bar(A^2 h), w)
-        self.cAw = float(flat @ owner._cAw_flat) * cell  # (bar h, div K grad w)
+        J = owner.J
+        p = h.reshape(h.shape[0], -1) @ owner._proj
+        self.w = p[:, 0]                             # (bar h, w)
+        self.cAw = p[:, 1]                           # (bar h, div K grad w)
+        self.bAw = -p[:, 2]                          # (bar(Ah), w) by skew-adjointness
+        self.A2w = p[:, 3]                           # (bar(A^2 h), w)
+        self.eta = p[:, 4:4 + J]                     # (bar h, w eta_j)
+        self.Aeta = p[:, 4 + J:4 + 2 * J]            # (h, A(w eta_j))
+        self.mAw = p[:, 4 + 2 * J:4 + 3 * J]         # (h eta_j, Aw)
+        self.pairs = p[:, 4 + 3 * J:].reshape(p.shape[0], J, J)  # (bar h, w eta_j eta_l)
 
 
 class _EvalState:
-    """Per-(f, n) derived quantities shared by all functional pieces."""
+    """Per-(f, n) derived quantities of a batch, shared by all functional pieces."""
 
     __slots__ = (
-        "f", "n", "rho", "Af", "barAf", "sv", "pv", "Bv", "Nv", "Gv",
-        "nf", "b", "Bf", "Nf", "mw", "alpha",
-        "r", "rP", "S_A", "S_A2", "S_cA", "S_b", "S_n", "S_B", "S_N",
-        "rFw", "aw", "dir_L", "dir_A",
+        "f", "n", "rho", "Af", "sv", "pv", "Bv", "Nv", "Gv", "nf", "b",
+        "mw", "alpha", "r", "rP", "fmAw", "aw", "psiq",
+        "S_A", "S_A2", "S_cA", "S_b", "S_n", "S_B", "S_N", "dir_L", "dir_A",
     )
 
 
 class PerturbedTestFunction:
-    """A test functional bundled with its correctors and generator actions."""
+    """A test functional bundled with its correctors and generator actions.
+
+    The pieces act on a batch: ``state`` takes f of shape (B, *grid.shape, V)
+    and chain indices n of shape (B, J), and every piece returns a (B,)
+    array.  The single-state methods (`corrector1`, `generator_parts`, ...)
+    evaluate the batch of one and return floats.
+    """
 
     def __init__(self, functional: TestFunctional, vm: VelocityModel,
                  nm: NoiseModel, grid: TorusGrid):
@@ -135,61 +139,75 @@ class PerturbedTestFunction:
         self.nm = nm
         self.grid = grid
         self.quad = functional.kind == "quadratic"
-        self.J = nm.n_modes
-        self._empty = np.zeros(0)
-        self._empty2 = np.zeros((0, 0))
+        self.J = J = nm.n_modes
+        self._fshape = grid.shape + (vm.n_velocities,)
+        self._axes = tuple(range(1, grid.dim + 1))
 
         mu = vm.weights
         a = vm.velocities
         # first-derivative multiplier of A per velocity, Nyquist zeroed
-        m1 = np.zeros(grid.shape + (vm.n_velocities,), dtype=complex)
+        m1 = np.zeros(self._fshape, dtype=complex)
         for d in range(grid.dim):
             m1 = m1 + 2j * np.pi * grid.freqs_odd[d][..., None] * a[:, d]
-        self._m1 = m1
-        self._multA2bar = ((m1 * m1) @ mu).real  # Fourier symbol of div(K grad .)
+        self._m1_half = m1[..., :grid.n // 2 + 1, :]  # the rfft half of the last axis
+        multA2bar = ((m1 * m1) @ mu).real  # Fourier symbol of div(K grad .)
+
+        def apply_A(g):
+            return grid.ifft(m1 * grid.fft(g)[..., None])
 
         w = functional.weight
-        what = grid.fft(w)
         self.w = w
-        self.Aw = grid.ifft(m1 * what[..., None])          # (a_i . grad w) per velocity
-        self.A2w = grid.ifft(m1 * m1 * what[..., None])    # (a_i . grad)^2 w
-        self.curlyAw = grid.ifft(self._multA2bar * what)   # div(K grad w)
-        self._w_flat = w.reshape(-1)
-        self._cAw_flat = self.curlyAw.reshape(-1)
-
-        modes = nm.modes
-        self.c = nm.coefficients
-        if self.J:
-            self._weta = w[None] * modes
-            self._weta_flat = self._weta.reshape(self.J, -1)
-            pair = modes[:, None] * modes[None, :]
-            self._wpair_flat = (w[None, None] * pair).reshape(self.J * self.J, -1)
-            self._gradweta = np.stack(
-                [np.stack(grid.grad(self._weta[j])) for j in range(self.J)]
-            )  # (J, dim, *shape)
-        else:
-            self._weta_flat = np.zeros((0, grid.npoints))
-            self._wpair_flat = np.zeros((0, grid.npoints))
-            self._gradweta = np.zeros((0, grid.dim) + grid.shape)
+        self.Aw = apply_A(w)                               # (a_i . grad w) per velocity
+        self.A2w = grid.ifft(m1 * m1 * grid.fft(w)[..., None])  # (a_i . grad)^2 w
+        self.curlyAw = grid.ifft(multA2bar * grid.fft(w))  # div(K grad w)
         self.Fw = nm.trace_field() * w
+        modes = nm.modes
+        self._modes_flat = modes.reshape(J, grid.npoints)
+        weta = w[None] * modes
+
+        # projection matrix of _DirData: kinetic columns g(x, v) mu_v dx
+        def lift(g):
+            return np.broadcast_to(g[..., None], self._fshape)
+
+        cols = [lift(w), lift(self.curlyAw), self.Aw, self.A2w]
+        cols += [lift(g) for g in weta]
+        cols += [apply_A(g) for g in weta]
+        cols += [m[..., None] * self.Aw for m in modes]
+        cols += [lift(g * m) for g in weta for m in modes]
+        self._proj = (np.stack([c * mu for c in cols], axis=-1)
+                      .reshape(grid.npoints * vm.n_velocities, -1) * grid.cell_volume)
+        # density columns of generator_limit
+        self._dens = (np.stack([w, self.curlyAw, self.Fw] + list(weta), axis=-1)
+                      .reshape(grid.npoints, -1) * grid.cell_volume)
 
         # chain tables: identity Poisson solution, resolvents, jump variance rate
-        self.s_tab = [ch.states for ch in nm.chains]
+        self.c = nm.coefficients
         self.p_tab = list(nm.poisson_identity)
-        self.B_tab = [noise_mod.resolvent_solve(ch, p)
-                      for ch, p in zip(nm.chains, self.p_tab)]
-        self.N_tab = [noise_mod.resolvent_solve(ch, ch.states) for ch in nm.chains]
-        self.G_tab = [noise_mod.carre_du_champ(ch, p)
-                      for ch, p in zip(nm.chains, self.p_tab)]
-        # Poisson solves for the noise-quadratic observables theta_{jl}(n) = s_j(n_j) phi_l(n_l)
+        tabs = [np.stack([ch.states, p, noise_mod.resolvent_solve(ch, p),
+                          noise_mod.resolvent_solve(ch, ch.states),
+                          noise_mod.carre_du_champ(ch, p)])
+                for ch, p in zip(nm.chains, self.p_tab)]
+        sizes = [ch.n_states for ch in nm.chains]
+        self._n_states = np.array(sizes, dtype=np.int64)
+        self._chain_off = np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(np.int64)
+        # rows s, M^{-1}I, (I - G)^{-1} M^{-1}I, (I - G)^{-1} s, Gamma(M^{-1}I); chains side by side
+        self._chain_tab = np.concatenate(tabs, axis=1) if J else np.zeros((5, 0))
+
+        # Poisson solves for the noise-quadratic observables theta_{jl}(n) = s_j(n_j) phi_l(n_l),
+        # flattened into one table: entry (j, l) at off + sj * n_j + sl * n_l
         self.psiQ = {}
         self.thetaQ_mean = {}
+        psi_parts = []
+        self._psiq_off = np.zeros((J, J), dtype=np.int64)
+        self._psiq_sj = np.ones((J, J), dtype=np.int64)
+        self._psiq_sl = np.zeros((J, J), dtype=np.int64)
+        pos = 0
         for j, chj in enumerate(nm.chains):
             for l, chl in enumerate(nm.chains):
                 if j == l:
                     theta = chj.states * self.p_tab[j]
                     mean = float(chj.stationary @ theta)  # equals -c_j / 2
-                    self.psiQ[(j, j)] = noise_mod.solve_poisson(chj, mean - theta)
+                    tab = noise_mod.solve_poisson(chj, mean - theta)
                 else:
                     if chj.n_states * chl.n_states > MAX_PAIR_STATES:
                         raise ValueError(
@@ -197,60 +215,63 @@ class PerturbedTestFunction:
                         )
                     theta = np.outer(chj.states, self.p_tab[l])
                     mean = float(chj.stationary @ theta @ chl.stationary)
-                    self.psiQ[(j, l)] = noise_mod.solve_poisson_pair(chj, chl, mean - theta)
+                    tab = noise_mod.solve_poisson_pair(chj, chl, mean - theta)
+                    self._psiq_sj[j, l] = chl.n_states
+                    self._psiq_sl[j, l] = 1
+                self.psiQ[(j, l)] = tab
                 self.thetaQ_mean[(j, l)] = mean
+                self._psiq_off[j, l] = pos
+                psi_parts.append(tab.reshape(-1))
+                pos += tab.size
+        self._psiq_flat = np.concatenate(psi_parts) if J else np.zeros(0)
+        self._thetaQ = np.array([[self.thetaQ_mean[(j, l)] for l in range(J)]
+                                 for j in range(J)]).reshape(J, J)
 
-    # ---- low-level helpers -------------------------------------------
+    # ---- evaluation record ---------------------------------------------
 
-    def _inner_xv(self, f, g) -> float:
-        return float(np.sum((f * g) @ self.vm.weights) * self.grid.cell_volume)
-
-    def _gi(self, f, g) -> float:
-        return float(f.reshape(-1) @ g.reshape(-1)) * self.grid.cell_volume
-
-    def _dalpha(self, st, d: _DirData) -> float:
+    def _dalpha(self, st, d: _DirData):
         # derivative of alpha(rho): 0 for linear phi, (bar h, w) for quadratic
-        return d.w if self.quad else 0.0
+        return d.w if self.quad else np.zeros_like(d.w)
 
     def state(self, f, n) -> _EvalState:
-        """Assemble the shared evaluation record for a kinetic state (f, n)."""
+        """Assemble the shared evaluation record for a batch of kinetic states.
+
+        ``f`` is (B, *grid.shape, V) and ``n`` holds the (B, J) chain state
+        indices; every field of the record carries the leading batch axis.
+        """
         f = np.asarray(f, dtype=float)
-        n = np.asarray(n, dtype=np.int64).reshape(-1)
-        if n.shape[0] != self.J:
+        n = np.asarray(n, dtype=np.int64)
+        if f.shape[1:] != self._fshape:
+            raise ValueError("f must be a batch of kinetic fields on the grid")
+        if n.shape != (f.shape[0], self.J):
             raise ValueError("one chain state index per mode is required")
-        cell = self.grid.cell_volume
+        if np.any(n < 0) or np.any(n >= self._n_states):
+            raise ValueError("chain state index out of range")
         st = _EvalState()
         st.f = f
         st.n = n
         st.rho = f @ self.vm.weights
-        spec = self._m1 * self.grid.fft(f)
-        st.Af = self.grid.ifft(spec)
-        st.barAf = self.grid.ifft(spec @ self.vm.weights)
-        J = self.J
-        st.sv = np.array([self.s_tab[j][n[j]] for j in range(J)])
-        st.pv = np.array([self.p_tab[j][n[j]] for j in range(J)])
-        st.Bv = np.array([self.B_tab[j][n[j]] for j in range(J)])
-        st.Nv = np.array([self.N_tab[j][n[j]] for j in range(J)])
-        st.Gv = np.array([self.G_tab[j][n[j]] for j in range(J)])
-        zero = np.zeros(self.grid.shape)
-        st.nf = np.tensordot(st.sv, self.nm.modes, axes=1) if J else zero
-        st.b = np.tensordot(st.pv, self.nm.modes, axes=1) if J else zero
-        st.Bf = np.tensordot(st.Bv, self.nm.modes, axes=1) if J else zero
-        st.Nf = np.tensordot(st.Nv, self.nm.modes, axes=1) if J else zero
-        rho_flat = st.rho.reshape(-1)
-        st.mw = float(rho_flat @ self._w_flat) * cell
-        st.alpha = st.mw if self.quad else 1.0
-        st.r = self._weta_flat @ rho_flat * cell if J else self._empty
-        st.rP = (self._wpair_flat @ rho_flat * cell).reshape(J, J) if J else self._empty2
-        st.S_A = self._gi(st.barAf, self.w)
-        st.S_A2 = self._inner_xv(f, self.A2w)
-        st.S_cA = float(rho_flat @ self._cAw_flat) * cell
-        st.S_b = float(st.pv @ st.r) if J else 0.0
-        st.S_n = float(st.sv @ st.r) if J else 0.0
-        st.S_B = float(st.Bv @ st.r) if J else 0.0
-        st.S_N = float(st.Nv @ st.r) if J else 0.0
-        st.rFw = float(rho_flat @ self.Fw.reshape(-1)) * cell
-        st.aw = self._weta_flat @ st.barAf.reshape(-1) * cell if J else self._empty
+        spec = np.fft.rfftn(f, axes=self._axes) * self._m1_half
+        st.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+        chain = self._chain_tab[:, self._chain_off + n]  # (5, B, J)
+        st.sv, st.pv, st.Bv, st.Nv, st.Gv = chain
+        st.nf = (st.sv @ self._modes_flat).reshape(st.rho.shape)
+        st.b = (st.pv @ self._modes_flat).reshape(st.rho.shape)
+        pf = _DirData(self, f)
+        st.mw = pf.w
+        st.alpha = st.mw if self.quad else np.ones(f.shape[0])
+        st.r = pf.eta
+        st.rP = pf.pairs
+        st.fmAw = pf.mAw
+        st.S_A2 = pf.A2w
+        st.S_cA = pf.cAw
+        paf = _DirData(self, st.Af)
+        st.S_A = paf.w
+        st.aw = paf.eta
+        st.S_n, st.S_b, st.S_B, st.S_N = np.einsum("kbj,bj->kb", chain[:4], st.r)
+        idx = (self._psiq_off + self._psiq_sj * n[:, :, None]
+               + self._psiq_sl * n[:, None, :])
+        st.psiq = self._psiq_flat[idx]  # (B, J, J)
         st.dir_L = None
         st.dir_A = None
         return st
@@ -266,156 +287,106 @@ class PerturbedTestFunction:
 
     # ---- phi ----------------------------------------------------------
 
-    def phi_value(self, st: _EvalState) -> float:
+    def phi_value(self, st: _EvalState):
         return 0.5 * st.mw * st.mw if self.quad else st.mw
 
-    def d_phi(self, st, d: _DirData) -> float:
+    def d_phi(self, st, d: _DirData):
         return st.alpha * d.w
 
     # ---- phi1 ----------------------------------------------------------
 
-    def phi1_value(self, st: _EvalState) -> float:
+    def phi1_value(self, st: _EvalState):
         return -st.alpha * (st.S_A + st.S_b)
 
-    def d_phi1(self, st, d: _DirData) -> float:
-        base = d.bAw + (float(st.pv @ d.eta) if self.J else 0.0)
+    def d_phi1(self, st, d: _DirData):
+        base = d.bAw + np.sum(st.pv * d.eta, axis=1)
         return -st.alpha * base - self._dalpha(st, d) * (st.S_A + st.S_b)
 
-    def m_phi1(self, st: _EvalState) -> float:
+    def m_phi1(self, st: _EvalState):
         return -st.alpha * st.S_n
 
     # ---- phi2: explicit part --------------------------------------------
 
-    def phi2_sharp(self, st: _EvalState) -> float:
+    def phi2_sharp(self, st: _EvalState):
         out = st.alpha * (st.S_A2 - st.S_cA)
         if self.quad:
-            out += 0.5 * st.S_A * st.S_A
+            out = out + 0.5 * st.S_A * st.S_A
         return out
 
-    def d_phi2_sharp(self, st, d: _DirData) -> float:
+    def d_phi2_sharp(self, st, d: _DirData):
         out = st.alpha * (d.A2w - d.cAw) + self._dalpha(st, d) * (st.S_A2 - st.S_cA)
         if self.quad:
-            out += d.bAw * st.S_A
+            out = out + d.bAw * st.S_A
         return out
 
     # ---- phi2: noise-quadratic part ---------------------------------------
 
-    def _beta(self, st) -> np.ndarray:
-        out = -st.alpha * st.rP
+    def _beta(self, st):
+        out = -st.alpha[:, None, None] * st.rP
         if self.quad:
-            out = out - np.outer(st.r, st.r)
+            out = out - st.r[:, :, None] * st.r[:, None, :]
         return out
 
-    def _psiq_values(self, n) -> np.ndarray:
-        J = self.J
-        vals = np.zeros((J, J))
-        for j in range(J):
-            for l in range(J):
-                tab = self.psiQ[(j, l)]
-                vals[j, l] = tab[n[j]] if j == l else tab[n[j], n[l]]
-        return vals
+    def phi2_star(self, st: _EvalState):
+        return np.sum(self._beta(st) * st.psiq, axis=(1, 2))
 
-    def phi2_star(self, st: _EvalState) -> float:
-        if not self.J:
-            return 0.0
-        return float(np.sum(self._beta(st) * self._psiq_values(st.n)))
-
-    def d_phi2_star(self, st, d: _DirData) -> float:
-        if not self.J:
-            return 0.0
-        dbeta = -self._dalpha(st, d) * st.rP - st.alpha * d.pairs
+    def d_phi2_star(self, st, d: _DirData):
+        dbeta = (-self._dalpha(st, d)[:, None, None] * st.rP
+                 - st.alpha[:, None, None] * d.pairs)
         if self.quad:
-            dbeta = dbeta - np.outer(d.eta, st.r) - np.outer(st.r, d.eta)
-        return float(np.sum(dbeta * self._psiq_values(st.n)))
+            dbeta = dbeta - d.eta[:, :, None] * st.r[:, None, :] \
+                - st.r[:, :, None] * d.eta[:, None, :]
+        return np.sum(dbeta * st.psiq, axis=(1, 2))
 
-    def m_phi2_star(self, st: _EvalState) -> float:
-        if not self.J:
-            return 0.0
-        beta = self._beta(st)
-        out = 0.0
-        for j in range(self.J):
-            for l in range(self.J):
-                out += beta[j, l] * (self.thetaQ_mean[(j, l)] - st.sv[j] * st.pv[l])
-        return out
+    def m_phi2_star(self, st: _EvalState):
+        gap = self._thetaQ - st.sv[:, :, None] * st.pv[:, None, :]
+        return np.sum(self._beta(st) * gap, axis=(1, 2))
 
     # ---- phi2: noise-linear resolvent part ---------------------------------
 
-    def _a_of_weta_combo(self, coeff_vec) -> np.ndarray:
-        """A applied to sum_k coeff_k (w eta_k), per velocity."""
-        g = np.tensordot(coeff_vec, self._gradweta, axes=1)   # (dim, *shape)
-        return np.tensordot(np.moveaxis(g, 0, -1), self.vm.velocities, axes=([-1], [1]))
-
-    def _phi2_dagger_terms(self, st, Bv, Nv, Nf, S_B, S_N) -> float:
-        t1 = st.alpha * float(Bv @ st.aw)
-        t2 = st.alpha * self._inner_xv(st.f * Nf[..., None], self.Aw)
-        t34 = (S_B - S_N) * st.S_A if self.quad else 0.0
-        return t1 + t2 + t34
-
-    def phi2_dagger(self, st: _EvalState) -> float:
-        if not self.J:
-            return 0.0
-        return self._phi2_dagger_terms(st, st.Bv, st.Nv, st.Nf, st.S_B, st.S_N)
-
-    def m_phi2_dagger(self, st: _EvalState) -> float:
-        if not self.J:
-            return 0.0
-        return self._phi2_dagger_terms(
-            st, st.Bv - st.pv, st.Nv - st.sv, st.Nf - st.nf,
-            st.S_B - st.S_b, st.S_N - st.S_n,
-        )
-
-    def d_phi2_dagger(self, st, d: _DirData) -> float:
-        if not self.J:
-            return 0.0
-        da = self._dalpha(st, d)
-        ABfw = self._a_of_weta_combo(st.Bv)
-        # (bar(Ah), Bf w) = -(h, A(Bf w)) by skew-adjointness
-        t1 = -st.alpha * self._inner_xv(d.h, ABfw) + da * float(st.Bv @ st.aw)
-        t2 = (st.alpha * self._inner_xv(d.h * st.Nf[..., None], self.Aw)
-              + da * self._inner_xv(st.f * st.Nf[..., None], self.Aw))
-        t34 = 0.0
+    def _phi2_dagger_terms(self, st, Bv, Nv, S_B, S_N):
+        t1 = st.alpha * np.sum(Bv * st.aw, axis=1)
+        t2 = st.alpha * np.sum(Nv * st.fmAw, axis=1)  # (f Nf, Aw), Nf = Nv . eta
         if self.quad:
-            hB = float(st.Bv @ d.eta)
-            hN = float(st.Nv @ d.eta)
-            t34 = (hB - hN) * st.S_A + (st.S_B - st.S_N) * d.bAw
-        return t1 + t2 + t34
+            return t1 + t2 + (S_B - S_N) * st.S_A
+        return t1 + t2
+
+    def phi2_dagger(self, st: _EvalState):
+        return self._phi2_dagger_terms(st, st.Bv, st.Nv, st.S_B, st.S_N)
+
+    def m_phi2_dagger(self, st: _EvalState):
+        return self._phi2_dagger_terms(st, st.Bv - st.pv, st.Nv - st.sv,
+                                       st.S_B - st.S_b, st.S_N - st.S_n)
+
+    def d_phi2_dagger(self, st, d: _DirData):
+        da = self._dalpha(st, d)
+        # (bar(Ah), Bf w) = -(h, A(Bf w)) by skew-adjointness
+        t1 = -st.alpha * np.sum(st.Bv * d.Aeta, axis=1) + da * np.sum(st.Bv * st.aw, axis=1)
+        t2 = (st.alpha * np.sum(st.Nv * d.mAw, axis=1)
+              + da * np.sum(st.Nv * st.fmAw, axis=1))
+        if self.quad:
+            hBN = np.sum((st.Bv - st.Nv) * d.eta, axis=1)
+            return t1 + t2 + hBN * st.S_A + (st.S_B - st.S_N) * d.bAw
+        return t1 + t2
 
     # ---- assembled correctors and generators --------------------------------
 
-    def corrector1(self, f, n) -> float:
-        return self.phi1_value(self.state(f, n))
-
-    def corrector2(self, f, n) -> float:
-        st = self.state(f, n)
+    def _phi2(self, st):
         return self.phi2_sharp(st) + self.phi2_star(st) + self.phi2_dagger(st)
 
-    def corrector2_parts(self, f, n):
-        st = self.state(f, n)
-        return self.phi2_sharp(st), self.phi2_star(st), self.phi2_dagger(st)
+    def _value_eps_state(self, st, eps: float):
+        return self.phi_value(st) + eps * self.phi1_value(st) + eps * eps * self._phi2(st)
 
-    def value_eps(self, f, n, eps: float) -> float:
-        st = self.state(f, n)
-        return self._value_eps_state(st, eps)
-
-    def _value_eps_state(self, st, eps: float) -> float:
-        phi2 = self.phi2_sharp(st) + self.phi2_star(st) + self.phi2_dagger(st)
-        return self.phi_value(st) + eps * self.phi1_value(st) + eps * eps * phi2
-
-    def _d_phi2(self, st, d: _DirData) -> float:
+    def _d_phi2(self, st, d: _DirData):
         return (self.d_phi2_sharp(st, d) + self.d_phi2_star(st, d)
                 + self.d_phi2_dagger(st, d))
 
-    def generator_parts(self, f, n):
-        """The four brackets of L_eps phi_eps ordered by power of eps.
+    def _generator_parts_state(self, st):
+        """The four brackets of L_eps phi_eps ordered by power of eps, each (B,).
 
-        Returns (b0, b1, b2, b3) with
         b0 = L_L phi (vanishes), b1 = L_A phi + L_L phi1 (vanishes),
         b2 = L_A phi1 + L_L phi2 (equals the limit generator), b3 = L_A phi2.
         """
-        st = self.state(f, n)
-        return self._generator_parts_state(st)
-
-    def _generator_parts_state(self, st):
         dL = self._dir(st, "L")
         dA = self._dir(st, "A")
         b0 = self.d_phi(st, dL)
@@ -425,55 +396,56 @@ class PerturbedTestFunction:
         b3 = self._d_phi2(st, dA)
         return b0, b1, b2, b3
 
+    def _bracket_state(self, st):
+        """Bracket integrand M|phi1|^2 - 2 phi1 M phi1 = sum_j (alpha r_j)^2 Gamma_j(n_j)."""
+        gamma = st.alpha[:, None] * st.r
+        return np.sum(gamma * gamma * st.Gv, axis=1)
+
+    def generator_limit(self, rho):
+        """L phi(rho) = (div K grad rho, u) + (F rho, u)/2 + sum c_j H(rho eta_j, rho eta_j)/2.
+
+        ``rho`` is one density or a batch (B, *grid.shape); the result is a
+        float or a (B,) array.
+        """
+        rho = np.asarray(rho, dtype=float)
+        p = rho.reshape(rho.shape[:rho.ndim - self.grid.dim] + (-1,)) @ self._dens
+        mw, s_ca, s_f, r = p[..., 0], p[..., 1], p[..., 2], p[..., 3:]
+        alpha = mw if self.quad else 1.0
+        out = alpha * s_ca + 0.5 * alpha * s_f
+        if self.quad:
+            out = out + 0.5 * ((r * r) @ self.c)
+        return out
+
+    # ---- single states: the batch of one ------------------------------------
+
+    def _one(self, f, n) -> _EvalState:
+        return self.state(np.asarray(f, dtype=float)[None],
+                          np.asarray(n, dtype=np.int64).reshape(1, -1))
+
+    def corrector1(self, f, n) -> float:
+        return float(self.phi1_value(self._one(f, n))[0])
+
+    def corrector2(self, f, n) -> float:
+        return float(self._phi2(self._one(f, n))[0])
+
+    def corrector2_parts(self, f, n):
+        st = self._one(f, n)
+        return tuple(float(p[0]) for p in
+                     (self.phi2_sharp(st), self.phi2_star(st), self.phi2_dagger(st)))
+
+    def value_eps(self, f, n, eps: float) -> float:
+        return float(self._value_eps_state(self._one(f, n), eps)[0])
+
+    def generator_parts(self, f, n):
+        """(b0, b1, b2, b3) of `_generator_parts_state` for one state, as floats."""
+        return tuple(float(b[0]) for b in self._generator_parts_state(self._one(f, n)))
+
     def generator_eps(self, f, n, eps: float) -> float:
         b0, b1, b2, b3 = self.generator_parts(f, n)
         return b0 / (eps * eps) + b1 / eps + b2 + eps * b3
 
-    def generator_limit(self, rho) -> float:
-        """L phi(rho) = (div K grad rho, u) + (F rho, u)/2 + sum c_j H(rho eta_j, rho eta_j)/2."""
-        rho = np.asarray(rho, dtype=float)
-        cell = self.grid.cell_volume
-        flat = rho.reshape(-1)
-        mw = float(flat @ self._w_flat) * cell
-        alpha = mw if self.quad else 1.0
-        s_ca = float(flat @ self._cAw_flat) * cell
-        s_f = float(flat @ self.Fw.reshape(-1)) * cell
-        out = alpha * s_ca + 0.5 * alpha * s_f
-        if self.quad and self.J:
-            r = self._weta_flat @ flat * cell
-            out += 0.5 * float(self.c @ (r * r))
-        return out
-
     def carre_du_champ1(self, f, n) -> float:
-        """Bracket integrand M|phi1|^2 - 2 phi1 M phi1 = sum_j (alpha r_j)^2 Gamma_j(n_j)."""
-        st = self.state(f, n)
-        return self._bracket_state(st)
-
-    def _bracket_state(self, st) -> float:
-        if not self.J:
-            return 0.0
-        gamma = st.alpha * st.r
-        return float(np.sum(gamma * gamma * st.Gv))
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers
-
-
-def corrector1(bundle: PerturbedTestFunction, f, n) -> float:
-    return bundle.corrector1(f, n)
-
-
-def corrector2(bundle: PerturbedTestFunction, f, n) -> float:
-    return bundle.corrector2(f, n)
-
-
-def generator_eps(bundle: PerturbedTestFunction, f, n, eps: float) -> float:
-    return bundle.generator_eps(f, n, eps)
-
-
-def generator_limit(bundle: PerturbedTestFunction, rho) -> float:
-    return bundle.generator_limit(rho)
+        return float(self._bracket_state(self._one(f, n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +471,21 @@ def random_smooth_field(grid: TorusGrid, n_velocities: int, rng,
 def residual_scaling(bundle: PerturbedTestFunction, states, eps_list):
     """Normalized generator residuals |L_eps phi_eps - L phi| / (1 + ||f||^2).
 
-    ``states`` is a sequence of (f, n) pairs; returns an array of shape
-    (n_states, n_eps) of normalized residuals.
+    ``states`` is a sequence of (f, n) pairs, evaluated as one batch; returns
+    an array of shape (n_states, n_eps) of normalized residuals.
     """
-    out = np.empty((len(states), len(eps_list)))
-    for i, (f, n) in enumerate(states):
-        st = bundle.state(f, n)
-        lim = bundle.generator_limit(st.rho)
-        nrm2 = vel.inner_xv(bundle.vm, bundle.grid, st.f, st.f)
-        b0, b1, b2, b3 = bundle._generator_parts_state(st)
-        for k, eps in enumerate(eps_list):
-            geps = b0 / (eps * eps) + b1 / eps + b2 + eps * b3
-            out[i, k] = abs(geps - lim) / (1.0 + nrm2)
-    return out
+    if not len(states):
+        return np.empty((0, len(eps_list)))
+    f = np.stack([np.asarray(s[0], dtype=float) for s in states])
+    n = np.stack([np.asarray(s[1], dtype=np.int64).reshape(-1) for s in states])
+    st = bundle.state(f, n)
+    lim = bundle.generator_limit(st.rho)
+    sq = (f * f) @ bundle.vm.weights
+    nrm2 = np.sum(sq.reshape(sq.shape[0], -1), axis=1) * bundle.grid.cell_volume
+    b0, b1, b2, b3 = (b[:, None] for b in bundle._generator_parts_state(st))
+    eps = np.asarray(eps_list, dtype=float)[None]
+    geps = b0 / (eps * eps) + b1 / eps + b2 + eps * b3
+    return np.abs(geps - lim[:, None]) / (1.0 + nrm2[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +493,28 @@ def residual_scaling(bundle: PerturbedTestFunction, states, eps_list):
 
 
 class GeneratorInstrument:
-    """Trajectory observer recording phi_eps, L_eps phi_eps and the bracket rate."""
+    """Batch observer recording phi_eps, L_eps phi_eps and the bracket rate.
 
-    def __init__(self, bundle: PerturbedTestFunction, eps: float, n_times: int):
+    ``values``, ``gens`` and ``brackets`` are (batch, n_times): row b is
+    member b of the batch the instrument observes, column i output i.
+    """
+
+    def __init__(self, bundle: PerturbedTestFunction, eps: float, n_times: int,
+                 batch: int = 1):
         self.bundle = bundle
         self.eps = eps
-        self.values = np.zeros(n_times)
-        self.gens = np.zeros(n_times)
-        self.brackets = np.zeros(n_times)
+        self.values = np.zeros((batch, n_times))
+        self.gens = np.zeros((batch, n_times))
+        self.brackets = np.zeros((batch, n_times))
 
     def observe(self, i, t, f, state_indices):
+        """Record output i at time t of the batch (f, state_indices)."""
         st = self.bundle.state(f, state_indices)
-        self.values[i] = self.bundle._value_eps_state(st, self.eps)
-        b0, b1, b2, b3 = self.bundle._generator_parts_state(st)
         e = self.eps
-        self.gens[i] = b0 / (e * e) + b1 / e + b2 + e * b3
-        self.brackets[i] = self.bundle._bracket_state(st)
+        self.values[:, i] = self.bundle._value_eps_state(st, e)
+        b0, b1, b2, b3 = self.bundle._generator_parts_state(st)
+        self.gens[:, i] = b0 / (e * e) + b1 / e + b2 + e * b3
+        self.brackets[:, i] = self.bundle._bracket_state(st)
 
 
 def _cumtrapz(times, samples):

@@ -134,8 +134,8 @@ def _kinetic_chunk(args):
                for t in functionals] if with_diag else []
     n_times = len(cfg.output_times)
     rngs = [make_stream(seed, KIN_NS, eps_index, i) for i in indices]
-    instruments = [[GeneratorInstrument(bundle, eps, n_times) for bundle in bundles]
-                   for _ in indices]
+    instruments = [GeneratorInstrument(bundle, eps, n_times, len(indices))
+                   for bundle in bundles]
     res = kinetic.solve_batch(f0, scfg, vm, grid, nm, rngs, cfg.output_times,
                               instruments=instruments)
     acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
@@ -151,13 +151,9 @@ def _kinetic_chunk(args):
     acc.norm4.update_batch(res.norm2[rows] ** 2)
     acc.sup_norm2.update_batch(res.sup_norm2[rows])
     acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
-    for j, name in enumerate(diag_names):
-        observed = [instruments[b][j] for b in ok]
-        acc.diagnostics[name] = {
-            "values": np.array([ins.values for ins in observed]),
-            "gens": np.array([ins.gens for ins in observed]),
-            "brackets": np.array([ins.brackets for ins in observed]),
-        }
+    for name, ins in zip(diag_names, instruments):
+        acc.diagnostics[name] = {"values": ins.values[rows], "gens": ins.gens[rows],
+                                 "brackets": ins.brackets[rows]}
     return acc
 
 

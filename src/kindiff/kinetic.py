@@ -342,6 +342,10 @@ class KineticStepper:
             rec_for_step.setdefault(int(k), []).append(i)
 
         seg = np.zeros(batch, dtype=np.int64)   # current segment of each member's path
+        # every member's segment states in one table: member b's segment s is row first[b] + s
+        seg_states = np.concatenate([p.seg_states for p in paths])
+        first = np.cumsum([0] + [p.seg_states.shape[0] for p in paths[:-1]])
+        dead = np.zeros(batch, dtype=bool)
         full_mult = None
         if noise.n_modes:
             full_mult = self._multiplier(
@@ -354,20 +358,21 @@ class KineticStepper:
                 return
             f = np.moveaxis(self.to_fields(fhat), 1, -1)
             rho = f @ self.mu
-            for b in range(batch):
-                if b in failures:
-                    continue
-                states = paths[b].seg_states[seg[b]]
-                for i in outs:
-                    rho_rec[b, i] = rho[b]
-                    norm2_rec[b, i] = nrm[b]
-                    state_rec[b, i] = states
-                    for ins in instruments[b]:
-                        ins.observe(i, step * self.dt, np.ascontiguousarray(f[b]),
-                                    state_rec[b, i])
+            states = seg_states[first + seg]
+            if instruments:
+                f = np.ascontiguousarray(f)
+            for i in outs:
+                rho_rec[:, i] = rho
+                norm2_rec[:, i] = nrm
+                state_rec[:, i] = states
+                for rec in (rho_rec, norm2_rec, state_rec):
+                    rec[dead, i] = 0
+                for ins in instruments:
+                    ins.observe(i, step * self.dt, f, state_rec[:, i])
 
         def fail(b, exc):
             failures[b] = exc
+            dead[b] = True
             fhat[b] = 0.0
 
         record(0)
@@ -431,7 +436,7 @@ class KineticStepper:
 
 
 def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
-                noise: NoiseModel, rngs, output_times, instruments=None,
+                noise: NoiseModel, rngs, output_times, instruments=(),
                 keep_path: bool = False, paths=None) -> BatchResult:
     """Integrate a batch of trajectories and record the density at the requested times.
 
@@ -439,6 +444,8 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
     microscopic horizon first (or uses ``paths[b]``), so each member is a
     deterministic function of (f0, config, its stream) whatever the batch.
     ``f0`` is one initial field shared by all members or one per member.
+    ``instruments`` observe the whole batch at every output step (see
+    `generator.GeneratorInstrument`).
     The pathwise energy bound ||f(t)||^2 <= e^{2 C_* t / eps} ||f0||^2 is
     checked at every step; a member that violates it or overflows is
     recorded in ``failures`` and the others continue.
@@ -456,8 +463,6 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
         raise ValueError("initial field shape mismatch")
     if f0.ndim == grid.dim + 1:
         f0 = f0[None]
-    if instruments is None:
-        instruments = [()] * len(paths)
     steps = snap_steps(output_times, stepper.dt, stepper.n_steps)
     res = stepper.run(f0, paths, steps, instruments)
     if keep_path:
@@ -475,6 +480,6 @@ def solve_trajectory(f0, config: SolverConfig, model: VelocityModel, grid: Torus
     impossible.
     """
     res = solve_batch(f0, config, model, grid, noise, [rng], output_times,
-                      instruments=[instruments], keep_path=keep_path,
+                      instruments=instruments, keep_path=keep_path,
                       paths=None if path is None else [path])
     return res.member(0)

@@ -31,6 +31,15 @@ def no_noise_model():
     return nz.NoiseModel(GRID, (), np.zeros((0,) + GRID.shape))
 
 
+def three_state_chain(rng, top=None):
+    """Irreducible centered chain with three states; ``top`` sets the raw third value."""
+    g = rng.uniform(0.5, 2.0, (3, 3))
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(g, -g.sum(axis=1))
+    s = np.array([-1.0, 0.5, 1.5 if top is None else top])
+    return nz.ChainSpec(s - nz.stationary_law(g) @ s, g)
+
+
 def bundles(nm, weight=None):
     w = W_SMOOTH if weight is None else weight
     return [PerturbedTestFunction(TestFunctional(kind, w), VM, nm, GRID)
@@ -77,8 +86,8 @@ class TestCorrector1:
         assert b.corrector1(np.zeros(GRID.shape + (2,)), [0]) == 0.0
         v1 = b.corrector1(f, [0])
         # transport part vanishes, noise part is -(rho M^-1 I, w)
-        st = b.state(f, [0])
-        expected = -GRID.inner(st.rho * st.b, W_SMOOTH)
+        st = b.state(f[None], [[0]])
+        expected = -GRID.inner(st.rho[0] * st.b[0], W_SMOOTH)
         assert v1 == pytest.approx(expected, rel=1e-12)
 
     def test_unit_weight_reduction(self):
@@ -160,17 +169,18 @@ class TestDerivatives:
         rng = np.random.default_rng(5)
         f, n = rand_state(nm, rng)
         h = random_smooth_field(GRID, VM.n_velocities, rng, amplitude=0.7)
-        st = b.state(f, n)
-        d = gen._DirData(b, h)
+        st = b.state(f[None], n[None])
+        d = gen._DirData(b, h[None])
         delta = 1e-6
+        # f + delta h and f - delta h as one batch of two
+        shifted = b.state(np.stack([f + delta * h, f - delta * h]), np.stack([n, n]))
         pieces = [("phi_value", "d_phi"), ("phi1_value", "d_phi1"),
                   ("phi2_sharp", "d_phi2_sharp"), ("phi2_star", "d_phi2_star"),
                   ("phi2_dagger", "d_phi2_dagger")]
         for vname, dname in pieces:
-            vp = getattr(b, vname)(b.state(f + delta * h, n))
-            vm_ = getattr(b, vname)(b.state(f - delta * h, n))
+            vp, vm_ = getattr(b, vname)(shifted)
             fd = (vp - vm_) / (2 * delta)
-            an = getattr(b, dname)(st, d)
+            an = getattr(b, dname)(st, d)[0]
             assert an == pytest.approx(fd, rel=2e-5, abs=2e-7), (vname, kind)
 
 
@@ -191,6 +201,22 @@ class TestOrderEquations:
             assert abs(b1) < 1e-11 * scale
             assert abs(b2 - lim) < 1e-11 * scale
 
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_brackets_on_a_batch(self, kind):
+        nm = two_mode_model()
+        b = PerturbedTestFunction(TestFunctional(kind, W_SMOOTH), VM, nm, GRID)
+        rng = np.random.default_rng(16)
+        states = [rand_state(nm, rng) for _ in range(10)]
+        f = np.stack([s[0] for s in states])
+        st = b.state(f, np.stack([s[1] for s in states]))
+        b0, b1, b2, _ = b._generator_parts_state(st)
+        lim = b.generator_limit(st.rho)
+        assert lim.shape == (10,)
+        scale = 1.0 + np.sum((f * f) @ VM.weights, axis=1) * GRID.cell_volume
+        assert np.all(np.abs(b0) < 1e-13 * scale)
+        assert np.all(np.abs(b1) < 1e-11 * scale)
+        assert np.all(np.abs(b2 - lim) < 1e-11 * scale)
+
     def test_relaxation_bracket_zero_for_density_functionals(self):
         # L_L phi = 0 for every implemented functional
         nm = const_mode_model()
@@ -199,6 +225,69 @@ class TestOrderEquations:
             f, n = rand_state(nm, rng)
             b0 = b.generator_parts(f, n)[0]
             assert abs(b0) < 1e-14
+
+
+class TestBatchOracle:
+    """Every member of a batch equals its batch-of-one evaluation."""
+
+    EPS = 0.07
+
+    @staticmethod
+    def _model(dim, n_modes):
+        rng = np.random.default_rng(20 + n_modes)
+        if dim == 1:
+            grid, vm, labels = GRID, VM, ["cos:1", "sin:2"]
+        else:
+            grid, vm, labels = TorusGrid(2, 8), vel.ring(4), ["cos:1,0", "sin:1,1"]
+        # a telegraph next to a three-state chain, so the chain tables have
+        # different lengths
+        chains = (nz.telegraph(1.0, 1.5), three_state_chain(rng))[:n_modes]
+        modes = np.stack([nz.make_mode(grid, lab, 0.8) for lab in labels[:n_modes]]) \
+            if n_modes else np.zeros((0,) + grid.shape)
+        return grid, vm, nz.NoiseModel(grid, chains, modes)
+
+    @staticmethod
+    def _all_chain_states(nm, batch):
+        """Chain index vectors cycling through every joint state of the model."""
+        grids = np.meshgrid(*[np.arange(ch.n_states) for ch in nm.chains], indexing="ij")
+        joint = np.stack([g.reshape(-1) for g in grids], axis=1) if nm.n_modes \
+            else np.zeros((1, 0), dtype=np.int64)
+        return joint[np.arange(batch) % joint.shape[0]]
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_members_match_batch_of_one(self, dim, n_modes, kind):
+        grid, vm, nm = self._model(dim, n_modes)
+        x = grid.coords()
+        weight = 1.0 + 0.3 * np.cos(2 * np.pi * x[0]) + 0.2 * np.sin(2 * np.pi * x[-1])
+        b = PerturbedTestFunction(TestFunctional(kind, weight), vm, nm, grid)
+        rng = np.random.default_rng(30 + dim)
+        batch = 7
+        f = np.stack([random_smooth_field(grid, vm.n_velocities, rng, amplitude=0.5) + 1.0
+                      for _ in range(batch)])
+        n = self._all_chain_states(nm, batch)
+        st = b.state(f, n)
+        got = ((b._value_eps_state(st, self.EPS),) + b._generator_parts_state(st)
+               + (b._bracket_state(st),))
+        for part in got:
+            assert part.shape == (batch,)
+        for m in range(batch):
+            solo = ((b.value_eps(f[m], n[m], self.EPS),) + b.generator_parts(f[m], n[m])
+                    + (b.carre_du_champ1(f[m], n[m]),))
+            for k, (part, want) in enumerate(zip(got, solo)):
+                assert abs(part[m] - want) <= 1e-12 * (1.0 + abs(want)), (m, k)
+
+    def test_state_rejects_bad_shapes_and_indices(self):
+        nm = two_mode_model()
+        b = bundles(nm)[0]
+        f = np.ones((3,) + GRID.shape + (2,))
+        with pytest.raises(ValueError, match="batch of kinetic fields"):
+            b.state(f[0], [[0, 0]])
+        with pytest.raises(ValueError, match="one chain state index per mode"):
+            b.state(f, [[0, 0]] * 2)
+        with pytest.raises(ValueError, match="out of range"):
+            b.state(f, [[0, 0], [0, 2], [0, 0]])
 
 
 class TestGeneratorEps:
@@ -285,24 +374,16 @@ class TestMartingale:
         f0 = vel.lift(vmm, 1.0 + 0.5 * np.cos(2 * np.pi * x))
         cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=T)
         times = np.linspace(0.0, T, n_times)
-        bundles_ = [PerturbedTestFunction(
-            TestFunctional(kind, np.ones(grid.shape)), vmm, nm, grid)
+        ins = [GeneratorInstrument(PerturbedTestFunction(
+            TestFunctional(kind, np.ones(grid.shape)), vmm, nm, grid), eps, n_times, n_traj)
             for kind in kinds]
-        values = {k: [] for k in kinds}
-        gens = {k: [] for k in kinds}
-        bracks = {k: [] for k in kinds}
-        rec_times = None
-        for i in range(n_traj):
-            ins = [GeneratorInstrument(b, eps, n_times) for b in bundles_]
-            res = kinetic.solve_trajectory(f0, cfg, vmm, grid, nm,
-                                           make_stream(seed, 0, 0, i), times,
-                                           instruments=ins)
-            rec_times = res.times
-            for k, one in zip(kinds, ins):
-                values[k].append(one.values)
-                gens[k].append(one.gens)
-                bracks[k].append(one.brackets)
-        return rec_times, values, gens, bracks
+        rngs = [make_stream(seed, 0, 0, i) for i in range(n_traj)]
+        res = kinetic.solve_batch(f0, cfg, vmm, grid, nm, rngs, times, instruments=ins)
+        assert res.failures == {}
+        values = {k: one.values for k, one in zip(kinds, ins)}
+        gens = {k: one.gens for k, one in zip(kinds, ins)}
+        bracks = {k: one.brackets for k, one in zip(kinds, ins)}
+        return res.times, values, gens, bracks
 
     def test_zero_noise_reduces_to_quadrature_error(self):
         grid = TorusGrid(1, 64)
@@ -326,6 +407,43 @@ class TestMartingale:
             assert abs(rep.mean[idx]) <= 3 * rep.stderr[idx]
             assert abs(rep.qv_gap_mean[idx]) <= 3 * rep.qv_gap_stderr[idx] + 0.05
 
+    def test_failing_member_leaves_other_rows(self):
+        # member 1 sits in a huge chain state and overflows; the others flip
+        # between the two moderate states on scripted paths
+        grid = TorusGrid(1, 16)
+        x = grid.coords()[0]
+        chain = three_state_chain(np.random.default_rng(40), top=60.0)
+        nm = nz.NoiseModel(grid, (chain,), nz.make_mode(grid, "const")[None])
+        horizon = 1000.0
+
+        def path(start, jumps=()):
+            states = (start + 1 + np.arange(len(jumps))) % 2
+            return nz.NoisePath(horizon, np.array([start]), (np.asarray(jumps, dtype=float),),
+                                (states.astype(int),))
+
+        paths = [path(0, [3.0, 17.0]), path(2), path(1, [5.5]), path(0)]
+        f0 = vel.lift(VM, 1.0 + 0.5 * np.cos(2 * np.pi * x))
+        eps = 0.05
+        cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=0.1)
+        times = np.linspace(0.0, 0.1, 9)
+        weights = [TestFunctional(kind, 1.0 + 0.3 * np.cos(2 * np.pi * x))
+                   for kind in ("linear", "quadratic")]
+        bundles_ = [PerturbedTestFunction(tf, VM, nm, grid) for tf in weights]
+        ins = [GeneratorInstrument(bd, eps, len(times), len(paths)) for bd in bundles_]
+        res = kinetic.solve_batch(f0, cfg, VM, grid, nm, None, times, instruments=ins,
+                                  paths=paths)
+        assert list(res.failures) == [1]
+        assert isinstance(res.failures[1], kinetic.TrajectoryOverflowError)
+        for m in res.finished:
+            solo = [GeneratorInstrument(bd, eps, len(times)) for bd in bundles_]
+            kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, instruments=solo,
+                                     path=paths[m])
+            for one, batch in zip(solo, ins):
+                for name in ("values", "gens", "brackets"):
+                    row, want = getattr(batch, name)[m], getattr(one, name)[0]
+                    assert np.all(np.isfinite(row))
+                    assert np.allclose(row, want, rtol=1e-10, atol=1e-10), (m, name)
+
     def test_minimum_ensemble_enforced(self):
         with pytest.raises(ValueError):
             martingale_residual(np.array([0.0, 1.0]), np.zeros((5, 2)),
@@ -340,3 +458,8 @@ def test_residual_scaling_shapes():
     out = residual_scaling(b, states, [0.2, 0.1])
     assert out.shape == (4, 2)
     assert np.all(out >= 0)
+    for row, (f, n) in zip(out, states):
+        lim = b.generator_limit(f @ VM.weights)
+        scale = 1.0 + vel.inner_xv(VM, GRID, f, f)
+        want = [abs(b.generator_eps(f, n, e) - lim) / scale for e in (0.2, 0.1)]
+        assert row == pytest.approx(want, rel=1e-10, abs=1e-14)
