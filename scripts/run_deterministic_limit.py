@@ -18,11 +18,8 @@ from kindiff.harness import make_stream  # noqa: E402
 if __name__ == "__main__":
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
                                    "configs", "deterministic.json"))
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    nm = cfg.build_noise(grid)
-    rho0 = cfg.initial_density(grid)
-    f0 = vel.lift(vm, rho0)
+    grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
+    f0 = vel.lift(vm, cfg.rho0)
     T = cfg.final_time
     x = grid.coords()[0]
     exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * x)

@@ -24,6 +24,9 @@ from .generator import PerturbedTestFunction, random_smooth_field, residual_scal
 from .noise import empirical_autocovariance
 
 RATIO_BAND = (1.5, 2.5)  # accepted residual-halving band for eps -> eps/2
+# normalised residuals below this are rounding of an exact cancellation, so
+# their ratio carries no scaling information
+RESIDUAL_FLOOR = 1e-12
 
 
 def _fmt(x) -> str:
@@ -60,17 +63,12 @@ def _write_manifest(out_dir, command, cfg, extra=None):
         fh.write("\n")
 
 
-def _models(cfg):
-    grid = cfg.build_grid()
-    return grid, cfg.build_velocity(), cfg.build_noise(grid)
-
-
 def cmd_coeffs(cfg, args):
-    grid, vm, nm = _models(cfg)
-    K = vel.diffusion_matrix(vm)
+    grid, nm = cfg.grid, cfg.noise
+    K = vel.diffusion_matrix(cfg.velocity)
     _write_csv(os.path.join(args.out, "diffusion_matrix.csv"),
                ["row", "col", "value"],
-               [(p, q, K[p, q]) for p in range(cfg.dim) for q in range(cfg.dim)])
+               [(p, q, K[p, q]) for p in range(grid.dim) for q in range(grid.dim)])
     _write_csv(os.path.join(args.out, "mode_coefficients.csv"),
                ["j", "c"],
                [(j, c) for j, c in enumerate(nm.coefficients)])
@@ -78,7 +76,7 @@ def cmd_coeffs(cfg, args):
     trace = nm.trace_field().reshape(-1)
     flat_coords = [c.reshape(-1) for c in coords]
     _write_csv(os.path.join(args.out, "kernel_trace.csv"),
-               ["index"] + [f"x{d}" for d in range(cfg.dim)] + ["F"],
+               ["index"] + [f"x{d}" for d in range(grid.dim)] + ["F"],
                [(i, *(fc[i] for fc in flat_coords), trace[i]) for i in range(grid.npoints)])
     _write_manifest(args.out, "coeffs", cfg)
     print(f"K = {K.tolist()}")
@@ -88,9 +86,11 @@ def cmd_coeffs(cfg, args):
 
 
 def cmd_noise_stats(cfg, args):
-    grid, vm, nm = _models(cfg)
+    nm = cfg.noise
     if args.paths < 100:
         raise ConfigError("noise-stats needs at least 100 paths")
+    if not 0 < args.horizon < np.inf:
+        raise ConfigError("noise-stats needs a positive, finite --horizon")
     rows = []
     for j, ch in enumerate(nm.chains):
         rng = harness.make_stream(cfg.base_seed, harness.NOISE_NS, j, 0)
@@ -123,16 +123,19 @@ def _series_rows(times, series, functionals, grid, functionals_only):
 
 
 def cmd_simulate_kinetic(cfg, args):
-    grid, vm, nm = _models(cfg)
-    functionals = cfg.build_functionals(grid)
+    grid, vm = cfg.grid, cfg.velocity
+    if args.trajectory < 0:
+        raise ConfigError("--trajectory must be nonnegative")
+    if not 0 <= args.eps_index < len(cfg.epsilons):
+        raise ConfigError(f"--eps-index must lie in [0, {len(cfg.epsilons) - 1}]")
     eps = cfg.epsilons[args.eps_index]
     scfg = kinetic.SolverConfig(epsilon=eps, dt_factor=cfg.dt_factor,
                                 final_time=cfg.final_time)
     rng = harness.make_stream(cfg.base_seed, harness.KIN_NS, args.eps_index,
                               args.trajectory)
-    f0 = vel.lift(vm, cfg.initial_density(grid))
-    res = kinetic.solve_trajectory(f0, scfg, vm, grid, nm, rng, cfg.output_times)
-    header, rows = _series_rows(res.times, res.rho, functionals, grid,
+    f0 = vel.lift(vm, cfg.rho0)
+    res = kinetic.solve_trajectory(f0, scfg, vm, grid, cfg.noise, rng, cfg.output_times)
+    header, rows = _series_rows(res.times, res.rho, cfg.functionals, grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "kinetic_series.csv"), header, rows)
     _write_manifest(args.out, "simulate-kinetic", cfg,
@@ -143,14 +146,13 @@ def cmd_simulate_kinetic(cfg, args):
 
 
 def cmd_simulate_spde(cfg, args):
-    grid, vm, nm = _models(cfg)
-    functionals = cfg.build_functionals(grid)
-    coeffs = spde.LimitCoefficients.from_models(vm, nm, grid)
+    if args.trajectory < 0:
+        raise ConfigError("--trajectory must be nonnegative")
+    coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
     rng = harness.make_stream(cfg.base_seed, harness.LIM_NS, 0, args.trajectory)
     times, series = spde.solve_spde_trajectory(
-        cfg.initial_density(grid), cfg.final_time, cfg.spde_steps, coeffs, rng,
-        cfg.output_times)
-    header, rows = _series_rows(times, series, functionals, grid,
+        cfg.rho0, cfg.final_time, cfg.spde_steps, coeffs, rng, cfg.output_times)
+    header, rows = _series_rows(times, series, cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "spde_series.csv"), header, rows)
     _write_manifest(args.out, "simulate-spde", cfg, {"trajectory": args.trajectory})
@@ -159,9 +161,10 @@ def cmd_simulate_spde(cfg, args):
 
 
 def cmd_converge(cfg, args):
-    grid, vm, nm = _models(cfg)
     if cfg.ensemble_size < 100:
         raise ConfigError("converge needs ensemble_size >= 100")
+    if not 0 <= args.eta < np.inf:
+        raise ConfigError("--eta must be nonnegative and finite")
     if len(cfg.epsilons) < 2:
         raise ConfigError("converge needs at least two epsilons")
     harness.check_comparison_time(cfg)
@@ -194,8 +197,8 @@ def cmd_converge(cfg, args):
                ["epsilon", "h_minus_eta"],
                [(eps, dists[eps]) for eps in result.epsilons])
 
-    f0 = vel.lift(vm, cfg.initial_density(grid))
-    f0n2 = vel.inner_xv(vm, grid, f0, f0)
+    f0 = vel.lift(cfg.velocity, cfg.rho0)
+    f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
     moments = harness.uniform_moment_check(result, f0n2)
     _write_csv(os.path.join(args.out, "moment_bounds.csv"),
                ["epsilon", "sup_E_norm2", "sup_E_norm4", "bound_p2", "bound_p4"],
@@ -227,10 +230,11 @@ def cmd_converge(cfg, args):
 
 
 def cmd_diagnose_generator(cfg, args):
-    grid, vm, nm = _models(cfg)
-    functionals = cfg.build_functionals(grid)
+    grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
     if len(cfg.epsilons) < 2:
         raise ConfigError("diagnose-generator needs at least two epsilons")
+    if args.states < 2:
+        raise ConfigError("diagnose-generator needs --states >= 2")
     rng = harness.make_stream(cfg.base_seed, harness.DIAG_NS, 0, 0)
     states = []
     for _ in range(args.states):
@@ -238,7 +242,7 @@ def cmd_diagnose_generator(cfg, args):
         states.append((f, nm.sample_stationary(rng)))
     rows = []
     ok = True
-    for tf in functionals:
+    for tf in cfg.functionals:
         bundle = PerturbedTestFunction(tf, vm, nm, grid)
         res = residual_scaling(bundle, states, cfg.epsilons)
         for k, eps in enumerate(cfg.epsilons):
@@ -250,7 +254,8 @@ def cmd_diagnose_generator(cfg, args):
                 per_state = res[:, k - 1] / np.maximum(res[:, k], 1e-300)
                 ratio = float(np.median(per_state))
                 scale = cfg.epsilons[k - 1] / eps
-                if not (RATIO_BAND[0] <= ratio / (scale / 2.0) <= RATIO_BAND[1]):
+                exact = max(mean, float(res[:, k - 1].mean())) < RESIDUAL_FLOOR
+                if not exact and not (RATIO_BAND[0] <= ratio / (scale / 2.0) <= RATIO_BAND[1]):
                     # band is stated for eps halving; rescale for other spacings
                     ok = False
             rows.append((eps, tf.name, mean, stderr, ratio))

@@ -74,30 +74,22 @@ def _take(section: dict, allowed: dict, context: str) -> dict:
     return section
 
 
-@dataclass
-class ModeSpec:
-    label: str = ""
-    amplitude: float = 1.0
-    fourier: list = None
-
-    def build(self, grid: TorusGrid) -> np.ndarray:
-        try:
-            if self.fourier is not None:
-                return self.amplitude * nz.mode_from_fourier(grid, self.fourier)
-            return nz.make_mode(grid, self.label, self.amplitude)
-        except (ValueError, TypeError, IndexError) as exc:  # malformed Fourier rows
-            raise ConfigError(str(exc)) from exc
+MODE_KEYS = {"label": False, "amplitude": False, "fourier": False}
 
 
-def _parse_mode(raw, context) -> ModeSpec:
-    _take(raw, {"label": False, "amplitude": False, "fourier": False, "chain": False}, context)
+def _mode(raw, context, grid: TorusGrid, allowed=MODE_KEYS) -> np.ndarray:
+    """A spatial mode on the grid, from exactly one of 'label' or 'fourier'."""
+    _take(raw, allowed, context)
     if ("label" in raw) == ("fourier" in raw):
         raise ConfigError(f"{context}: give exactly one of 'label' or 'fourier'")
-    return ModeSpec(
-        label=_string(raw.get("label", ""), context + ".label"),
-        amplitude=_number(raw.get("amplitude", 1.0), context + ".amplitude"),
-        fourier=None if "fourier" not in raw else _list(raw["fourier"], context + ".fourier"),
-    )
+    amplitude = _number(raw.get("amplitude", 1.0), context + ".amplitude")
+    try:
+        if "fourier" in raw:
+            terms = _list(raw["fourier"], context + ".fourier")
+            return amplitude * nz.mode_from_fourier(grid, terms)
+        return nz.make_mode(grid, _string(raw["label"], context + ".label"), amplitude)
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:  # malformed Fourier rows
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_chain(raw, context) -> ChainSpec:
@@ -120,17 +112,109 @@ def _parse_chain(raw, context) -> ChainSpec:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _grid(raw) -> TorusGrid:
+    _take(raw, {"dim": True, "n": True}, "grid")
+    dim = _integer(raw["dim"], "grid.dim")
+    n = _integer(raw["n"], "grid.n")
+    if dim not in (1, 2):
+        raise ConfigError("grid.dim must be 1 or 2")
+    if n ** dim > MAX_GRID_POINTS:
+        raise ConfigError(f"grid: at most {MAX_GRID_POINTS} points are supported")
+    try:
+        return TorusGrid(dim, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _velocity(raw, dim: int) -> VelocityModel:
+    _take(raw, {"model": False, "velocities": False, "weights": False}, "velocity")
+    try:
+        if "model" in raw:
+            name = _string(raw["model"], "velocity.model")
+            if name == "two_speed":
+                vm = vel.two_speed()
+            elif name.startswith("ring:"):
+                m = int(name.split(":")[1])
+                if m > MAX_RING_VELOCITIES:
+                    raise ConfigError(f"velocity: at most {MAX_RING_VELOCITIES} "
+                                      f"ring velocities are supported")
+                vm = vel.ring(m)
+            else:
+                raise ConfigError(f"velocity: unknown model {name!r}")
+        else:
+            vm = VelocityModel(dim, np.asarray(raw["velocities"], float),
+                               np.asarray(raw["weights"], float))
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"velocity: {exc}") from exc
+    if vm.dim != dim:
+        raise ConfigError("velocity: dimension disagrees with the grid")
+    bad = vel.validate(vm)
+    if bad:
+        raise ConfigError("velocity: " + "; ".join(bad))
+    return vm
+
+
+def _noise(raw, grid: TorusGrid) -> NoiseModel:
+    _take(raw, {"modes": False}, "noise")
+    chains, modes = [], []
+    for i, m in enumerate(_list(raw.get("modes", []), "noise.modes")):
+        ctx = f"noise.modes[{i}]"
+        modes.append(_mode(m, ctx, grid, {**MODE_KEYS, "chain": True}))
+        chains.append(_parse_chain(m["chain"], ctx + ".chain"))
+    mode_arr = np.stack(modes) if modes else np.zeros((0,) + grid.shape)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nm = NoiseModel(grid, tuple(chains), mode_arr)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+    if not (np.all(np.isfinite(nm.coefficients)) and np.isfinite(nm.bound)):
+        raise ConfigError("noise: chain statistics overflow; rescale states or rates")
+    return nm
+
+
+def _initial_density(raw, grid: TorusGrid) -> np.ndarray:
+    _take(raw, {"mean": False, "modes": False}, "initial")
+    rho = np.full(grid.shape, _number(raw.get("mean", 0.0), "initial.mean"))
+    for i, m in enumerate(_list(raw.get("modes", []), "initial.modes")):
+        rho = rho + _mode(m, f"initial.modes[{i}]", grid)
+    rho.flags.writeable = False  # shared by every consumer of the config
+    return rho
+
+
+def _functionals(items, grid: TorusGrid) -> list:
+    out = []
+    for i, raw in enumerate(_list(items, "functionals")):
+        ctx = f"functionals[{i}]"
+        _take(raw, {"kind": True, "weight": True, "name": False}, ctx)
+        if raw["kind"] not in ("linear", "quadratic"):
+            raise ConfigError(f"{ctx}: kind must be linear or quadratic")
+        weight = _mode(raw["weight"], ctx + ".weight", grid)
+        name = _string(raw.get("name", f"{raw['kind']}_{i}"), ctx + ".name")
+        out.append(TestFunctional(raw["kind"], weight, name))
+    names = [t.name for t in out]
+    if len(set(names)) != len(names):
+        raise ConfigError("functionals: names must be unique")
+    return out
+
+
 @dataclass
 class ExperimentConfig:
-    dim: int
-    n: int
-    velocity_raw: dict
-    noise_raw: list
+    """A validated experiment: the models it runs on and its run parameters.
+
+    `parse_config` is the only reader of the JSON schema; every field except
+    ``raw`` (the JSON document, echoed into run manifests and sent to worker
+    processes) holds a validated value or a built model.
+    """
+
+    grid: TorusGrid
+    velocity: VelocityModel
+    noise: NoiseModel
+    rho0: np.ndarray            # initial density, read-only
+    functionals: list           # TestFunctional per configured functional
     dt_factor: float
     spde_steps: int
-    initial_mean: float
-    initial_modes: list
-    functional_raw: list
     epsilons: list
     ensemble_size: int
     final_time: float
@@ -141,82 +225,28 @@ class ExperimentConfig:
     moment_p4_factor: float
     raw: dict = field(default=None, repr=False)
 
-    # ---- model builders ------------------------------------------------
+    # ---- accessors of the built models --------------------------------
+    # benchmark/workloads.py still calls these; new code reads the fields.
 
     def build_grid(self) -> TorusGrid:
-        try:
-            return TorusGrid(self.dim, self.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The stored grid (kept for benchmark/workloads.py)."""
+        return self.grid
 
     def build_velocity(self) -> VelocityModel:
-        raw = self.velocity_raw
-        try:
-            if "model" in raw:
-                name = _string(raw["model"], "velocity.model")
-                if name == "two_speed":
-                    vm = vel.two_speed()
-                elif name.startswith("ring:"):
-                    m = int(name.split(":")[1])
-                    if m > MAX_RING_VELOCITIES:
-                        raise ConfigError(f"velocity: at most {MAX_RING_VELOCITIES} "
-                                          f"ring velocities are supported")
-                    vm = vel.ring(m)
-                else:
-                    raise ConfigError(f"velocity: unknown model {name!r}")
-            else:
-                vm = VelocityModel(self.dim, np.asarray(raw["velocities"], float),
-                                   np.asarray(raw["weights"], float))
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"velocity: {exc}") from exc
-        if vm.dim != self.dim:
-            raise ConfigError("velocity: dimension disagrees with the grid")
-        bad = vel.validate(vm)
-        if bad:
-            raise ConfigError("velocity: " + "; ".join(bad))
-        return vm
+        """The stored velocity model (kept for benchmark/workloads.py)."""
+        return self.velocity
 
     def build_noise(self, grid: TorusGrid) -> NoiseModel:
-        chains, modes = [], []
-        for i, raw in enumerate(self.noise_raw):
-            ctx = f"noise.modes[{i}]"
-            spec = _parse_mode(raw, ctx)
-            if "chain" not in raw:
-                raise ConfigError(f"{ctx}: missing 'chain'")
-            chains.append(_parse_chain(raw["chain"], ctx + ".chain"))
-            modes.append(spec.build(grid))
-        mode_arr = np.stack(modes) if modes else np.zeros((0,) + grid.shape)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nm = NoiseModel(grid, tuple(chains), mode_arr)
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
-        if not (np.all(np.isfinite(nm.coefficients)) and np.isfinite(nm.bound)):
-            raise ConfigError("noise: chain statistics overflow; rescale states or rates")
-        return nm
-
-    def initial_density(self, grid: TorusGrid) -> np.ndarray:
-        rho = np.full(grid.shape, self.initial_mean)
-        for spec in self.initial_modes:
-            rho = rho + spec.build(grid)
-        return rho
+        """The stored noise model; ``grid`` is ignored (kept for benchmark/workloads.py)."""
+        return self.noise
 
     def build_functionals(self, grid: TorusGrid) -> list:
-        out = []
-        for i, raw in enumerate(self.functional_raw):
-            ctx = f"functionals[{i}]"
-            _take(raw, {"kind": True, "weight": True, "name": False}, ctx)
-            if raw["kind"] not in ("linear", "quadratic"):
-                raise ConfigError(f"{ctx}: kind must be linear or quadratic")
-            weight = _parse_mode(raw["weight"], ctx + ".weight").build(grid)
-            name = _string(raw.get("name", f"{raw['kind']}_{i}"), ctx + ".name")
-            out.append(TestFunctional(raw["kind"], weight, name))
-        names = [t.name for t in out]
-        if len(set(names)) != len(names):
-            raise ConfigError("functionals: names must be unique")
-        return out
+        """The stored functionals; ``grid`` is ignored (kept for benchmark/workloads.py)."""
+        return self.functionals
+
+    def initial_density(self, grid: TorusGrid) -> np.ndarray:
+        """The stored initial density; ``grid`` is ignored (kept for benchmark/workloads.py)."""
+        return self.rho0
 
 
 def _parse_output_times(raw, final_time) -> list:
@@ -236,22 +266,16 @@ def _parse_output_times(raw, final_time) -> list:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
+    """Validate a config document once and build its models, in dependency order."""
     _take(data, {"grid": True, "velocity": True, "noise": True, "solver": False,
                  "initial": True, "functionals": False, "experiment": True}, "config")
+    grid = _grid(data["grid"])
+    velocity = _velocity(data["velocity"], grid.dim)
+    noise = _noise(data["noise"], grid)
+    rho0 = _initial_density(data["initial"], grid)
+    functionals = _functionals(data.get("functionals", []), grid)
 
-    g = _take(data["grid"], {"dim": True, "n": True}, "grid")
-    dim = _integer(g["dim"], "grid.dim")
-    n = _integer(g["n"], "grid.n")
-    if dim not in (1, 2):
-        raise ConfigError("grid.dim must be 1 or 2")
-    if n ** dim > MAX_GRID_POINTS:
-        raise ConfigError(f"grid: at most {MAX_GRID_POINTS} points are supported")
     solver = _take(data.get("solver", {}), {"dt_factor": False, "spde_steps": False}, "solver")
-    init = _take(data["initial"], {"mean": False, "modes": False}, "initial")
-    init_modes = [_parse_mode(m, f"initial.modes[{i}]")
-                  for i, m in enumerate(_list(init.get("modes", []), "initial.modes"))]
-    noise_sect = _take(data["noise"], {"modes": False}, "noise")
-
     exp = _take(data["experiment"], {
         "epsilons": True, "ensemble_size": True, "final_time": True,
         "output_times": True, "base_seed": True, "output_dir": False,
@@ -296,20 +320,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         if moments[key] <= 0:
             raise ConfigError(f"experiment.{key} must be positive")
 
-    cfg = ExperimentConfig(
-        dim=dim,
-        n=n,
-        velocity_raw=_take(data["velocity"],
-                           {"model": False, "velocities": False, "weights": False},
-                           "velocity"),
-        noise_raw=[_take(m, {"label": False, "amplitude": False, "fourier": False,
-                             "chain": True}, f"noise.modes[{i}]")
-                   for i, m in enumerate(_list(noise_sect.get("modes", []), "noise.modes"))],
+    return ExperimentConfig(
+        grid=grid,
+        velocity=velocity,
+        noise=noise,
+        rho0=rho0,
+        functionals=functionals,
         dt_factor=dt_factor,
         spde_steps=spde_steps,
-        initial_mean=_number(init.get("mean", 0.0), "initial.mean"),
-        initial_modes=init_modes,
-        functional_raw=_list(data.get("functionals", []), "functionals"),
         epsilons=epsilons,
         ensemble_size=ensemble,
         final_time=final_time,
@@ -319,12 +337,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         raw=data,
         **moments,
     )
-    # fail fast on model construction problems
-    grid = cfg.build_grid()
-    cfg.build_velocity()
-    cfg.build_noise(grid)
-    cfg.build_functionals(grid)
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -82,12 +82,6 @@ class TestFunctional:
             return self.weight.copy()
         return grid.inner(rho, self.weight) * self.weight
 
-    def hess(self, p, q, grid: TorusGrid) -> float:
-        """D^2 phi applied to two grid functions (constant in rho)."""
-        if self.kind == "linear":
-            return 0.0
-        return grid.inner(p, self.weight) * grid.inner(q, self.weight)
-
 
 class _DirData:
     """Pairings of a batch of kinetic fields h (B, *shape, V) with the functional's weights.

@@ -119,21 +119,16 @@ def _reduce(acc, functionals, grid, rho):
 def _kinetic_chunk(args):
     raw, eps_index, indices, with_diag = args
     cfg = parse_config(raw)
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    nm = cfg.build_noise(grid)
-    functionals = cfg.build_functionals(grid)
+    grid, vm, nm, functionals = cfg.grid, cfg.velocity, cfg.noise, cfg.functionals
     eps = cfg.epsilons[eps_index]
-    seed = cfg.base_seed
     scfg = kinetic.SolverConfig(epsilon=eps, dt_factor=cfg.dt_factor,
                                 final_time=cfg.final_time)
-    rho0 = cfg.initial_density(grid)
-    f0 = vel.lift(vm, rho0)
+    f0 = vel.lift(vm, cfg.rho0)
     diag_names = [t.name for t in functionals] if with_diag else []
     bundles = [PerturbedTestFunction(t, vm, nm, grid)
                for t in functionals] if with_diag else []
     n_times = len(cfg.output_times)
-    rngs = [make_stream(seed, KIN_NS, eps_index, i) for i in indices]
+    rngs = [make_stream(cfg.base_seed, KIN_NS, eps_index, i) for i in indices]
     instruments = [GeneratorInstrument(bundle, eps, n_times, len(indices))
                    for bundle in bundles]
     res = kinetic.solve_batch(f0, scfg, vm, grid, nm, rngs, cfg.output_times,
@@ -160,12 +155,8 @@ def _kinetic_chunk(args):
 def _limit_chunk(args):
     raw, indices = args
     cfg = parse_config(raw)
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    nm = cfg.build_noise(grid)
-    functionals = cfg.build_functionals(grid)
-    coeffs = spde.LimitCoefficients.from_models(vm, nm, grid)
-    rho0 = cfg.initial_density(grid)
+    grid, functionals = cfg.grid, cfg.functionals
+    coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, grid)
     n_steps = cfg.spde_steps
     dt = cfg.final_time / n_steps
     out_steps = kinetic.snap_steps(cfg.output_times, dt, n_steps)
@@ -176,7 +167,7 @@ def _limit_chunk(args):
     for row, i in enumerate(indices):
         rng = make_stream(cfg.base_seed, LIM_NS, 0, i)
         dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
-    series = spde.solve_spde_batch(rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
+    series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
     acc.attempted = len(indices)
     _reduce(acc, functionals, grid, series)
     return acc
@@ -334,7 +325,7 @@ def mean_field_distances(result: EnsembleResult, eta: float = 1.0,
                          time_index: int = -1) -> dict:
     """H^{-eta} distance between kinetic and limit ensemble-mean densities."""
     _check_same_time(result, time_index)
-    grid = result.config.build_grid()
+    grid = result.config.grid
     ref = np.asarray(result.limit.rho_mean.mean)[time_index]
     return {
         eps: sobolev_distance(np.asarray(ens.rho_mean.mean)[time_index], ref, eta, grid)

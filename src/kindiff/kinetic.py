@@ -104,7 +104,6 @@ class TrajectoryResult:
     norm2: np.ndarray          # ||f||^2_{L2_{x,v}} at recorded times
     sup_norm2: float           # sup over all steps
     gronwall_margin: float     # max of log||f||^2 - bound (negative = satisfied)
-    path: NoisePath = None
     state_indices: np.ndarray = field(default=None)  # (n_times, J) chain states
 
 
@@ -119,7 +118,6 @@ class BatchResult:
     gronwall_margin: np.ndarray  # (B,)
     state_indices: np.ndarray    # (B, n_times, J)
     failures: dict               # member -> TrajectoryOverflowError | GronwallViolationError
-    paths: list = None
 
     @property
     def finished(self) -> list:
@@ -136,7 +134,6 @@ class BatchResult:
             norm2=self.norm2[b],
             sup_norm2=float(self.sup_norm2[b]),
             gronwall_margin=float(self.gronwall_margin[b]),
-            path=self.paths[b] if self.paths is not None else None,
             state_indices=self.state_indices[b],
         )
 
@@ -437,7 +434,7 @@ class KineticStepper:
 
 def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
                 noise: NoiseModel, rngs, output_times, instruments=(),
-                keep_path: bool = False, paths=None) -> BatchResult:
+                paths=None) -> BatchResult:
     """Integrate a batch of trajectories and record the density at the requested times.
 
     Member b simulates its noise path from ``rngs[b]`` over the whole
@@ -464,15 +461,12 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
     if f0.ndim == grid.dim + 1:
         f0 = f0[None]
     steps = snap_steps(output_times, stepper.dt, stepper.n_steps)
-    res = stepper.run(f0, paths, steps, instruments)
-    if keep_path:
-        res.paths = list(paths)
-    return res
+    return stepper.run(f0, paths, steps, instruments)
 
 
 def solve_trajectory(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
                      noise: NoiseModel, rng, output_times, instruments=(),
-                     keep_path: bool = False, path: NoisePath = None) -> TrajectoryResult:
+                     path: NoisePath = None) -> TrajectoryResult:
     """Integrate one trajectory: the batch of one of `solve_batch`.
 
     Raises TrajectoryOverflowError or GronwallViolationError if the
@@ -480,6 +474,5 @@ def solve_trajectory(f0, config: SolverConfig, model: VelocityModel, grid: Torus
     impossible.
     """
     res = solve_batch(f0, config, model, grid, noise, [rng], output_times,
-                      instruments=instruments, keep_path=keep_path,
-                      paths=None if path is None else [path])
+                      instruments=instruments, paths=None if path is None else [path])
     return res.member(0)

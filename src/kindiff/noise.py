@@ -406,12 +406,6 @@ class NoisePath:
     def n_jumps(self) -> int:
         return self.seg_states.shape[0] - 1
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Chain state indices at microscopic time t (right-continuous)."""
-        idx = int(np.searchsorted(self.seg_times, t, side="right")) - 1
-        idx = min(max(idx, 0), self.seg_states.shape[0] - 1)
-        return self.seg_states[idx]
-
     def segments_between(self, a: float, b: float):
         """Yield (t0, t1, segment_index) covering [a, b] with constant states."""
         if b < a or a < -1e-12 or b > self.horizon * (1 + 1e-12) + 1e-12:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kinetic
 from . import velocity as vel
 from .grid import TorusGrid
 from .noise import NoiseModel
@@ -129,7 +130,7 @@ def solve_spde_trajectory(rho0, final_time, n_steps, coeffs: LimitCoefficients,
                           rng, output_times):
     """Single trajectory; increments drawn from the supplied stream."""
     dt = final_time / n_steps
-    steps = [min(max(int(round(t / dt)), 0), n_steps) for t in output_times]
+    steps = kinetic.snap_steps(output_times, dt, n_steps)
     dw = rng.normal(0.0, np.sqrt(dt), size=(1, n_steps, coeffs.n_modes))
     series = solve_spde_batch(rho0, final_time, n_steps, coeffs, dw, steps)[0]
     return np.asarray(steps, dtype=float) * dt, series

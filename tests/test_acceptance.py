@@ -62,11 +62,8 @@ def scalar_run():
 
 def test_criterion_01_deterministic_diffusion_limit():
     cfg = _cfg("deterministic.json")
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    nm = cfg.build_noise(grid)
-    rho0 = cfg.initial_density(grid)
-    f0 = vel.lift(vm, rho0)
+    grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
+    f0 = vel.lift(vm, cfg.rho0)
     T = cfg.final_time
     x = grid.coords()[0]
     exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * x)
@@ -84,8 +81,7 @@ def test_criterion_01_deterministic_diffusion_limit():
 
 def test_criterion_02_Q_positivity():
     cfg = _cfg("standard.json")
-    grid = cfg.build_grid()
-    nm = cfg.build_noise(grid)
+    grid, nm = cfg.grid, cfg.noise
     rng = make_stream(cfg.base_seed, harness.DIAG_NS, 2, 0)
     worst = np.inf
     for _ in range(100):
@@ -112,11 +108,8 @@ def test_criterion_04_drift_identity():
     for name in ("standard.json", "deterministic.json", "scalar_mode.json",
                  "martingale.json"):
         cfg = _cfg(name)
-        grid = cfg.build_grid()
-        vm = cfg.build_velocity()
-        nm = cfg.build_noise(grid)
-        coeffs = spde.LimitCoefficients.from_models(vm, nm, grid)
-        worst = max(worst, spde.drift_consistency(coeffs, nm.trace_field()))
+        coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
+        worst = max(worst, spde.drift_consistency(coeffs, cfg.noise.trace_field()))
     ok = worst < 1e-14
     report(4, "Ito-Stratonovich drift identity", ok,
            f"max gap over shipped configs = {worst:.3e}")
@@ -124,11 +117,9 @@ def test_criterion_04_drift_identity():
 
 def test_criterion_05_scalar_limit_mean(scalar_run):
     cfg, result = scalar_run
-    grid = cfg.build_grid()
-    nm = cfg.build_noise(grid)
-    rho0 = cfg.initial_density(grid)
-    F = float(nm.trace_field()[tuple([0] * grid.dim)])
-    target = np.exp(F * cfg.final_time / 2) * grid.inner(rho0, np.ones(grid.shape))
+    grid = cfg.grid
+    F = float(cfg.noise.trace_field()[tuple([0] * grid.dim)])
+    target = np.exp(F * cfg.final_time / 2) * grid.inner(cfg.rho0, np.ones(grid.shape))
     lim = result.limit.samples["mass"]
     kin = result.kinetic[0.05].samples["mass"]
     lim_mean, lim_se = lim.mean(), lim.std(ddof=1) / np.sqrt(lim.size)
@@ -142,14 +133,12 @@ def test_criterion_05_scalar_limit_mean(scalar_run):
 
 def test_criterion_06_generator_consistency():
     cfg = _cfg("standard.json")
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    nm = cfg.build_noise(grid)
+    grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
     rng = make_stream(cfg.base_seed, harness.DIAG_NS, 6, 0)
     states = [(random_smooth_field(grid, vm.n_velocities, rng) + 1.0,
                nm.sample_stationary(rng)) for _ in range(200)]
     medians = {}
-    for tf in cfg.build_functionals(grid):
+    for tf in cfg.functionals:
         bundle = PerturbedTestFunction(tf, vm, nm, grid)
         res = residual_scaling(bundle, states, [0.1, 0.05])
         medians[tf.name] = float(np.median(res[:, 0] / res[:, 1]))
@@ -179,10 +168,8 @@ def test_criterion_07_martingale_zero_mean(martingale_run):
 
 def test_criterion_08_uniform_moment_bound(standard_result):
     cfg = standard_result.config
-    grid = cfg.build_grid()
-    vm = cfg.build_velocity()
-    f0 = vel.lift(vm, cfg.initial_density(grid))
-    f0n2 = vel.inner_xv(vm, grid, f0, f0)
+    f0 = vel.lift(cfg.velocity, cfg.rho0)
+    f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
     rep = harness.uniform_moment_check(standard_result, f0n2)
     sups = ", ".join(f"eps={e:g}: {rep.sup_p2[e] / f0n2:.3f}"
                      for e in standard_result.epsilons)

@@ -7,6 +7,8 @@ import pytest
 
 from kindiff.cli import main
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 
 def write_config(tmp_path, **overrides):
     data = {
@@ -136,6 +138,18 @@ def test_diagnose_generator(tmp_path):
     assert all(1.5 <= r <= 2.5 for r in ratios)
 
 
+def test_diagnose_generator_exact_cancellation(tmp_path):
+    # without noise every residual is rounding (about 1e-16), so its ratios
+    # are noise and the pair counts as an exact cancellation
+    config = os.path.join(CONFIG_DIR, "deterministic.json")
+    out = tmp_path / "det"
+    assert main(["diagnose-generator", "--config", config, "--states", "40",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out / "generator_residuals.csv")
+    assert all(float(r[2]) < 1e-12 for r in rows)
+    assert json.loads((out / "run_manifest.json").read_text())["ratio_ok"] is True
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -158,6 +172,26 @@ def test_malformed_scalar_exit_code(tmp_path, key, value):
     with open(cfg, "w") as fh:
         json.dump(data, fh)
     assert main(["converge", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-kinetic", "--eps-index", "5"],
+    ["simulate-kinetic", "--eps-index", "-1"],
+    ["simulate-kinetic", "--trajectory", "-1"],
+    ["simulate-spde", "--trajectory", "-1"],
+    ["noise-stats", "--horizon", "0"],
+    ["noise-stats", "--horizon", "-1"],
+    ["noise-stats", "--horizon", "inf"],
+    ["diagnose-generator", "--states", "0"],
+    ["diagnose-generator", "--states", "1"],
+    ["converge", "--eta", "-1"],
+    ["converge", "--eta", "nan"],
+], ids=" ".join)
+def test_malformed_flag_exit_code(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, **{"experiment.ensemble_size": 128})
+    assert main(argv + ["--config", cfg]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weak_error.csv").exists()
 
 
 def test_seed_override_changes_manifest(tmp_path):

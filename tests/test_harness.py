@@ -11,6 +11,7 @@ from kindiff import harness, kinetic
 from kindiff import velocity as vel
 from kindiff.config import ConfigError, parse_config
 from kindiff.grid import TorusGrid
+from kindiff.noise import NoiseModel
 from kindiff.stats import RunningStats
 
 
@@ -145,7 +146,7 @@ class TestRunEnsemble:
         # dt = 0.1 * 0.4^2 = 0.016 does not divide the output spacing 0.012
         cfg = small_config(ensemble=3, epsilons=(0.4, 0.2))
         res = harness.run_ensemble(cfg, kinetic_only=True)
-        grid, vm, nm = cfg.build_grid(), cfg.build_velocity(), cfg.build_noise(cfg.build_grid())
+        grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
         for e_idx, eps in enumerate(cfg.epsilons):
             scfg = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time)
             solo = kinetic.solve_trajectory(
@@ -154,11 +155,23 @@ class TestRunEnsemble:
             assert np.array_equal(res.kinetic[eps].times, solo.times)
         assert not np.array_equal(res.kinetic[0.4].times, cfg.output_times)
 
+    def test_each_chunk_builds_each_model_once(self, monkeypatch):
+        built = []
+        init = NoiseModel.__post_init__
+        monkeypatch.setattr(NoiseModel, "__post_init__",
+                            lambda self: (built.append(self), init(self)))
+        cfg = small_config(ensemble=4)
+        built.clear()
+        harness._kinetic_chunk((cfg.raw, 0, [0, 1], True))
+        assert len(built) == 1
+        harness._limit_chunk((cfg.raw, [0, 1]))
+        assert len(built) == 2
+
     def test_gronwall_margin_kept_and_merged_by_max(self):
         cfg = small_config(ensemble=40)  # two chunks
         res = harness.run_ensemble(cfg, kinetic_only=True)
-        grid, vm, nm = cfg.build_grid(), cfg.build_velocity(), cfg.build_noise(cfg.build_grid())
-        f0 = vel.lift(vm, cfg.initial_density(grid))
+        grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
+        f0 = vel.lift(vm, cfg.rho0)
         for e_idx, eps in enumerate(cfg.epsilons):
             scfg = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time)
             streams = [harness.make_stream(cfg.base_seed, harness.KIN_NS, e_idx, i)
@@ -200,8 +213,7 @@ class TestWeakErrorTable:
         """Fabricate an EnsembleResult with prescribed kinetic means."""
         cfg = small_config(epsilons=tuple(0.4 / 2 ** i for i in range(len(errors))))
         res = harness.run_ensemble(cfg, kinetic_only=True)
-        limit = harness._empty_eps_ensemble(res.kinetic[0.4].times,
-                                            cfg.build_functionals(cfg.build_grid()),
+        limit = harness._empty_eps_ensemble(res.kinetic[0.4].times, cfg.functionals,
                                             False, [])
         n_times = len(res.kinetic[0.4].times)
         for st_ in limit.functional_stats:
@@ -273,10 +285,8 @@ class TestMomentCheck:
         res = harness.run_ensemble(cfg, kinetic_only=True)
         f0n2 = None
         from kindiff import velocity as vel
-        grid = cfg.build_grid()
-        vm = cfg.build_velocity()
-        f0 = vel.lift(vm, cfg.initial_density(grid))
-        f0n2 = vel.inner_xv(vm, grid, f0, f0)
+        f0 = vel.lift(cfg.velocity, cfg.rho0)
+        f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
         rep = harness.uniform_moment_check(res, f0n2)
         assert rep.ok
         for eps in res.epsilons:
@@ -398,14 +408,37 @@ class TestConfigValidation:
             "rates": [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]],
         }
         cfg = parse_config(raw)
-        nm = cfg.build_noise(cfg.build_grid())
+        nm = cfg.noise
         assert nm.chains[0].n_states == 3
         assert nm.coefficients[0] >= 0
+
+    def test_accessors_return_the_built_models(self):
+        cfg = small_config()
+        assert cfg.build_grid() is cfg.grid
+        assert cfg.build_velocity() is cfg.velocity
+        assert cfg.build_noise(cfg.grid) is cfg.noise
+        assert cfg.build_functionals(cfg.grid) is cfg.functionals
+        assert cfg.initial_density(cfg.grid) is cfg.rho0
+        assert [t.name for t in cfg.functionals] == ["mass", "quad"]
+        assert cfg.rho0 == pytest.approx(1.0 + 0.5 * np.cos(2 * np.pi * cfg.grid.coords()[0]))
+        assert not cfg.rho0.flags.writeable
+
+    def test_chain_key_only_in_noise_modes(self):
+        raw = self.base()
+        raw["initial"]["modes"][0]["chain"] = {"kind": "telegraph"}
+        with pytest.raises(ConfigError, match=r"initial.modes\[0\]: unknown keys \['chain'\]"):
+            parse_config(raw)
+
+    def test_fourier_overflow_is_config_error(self):
+        raw = self.base()
+        raw["functionals"][0]["weight"] = {"fourier": [[1, 10 ** 400, 0.0]]}
+        with pytest.raises(ConfigError):
+            parse_config(raw)
 
     def test_custom_velocity_table_accepted(self):
         raw = self.base()
         raw["velocity"] = {"velocities": [[-2.0], [1.0], [1.0]],
                            "weights": [1 / 3, 1 / 3, 1 / 3]}
         cfg = parse_config(raw)
-        vm = cfg.build_velocity()
+        vm = cfg.velocity
         assert vm.n_velocities == 3
