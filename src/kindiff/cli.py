@@ -325,12 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            raw = json.loads(json.dumps(cfg.raw))
-            raw["experiment"]["base_seed"] = int(args.seed)
-            from .config import parse_config
-            cfg = parse_config(raw)
+        cfg = load_config(args.config, base_seed=args.seed)
         args.out = args.out or cfg.output_dir
         os.makedirs(args.out, exist_ok=True)
         return args.func(cfg, args)

@@ -339,7 +339,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, base_seed=None) -> ExperimentConfig:
+    """Read and parse a config file; ``base_seed`` replaces experiment.base_seed."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -347,4 +348,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    experiment = data.get("experiment") if isinstance(data, dict) else None
+    if base_seed is not None and isinstance(experiment, dict) and "base_seed" in experiment:
+        experiment["base_seed"] = int(base_seed)
     return parse_config(data)

@@ -98,19 +98,17 @@ class ChainSpec:
         mean = float(pi @ s)
         if abs(mean) > CENTERING_TOL * max(1.0, np.max(np.abs(s))):
             raise ValueError("chain is not centered under its stationary law")
-        for a in (s, g, pi):
+        exit_rates = -np.diag(g)
+        for a in (s, g, pi, exit_rates):
             a.flags.writeable = False
         self.states = s
         self.rates = g
         self.stationary = pi
+        self.exit_rates = exit_rates
 
     @property
     def n_states(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return -np.diag(self.rates)
 
 
 def telegraph(sigma: float, rate: float) -> ChainSpec:
@@ -356,8 +354,8 @@ class NoiseModel:
 
     def simulate_path(self, horizon: float, rng) -> "NoisePath":
         """Exact event-driven simulation of all chains over [0, horizon]."""
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0 <= horizon < np.inf:
+            raise ValueError("horizon must be nonnegative and finite")
         initial = self.sample_stationary(rng)
         times, states = [], []
         for ch, i0 in zip(self.chains, initial):
@@ -446,6 +444,8 @@ def empirical_autocovariance(chain: ChainSpec, horizon: float, n_paths: int, rng
     stationary path contributes one sample of (int_0^T m)^2 / T, the integral
     computed exactly from the jump record.
     """
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     samples = np.empty(n_paths)
     for i in range(n_paths):
         start = int(rng.choice(chain.n_states, p=chain.stationary))

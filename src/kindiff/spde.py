@@ -7,7 +7,11 @@ A batch is held as real fields with a leading batch axis; a step of length dt is
     rho <- irfft(rfft(rho) * exp(-4 pi^2 xi^T K xi dt)) * exp(sum_j sqrt(c_j) eta_j dbeta_j),
 
 the exact heat flow (its half-spectrum multiplier built once per call) and then
-the geometric noise multiplier (its exponent one matrix product per step).
+the geometric noise multiplier (its exponent one matrix product per step, formed
+in a preallocated buffer).  On a 1-d grid of at most DENSE_HEAT_MAX_N points the
+heat flow is instead one product with its n x n matrix, the same rfft map applied
+to the identity once per call; it is a symmetric circulant whose rows sum to 1.
+Above that size the FFT pair is cheaper, and 2-d grids always take it.
 The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
 the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
@@ -24,6 +28,10 @@ from .noise import NoiseModel
 from .velocity import VelocityModel
 
 DEFAULT_STEPS = 2048
+# largest 1-d grid stepped with the dense heat matrix.  One heat step of a
+# 32-member batch, dense product vs rfft pair (2 cores, numpy 2.4): 5 vs 23 us
+# at n = 64, 26 vs 32 us at 128, 68 vs 49 us at 256
+DENSE_HEAT_MAX_N = 128
 
 
 @dataclass
@@ -117,10 +125,19 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     recorded = set(where.tolist())
     out = np.empty((batch, where.size) + grid.shape)
     out[:, where == 0] = rho[:, None]
+    dense = grid.dim == 1 and grid.n <= DENSE_HEAT_MAX_N
+    if dense:
+        heat = _heat(np.eye(grid.n), mult, grid)
+        spare = np.empty_like(rho)
+    noise = np.empty((batch, grid.npoints))
     for k in range(n_steps):
-        rho = _heat(rho, mult, grid)
+        if dense:
+            rho, spare = np.matmul(rho, heat, out=spare), rho
+        else:
+            rho = _heat(rho, mult, grid)
         if n_modes:
-            rho *= np.exp(increments[:, k] @ factors).reshape(rho.shape)
+            np.dot(increments[:, k], factors, out=noise)
+            rho *= np.exp(noise, out=noise).reshape(rho.shape)
         if k + 1 in recorded:
             out[:, where == k + 1] = rho[:, None]
     return out

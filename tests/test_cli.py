@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kindiff.cli import main
+from kindiff.noise import NoiseModel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -199,6 +200,27 @@ def test_seed_override_changes_manifest(tmp_path):
     assert main(["coeffs", "--config", cfg, "--seed", "123"]) == 0
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["seed"] == 123
+
+
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "123"]])
+def test_config_builds_each_model_once(tmp_path, monkeypatch, seed_args):
+    built = []
+    init = NoiseModel.__post_init__
+    monkeypatch.setattr(NoiseModel, "__post_init__",
+                        lambda self: (built.append(self), init(self)))
+    cfg = write_config(tmp_path)
+    assert main(["coeffs", "--config", cfg] + seed_args) == 0
+    assert len(built) == 1
+
+
+def test_seed_override_keeps_json_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["coeffs", "--config", str(bad), "--seed", "3"]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.json")
+    assert main(["coeffs", "--config", missing, "--seed", "3"]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
 
 
 def test_out_flag_overrides_directory(tmp_path):

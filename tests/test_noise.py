@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -19,6 +22,20 @@ def random_chain(rng, n_states=4):
     s = rng.uniform(-1.0, 1.0, size=n_states)
     s = s - pi @ s
     return nz.ChainSpec(s, g)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging if the body runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestChainSpec:
@@ -55,6 +72,14 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             nz.ChainSpec(np.array([0.0, 1.0]), g)
 
+    def test_exit_rates_stored_read_only(self):
+        g = np.array([[-1.0, 1.0, 0.0], [0.5, -2.0, 1.5], [1.0, 0.0, -1.0]])
+        s = np.array([1.0, 0.0, -1.0])
+        ch = nz.ChainSpec(s - nz.stationary_law(g) @ s, g)
+        assert ch.exit_rates is ch.exit_rates
+        assert np.array_equal(ch.exit_rates, [1.0, 2.0, 1.0])
+        assert not ch.exit_rates.flags.writeable
+
 
 class TestSamplingAndPaths:
     def test_stationary_frequency(self):
@@ -82,6 +107,12 @@ class TestSamplingAndPaths:
         model = _single_mode_model(nz.telegraph(1.0, 1.0))
         path = model.simulate_path(0.0, make_stream(13, 2, 0, 0))
         assert path.n_jumps == 0
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        model = _single_mode_model(nz.telegraph(1.0, 1.0))
+        with _deadline(5), pytest.raises(ValueError):
+            model.simulate_path(horizon, make_stream(13, 2, 0, 0))
 
     def test_ergodic_time_average(self):
         # time average of m(t)(x0) over a long horizon -> pi-average = 0
@@ -186,6 +217,12 @@ class TestAutocovariance:
         rng = make_stream(21, 2, 0, 0)
         emp, se = nz.empirical_autocovariance(ch, horizon=50.0, n_paths=400, rng=rng)
         assert abs(emp - 1.0) <= 3 * se
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0])
+    def test_empirical_estimator_bad_horizon_rejected(self, horizon):
+        with _deadline(5), pytest.raises(ValueError):
+            nz.empirical_autocovariance(nz.telegraph(1.0, 1.0), horizon, 100,
+                                        make_stream(21, 2, 0, 0))
 
 
 class TestKernelAndQ:

@@ -157,6 +157,11 @@ def _literal_batch(rho0, final_time, n_steps, coeffs, dw, output_steps):
     return np.array(out)
 
 
+# oracle grids as dim or (dim, n), n = 16 by default: the dense 1-d heat step,
+# the 1-d FFT step above DENSE_HEAT_MAX_N and the 2-d FFT step
+ORACLE_GRIDS = [1, 2, pytest.param((1, 2 * spde.DENSE_HEAT_MAX_N), id="1wide")]
+
+
 class TestBatchOracle:
     """solve_spde_batch against the literal composition, Nyquist bins included."""
 
@@ -164,7 +169,8 @@ class TestBatchOracle:
     output_steps = [0, 0, 5, 16, 16, n_steps]
 
     def _problem(self, dim, n_modes):
-        grid = TorusGrid(dim, 16)
+        dim, n = dim if isinstance(dim, tuple) else (dim, 16)
+        grid = TorusGrid(dim, n)
         K = np.array([[0.7]]) if dim == 1 else np.array([[0.5, 0.1], [0.1, 0.3]])
         rng = np.random.default_rng(10 * dim + n_modes)
         # white-noise fields so that every bin, the Nyquist ones too, is excited
@@ -176,7 +182,7 @@ class TestBatchOracle:
         return rho0, T, coeffs, dw
 
     @pytest.mark.parametrize("n_modes", [0, 1, 2])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", ORACLE_GRIDS)
     def test_matches_literal_composition(self, dim, n_modes):
         rho0, T, coeffs, dw = self._problem(dim, n_modes)
         got = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
@@ -185,7 +191,7 @@ class TestBatchOracle:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_modes", [0, 2])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", ORACLE_GRIDS)
     def test_member_equals_solo_run(self, dim, n_modes):
         rho0, T, coeffs, dw = self._problem(dim, n_modes)
         batch = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
@@ -193,6 +199,49 @@ class TestBatchOracle:
             solo = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw[b:b + 1],
                                          self.output_steps)
             assert np.max(np.abs(batch[b] - solo[0])) <= 1e-12 * np.max(np.abs(solo))
+
+
+def _no_noise(n):
+    return spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.zeros(0),
+                                  np.zeros((0, n)))
+
+
+def _dense_heat_matrix(coeffs, dt):
+    """The heat matrix as solve_spde_batch applies it: one step of the identity rows."""
+    n = coeffs.grid.n
+    return spde.solve_spde_batch(np.eye(n), dt, 1, coeffs, np.zeros((n, 1, 0)), [1])[:, 0]
+
+
+DENSE_SIZES = [2 ** p for p in range(1, spde.DENSE_HEAT_MAX_N.bit_length())]
+
+
+class TestDenseHeat:
+    """The 1-d heat step as one product with a dense circulant matrix."""
+
+    dt = 1e-3
+
+    @pytest.mark.parametrize("n", DENSE_SIZES)
+    def test_symmetric_and_mass_preserving(self, n):
+        heat = _dense_heat_matrix(_no_noise(n), self.dt)
+        assert np.max(np.abs(heat - heat.T)) <= 1e-14
+        assert np.max(np.abs(heat.sum(axis=1) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", DENSE_SIZES)
+    def test_product_equals_fft_step(self, n):
+        coeffs = _no_noise(n)
+        heat = _dense_heat_matrix(coeffs, self.dt)
+        mult = np.exp(coeffs.heat_exponent[:n // 2 + 1] * self.dt)
+        rho = 1.0 + np.random.default_rng(n).standard_normal((3, n))
+        assert np.max(np.abs(rho @ heat - spde._heat(rho, mult, coeffs.grid))) <= 1e-13
+
+    @pytest.mark.parametrize("n, fft_calls", [(spde.DENSE_HEAT_MAX_N, 1),
+                                               (2 * spde.DENSE_HEAT_MAX_N, 5)])
+    def test_fft_pairs_per_call(self, monkeypatch, n, fft_calls):
+        calls = []
+        heat = spde._heat
+        monkeypatch.setattr(spde, "_heat", lambda *a: (calls.append(1), heat(*a))[1])
+        spde.solve_spde_batch(np.ones(n), 0.01, 5, _no_noise(n), np.zeros((2, 5, 0)), [5])
+        assert len(calls) == fft_calls
 
 
 class TestDriftConsistency:
