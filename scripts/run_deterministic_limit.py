@@ -11,22 +11,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from kindiff import kinetic, velocity as vel  # noqa: E402
 from kindiff.config import load_config  # noqa: E402
-from kindiff.harness import make_stream  # noqa: E402
+from kindiff.harness import kinetic_batch  # noqa: E402
 
 if __name__ == "__main__":
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
                                    "configs", "deterministic.json"))
-    grid, vm, nm = cfg.grid, cfg.velocity, cfg.noise
-    f0 = vel.lift(vm, cfg.rho0)
+    grid = cfg.grid
     T = cfg.final_time
     x = grid.coords()[0]
     exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * x)
     print(f"T = {T}, exact profile 1 + 0.5 e^{{-4 pi^2 T}} cos(2 pi x)")
     for e_idx, eps in enumerate(cfg.epsilons):
-        scfg = kinetic.SolverConfig(eps, cfg.dt_factor, T)
-        res = kinetic.solve_trajectory(f0, scfg, vm, grid, nm,
-                                       make_stream(cfg.base_seed, 0, e_idx, 0), [T])
+        res = kinetic_batch(cfg, e_idx, [0]).member(0)
         err = grid.norm(res.rho[-1] - exact)
         print(f"eps = {eps:5.3f}:  L2 error = {err:.6e}")

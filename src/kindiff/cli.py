@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import harness, kinetic, spde
+from . import harness
 from . import velocity as vel
 from .config import ConfigError, load_config
 from .generator import PerturbedTestFunction, random_smooth_field, residual_scaling
@@ -123,19 +123,13 @@ def _series_rows(times, series, functionals, grid, functionals_only):
 
 
 def cmd_simulate_kinetic(cfg, args):
-    grid, vm = cfg.grid, cfg.velocity
     if args.trajectory < 0:
         raise ConfigError("--trajectory must be nonnegative")
     if not 0 <= args.eps_index < len(cfg.epsilons):
         raise ConfigError(f"--eps-index must lie in [0, {len(cfg.epsilons) - 1}]")
     eps = cfg.epsilons[args.eps_index]
-    scfg = kinetic.SolverConfig(epsilon=eps, dt_factor=cfg.dt_factor,
-                                final_time=cfg.final_time)
-    rng = harness.make_stream(cfg.base_seed, harness.KIN_NS, args.eps_index,
-                              args.trajectory)
-    f0 = vel.lift(vm, cfg.rho0)
-    res = kinetic.solve_trajectory(f0, scfg, vm, grid, cfg.noise, rng, cfg.output_times)
-    header, rows = _series_rows(res.times, res.rho, cfg.functionals, grid,
+    res = harness.kinetic_batch(cfg, args.eps_index, [args.trajectory]).member(0)
+    header, rows = _series_rows(res.times, res.rho, cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "kinetic_series.csv"), header, rows)
     _write_manifest(args.out, "simulate-kinetic", cfg,
@@ -148,11 +142,8 @@ def cmd_simulate_kinetic(cfg, args):
 def cmd_simulate_spde(cfg, args):
     if args.trajectory < 0:
         raise ConfigError("--trajectory must be nonnegative")
-    coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
-    rng = harness.make_stream(cfg.base_seed, harness.LIM_NS, 0, args.trajectory)
-    times, series = spde.solve_spde_trajectory(
-        cfg.rho0, cfg.final_time, cfg.spde_steps, coeffs, rng, cfg.output_times)
-    header, rows = _series_rows(times, series, cfg.functionals, cfg.grid,
+    times, series = harness.limit_batch(cfg, [args.trajectory])
+    header, rows = _series_rows(times, series[0], cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "spde_series.csv"), header, rows)
     _write_manifest(args.out, "simulate-spde", cfg, {"trajectory": args.trajectory})
@@ -325,9 +316,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         cfg = load_config(args.config, base_seed=args.seed)
         args.out = args.out or cfg.output_dir
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: "
+                              f"{exc.strerror or exc}") from exc
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

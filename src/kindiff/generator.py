@@ -72,16 +72,6 @@ class TestFunctional:
         if not self.name:
             self.name = self.kind
 
-    def value(self, rho, grid: TorusGrid) -> float:
-        mw = grid.inner(rho, self.weight)
-        return mw if self.kind == "linear" else 0.5 * mw * mw
-
-    def grad(self, rho, grid: TorusGrid) -> np.ndarray:
-        """D phi(rho) as a grid function."""
-        if self.kind == "linear":
-            return self.weight.copy()
-        return grid.inner(rho, self.weight) * self.weight
-
 
 class _DirData:
     """Pairings of a batch of kinetic fields h (B, *shape, V) with the functional's weights.
@@ -118,10 +108,10 @@ class _EvalState:
 class PerturbedTestFunction:
     """A test functional bundled with its correctors and generator actions.
 
-    The pieces act on a batch: ``state`` takes f of shape (B, *grid.shape, V)
-    and chain indices n of shape (B, J), and every piece returns a (B,)
-    array.  The single-state methods (`corrector1`, `generator_parts`, ...)
-    evaluate the batch of one and return floats.
+    Every piece acts on a batch: ``state`` takes f of shape (B, *grid.shape, V)
+    and chain indices n of shape (B, J) and returns the evaluation record, and
+    every piece evaluated on that record is a (B,) array.  A single state is
+    the batch of one, ``state(f[None], n[None])``.
     """
 
     def __init__(self, functional: TestFunctional, vm: VelocityModel,
@@ -368,14 +358,15 @@ class PerturbedTestFunction:
     def _phi2(self, st):
         return self.phi2_sharp(st) + self.phi2_star(st) + self.phi2_dagger(st)
 
-    def _value_eps_state(self, st, eps: float):
+    def value_eps(self, st, eps: float):
+        """phi_eps = phi + eps phi1 + eps^2 phi2, each (B,)."""
         return self.phi_value(st) + eps * self.phi1_value(st) + eps * eps * self._phi2(st)
 
     def _d_phi2(self, st, d: _DirData):
         return (self.d_phi2_sharp(st, d) + self.d_phi2_star(st, d)
                 + self.d_phi2_dagger(st, d))
 
-    def _generator_parts_state(self, st):
+    def generator_parts(self, st):
         """The four brackets of L_eps phi_eps ordered by power of eps, each (B,).
 
         b0 = L_L phi (vanishes), b1 = L_A phi + L_L phi1 (vanishes),
@@ -390,7 +381,7 @@ class PerturbedTestFunction:
         b3 = self._d_phi2(st, dA)
         return b0, b1, b2, b3
 
-    def _bracket_state(self, st):
+    def bracket(self, st):
         """Bracket integrand M|phi1|^2 - 2 phi1 M phi1 = sum_j (alpha r_j)^2 Gamma_j(n_j)."""
         gamma = st.alpha[:, None] * st.r
         return np.sum(gamma * gamma * st.Gv, axis=1)
@@ -409,37 +400,6 @@ class PerturbedTestFunction:
         if self.quad:
             out = out + 0.5 * ((r * r) @ self.c)
         return out
-
-    # ---- single states: the batch of one ------------------------------------
-
-    def _one(self, f, n) -> _EvalState:
-        return self.state(np.asarray(f, dtype=float)[None],
-                          np.asarray(n, dtype=np.int64).reshape(1, -1))
-
-    def corrector1(self, f, n) -> float:
-        return float(self.phi1_value(self._one(f, n))[0])
-
-    def corrector2(self, f, n) -> float:
-        return float(self._phi2(self._one(f, n))[0])
-
-    def corrector2_parts(self, f, n):
-        st = self._one(f, n)
-        return tuple(float(p[0]) for p in
-                     (self.phi2_sharp(st), self.phi2_star(st), self.phi2_dagger(st)))
-
-    def value_eps(self, f, n, eps: float) -> float:
-        return float(self._value_eps_state(self._one(f, n), eps)[0])
-
-    def generator_parts(self, f, n):
-        """(b0, b1, b2, b3) of `_generator_parts_state` for one state, as floats."""
-        return tuple(float(b[0]) for b in self._generator_parts_state(self._one(f, n)))
-
-    def generator_eps(self, f, n, eps: float) -> float:
-        b0, b1, b2, b3 = self.generator_parts(f, n)
-        return b0 / (eps * eps) + b1 / eps + b2 + eps * b3
-
-    def carre_du_champ1(self, f, n) -> float:
-        return float(self._bracket_state(self._one(f, n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +436,7 @@ def residual_scaling(bundle: PerturbedTestFunction, states, eps_list):
     lim = bundle.generator_limit(st.rho)
     sq = (f * f) @ bundle.vm.weights
     nrm2 = np.sum(sq.reshape(sq.shape[0], -1), axis=1) * bundle.grid.cell_volume
-    b0, b1, b2, b3 = (b[:, None] for b in bundle._generator_parts_state(st))
+    b0, b1, b2, b3 = (b[:, None] for b in bundle.generator_parts(st))
     eps = np.asarray(eps_list, dtype=float)[None]
     geps = b0 / (eps * eps) + b1 / eps + b2 + eps * b3
     return np.abs(geps - lim[:, None]) / (1.0 + nrm2[:, None])
@@ -505,10 +465,10 @@ class GeneratorInstrument:
         """Record output i at time t of the batch (f, state_indices)."""
         st = self.bundle.state(f, state_indices)
         e = self.eps
-        self.values[:, i] = self.bundle._value_eps_state(st, e)
-        b0, b1, b2, b3 = self.bundle._generator_parts_state(st)
+        self.values[:, i] = self.bundle.value_eps(st, e)
+        b0, b1, b2, b3 = self.bundle.generator_parts(st)
         self.gens[:, i] = b0 / (e * e) + b1 / e + b2 + e * b3
-        self.brackets[:, i] = self.bundle._bracket_state(st)
+        self.brackets[:, i] = self.bundle.bracket(st)
 
 
 def _cumtrapz(times, samples):

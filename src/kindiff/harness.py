@@ -6,6 +6,9 @@ limit trajectories use namespace 1, noise statistics 2, generator
 diagnostics 3.  Streams are counter-derived, so results are independent of
 scheduling and worker count; ensembles are processed in fixed chunks and
 reduced in chunk order, which makes outputs bitwise reproducible.
+`kinetic_batch` and `limit_batch` set up every simulated member, so member i
+of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory i`
+write.
 """
 
 import concurrent.futures
@@ -116,23 +119,48 @@ def _reduce(acc, functionals, grid, rho):
         acc.samples[tf.name] = vals[:, k, -1].copy()
 
 
+def kinetic_batch(cfg: ExperimentConfig, eps_index: int, indices, instruments=()):
+    """Kinetic ensemble members ``indices`` at epsilon index eps_index, as one batch.
+
+    Member i runs on its own stream, so it is the same trajectory in any
+    chunk, in any batch and as `simulate-kinetic --trajectory i`.
+    """
+    scfg = kinetic.SolverConfig(epsilon=cfg.epsilons[eps_index], dt_factor=cfg.dt_factor,
+                                final_time=cfg.final_time)
+    rngs = [make_stream(cfg.base_seed, KIN_NS, eps_index, i) for i in indices]
+    return kinetic.solve_batch(vel.lift(cfg.velocity, cfg.rho0), scfg, cfg.velocity,
+                               cfg.grid, cfg.noise, rngs, cfg.output_times,
+                               instruments=instruments)
+
+
+def limit_batch(cfg: ExperimentConfig, indices):
+    """Limit ensemble members ``indices`` as one batch: (times, (B, n_times, *shape) series).
+
+    Member i draws its increments from its own stream, so it is the same
+    trajectory in any chunk and as `simulate-spde --trajectory i`.
+    """
+    coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
+    n_steps = cfg.spde_steps
+    dt = cfg.final_time / n_steps
+    out_steps = kinetic.snap_steps(cfg.output_times, dt, n_steps)
+    dw = np.empty((len(indices), n_steps, coeffs.n_modes))
+    for row, i in enumerate(indices):
+        rng = make_stream(cfg.base_seed, LIM_NS, 0, i)
+        dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
+    series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
+    return np.asarray(out_steps) * dt, series
+
+
 def _kinetic_chunk(args):
     raw, eps_index, indices, with_diag = args
     cfg = parse_config(raw)
-    grid, vm, nm, functionals = cfg.grid, cfg.velocity, cfg.noise, cfg.functionals
+    grid, functionals = cfg.grid, cfg.functionals
     eps = cfg.epsilons[eps_index]
-    scfg = kinetic.SolverConfig(epsilon=eps, dt_factor=cfg.dt_factor,
-                                final_time=cfg.final_time)
-    f0 = vel.lift(vm, cfg.rho0)
     diag_names = [t.name for t in functionals] if with_diag else []
-    bundles = [PerturbedTestFunction(t, vm, nm, grid)
-               for t in functionals] if with_diag else []
-    n_times = len(cfg.output_times)
-    rngs = [make_stream(cfg.base_seed, KIN_NS, eps_index, i) for i in indices]
-    instruments = [GeneratorInstrument(bundle, eps, n_times, len(indices))
-                   for bundle in bundles]
-    res = kinetic.solve_batch(f0, scfg, vm, grid, nm, rngs, cfg.output_times,
-                              instruments=instruments)
+    instruments = [GeneratorInstrument(PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid),
+                                       eps, len(cfg.output_times), len(indices))
+                   for t in functionals] if with_diag else []
+    res = kinetic_batch(cfg, eps_index, indices, instruments)
     acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
     acc.attempted = len(indices)
     acc.failures = [(indices[b], f"{type(exc).__name__}: {exc}")
@@ -155,21 +183,10 @@ def _kinetic_chunk(args):
 def _limit_chunk(args):
     raw, indices = args
     cfg = parse_config(raw)
-    grid, functionals = cfg.grid, cfg.functionals
-    coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, grid)
-    n_steps = cfg.spde_steps
-    dt = cfg.final_time / n_steps
-    out_steps = kinetic.snap_steps(cfg.output_times, dt, n_steps)
-    acc = _empty_eps_ensemble(np.asarray(out_steps) * dt, functionals, False, [])
-    if not indices:
-        return acc
-    dw = np.empty((len(indices), n_steps, coeffs.n_modes))
-    for row, i in enumerate(indices):
-        rng = make_stream(cfg.base_seed, LIM_NS, 0, i)
-        dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
-    series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
+    times, series = limit_batch(cfg, indices)
+    acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
     acc.attempted = len(indices)
-    _reduce(acc, functionals, grid, series)
+    _reduce(acc, cfg.functionals, cfg.grid, series)
     return acc
 
 
@@ -188,7 +205,8 @@ class EnsembleResult:
 def _run_chunked(worker, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool forks all its workers at the first submit
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(worker, jobs))
 
 

@@ -99,12 +99,21 @@ class ChainSpec:
         if abs(mean) > CENTERING_TOL * max(1.0, np.max(np.abs(s))):
             raise ValueError("chain is not centered under its stationary law")
         exit_rates = -np.diag(g)
-        for a in (s, g, pi, exit_rates):
+        # jump_cdf[i, j]: probability that a jump from i lands at or before j,
+        # summed left to right; inf from the last reachable state on, so that a
+        # uniform above the rounded row total still lands on a real jump
+        jump_cdf = np.full((n, n), np.inf)
+        for i in np.nonzero(exit_rates > 0.0)[0]:
+            row = off[i] / exit_rates[i]
+            last = np.nonzero(row > 0.0)[0][-1]
+            jump_cdf[i, :last] = np.cumsum(row[:last])
+        for a in (s, g, pi, exit_rates, jump_cdf):
             a.flags.writeable = False
         self.states = s
         self.rates = g
         self.stationary = pi
         self.exit_rates = exit_rates
+        self.jump_cdf = jump_cdf
 
     @property
     def n_states(self) -> int:
@@ -232,21 +241,19 @@ def simulate_chain(chain: ChainSpec, start: int, horizon: float, rng):
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        row = chain.rates[i] / rate
-        u = rng.random()
-        cdf = 0.0
-        nxt = i
-        for j in range(chain.n_states):
-            if j == i:
-                continue
-            cdf += row[j]
-            if u < cdf:
-                nxt = j
-                break
-        i = nxt
+        # the method form: np.searchsorted's dispatch costs more than the search
+        i = int(chain.jump_cdf[i].searchsorted(rng.random(), side="right"))
         t_list.append(t)
         s_list.append(i)
     return np.asarray(t_list, dtype=float), np.asarray(s_list, dtype=np.int64)
+
+
+def chain_integral(chain: ChainSpec, start: int, jump_times, jump_states,
+                   horizon: float) -> float:
+    """int_0^horizon m(t) dt, computed exactly from one chain's jump record."""
+    t = np.concatenate([[0.0], jump_times, [horizon]])
+    idx = np.concatenate([[start], jump_states]).astype(np.int64)
+    return float(np.sum(chain.states[idx] * np.diff(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +426,6 @@ class NoisePath:
             if t0 < b:
                 idx += 1
 
-    def integral_of_chain(self, chain: ChainSpec, j: int) -> float:
-        """int_0^horizon m_j(t) dt computed exactly from the jump record."""
-        t = np.concatenate([[0.0], self.jump_times[j], [self.horizon]])
-        idx = np.concatenate([[self.initial[j]], self.jump_states[j]]).astype(np.int64)
-        return float(np.sum(chain.states[idx] * np.diff(t)))
-
     def sup_bounds(self, model: NoiseModel):
         """Pathwise sup of |m| and |M^{-1}I(m)| over all segments (for the bound C_*)."""
         sup_m, sup_inv = 0.0, 0.0
@@ -450,9 +451,7 @@ def empirical_autocovariance(chain: ChainSpec, horizon: float, n_paths: int, rng
     for i in range(n_paths):
         start = int(rng.choice(chain.n_states, p=chain.stationary))
         times, states = simulate_chain(chain, start, horizon, rng)
-        t = np.concatenate([[0.0], times, [horizon]])
-        idx = np.concatenate([[start], states]).astype(np.int64)
-        samples[i] = float(np.sum(chain.states[idx] * np.diff(t))) ** 2 / horizon
+        samples[i] = chain_integral(chain, start, times, states, horizon) ** 2 / horizon
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(n_paths))
     return mean, stderr

@@ -15,13 +15,16 @@ Above that size the FFT pair is cheaper, and 2-d grids always take it.
 The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
 the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
+
+`solve_spde_batch` is the only stepper: a single trajectory is its batch of one
+and a single step a call with n_steps = 1.  The caller supplies the Gaussian
+increments; `harness.limit_batch` draws them from each member's stream.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinetic
 from . import velocity as vel
 from .grid import TorusGrid
 from .noise import NoiseModel
@@ -79,20 +82,6 @@ def _heat(rho, mult, grid: TorusGrid):
     return np.fft.irfftn(np.fft.rfftn(rho, axes=(-2, -1)) * mult, s=grid.shape, axes=(-2, -1))
 
 
-def spde_step(rho, dt, coeffs: LimitCoefficients, increments):
-    """One step of solve_spde_batch: heat flow over dt, then the noise multiplier.
-
-    ``increments`` holds one N(0, dt) variate per mode; for a batch of
-    trajectories pass rho with a leading batch axis and increments (batch, J).
-    """
-    dw = np.asarray(increments, dtype=float)
-    if dw.shape[-1] != coeffs.n_modes:
-        raise ValueError("one Gaussian increment per mode is required")
-    rho = np.asarray(rho, dtype=float)
-    dw = dw.reshape(rho.size // coeffs.grid.npoints, 1, coeffs.n_modes)
-    return solve_spde_batch(rho, dt, 1, coeffs, dw, [1]).reshape(rho.shape)
-
-
 def drift_consistency(coeffs: LimitCoefficients, trace_field) -> float:
     """Max-norm gap between (1/2) sum_j c_j eta_j^2 and (1/2) F.
 
@@ -116,6 +105,10 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     dt = final_time / n_steps
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 3 or increments.shape[1:] != (n_steps, n_modes):
+        raise ValueError(f"increments must have shape (batch, n_steps, J) = "
+                         f"(batch, {n_steps}, {n_modes}), got {increments.shape}")
     # even in xi with the Nyquist bins zeroed: the rfft half spectrum is exact
     mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1] * dt)
     factors = coeffs.root_factors.reshape(n_modes, grid.npoints)
@@ -142,12 +135,3 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
             out[:, where == k + 1] = rho[:, None]
     return out
 
-
-def solve_spde_trajectory(rho0, final_time, n_steps, coeffs: LimitCoefficients,
-                          rng, output_times):
-    """Single trajectory; increments drawn from the supplied stream."""
-    dt = final_time / n_steps
-    steps = kinetic.snap_steps(output_times, dt, n_steps)
-    dw = rng.normal(0.0, np.sqrt(dt), size=(1, n_steps, coeffs.n_modes))
-    series = solve_spde_batch(rho0, final_time, n_steps, coeffs, dw, steps)[0]
-    return np.asarray(steps, dtype=float) * dt, series

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from kindiff import harness
 from kindiff.cli import main
+from kindiff.config import load_config
 from kindiff.noise import NoiseModel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -187,6 +189,8 @@ def test_malformed_scalar_exit_code(tmp_path, key, value):
     ["diagnose-generator", "--states", "1"],
     ["converge", "--eta", "-1"],
     ["converge", "--eta", "nan"],
+    ["converge", "--workers", "0"],
+    ["coeffs", "--workers", "-1"],
 ], ids=" ".join)
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, **{"experiment.ensemble_size": 128})
@@ -221,6 +225,40 @@ def test_seed_override_keeps_json_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["coeffs", "--config", missing, "--seed", "3"]) == 2
     assert "config error: cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_output_directory_that_cannot_be_created(tmp_path, capsys, below):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    assert main(["coeffs", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trajectory", [0, 21])
+def test_trajectory_flag_is_the_ensemble_member(tmp_path, trajectory):
+    # the randomness contract: member i of a 32-trajectory chunk is the run of
+    # simulate-kinetic / simulate-spde --trajectory i
+    path = write_config(tmp_path)
+    cfg = load_config(path)
+    chunk = list(range(harness.CHUNK))
+    kin = harness.kinetic_batch(cfg, 1, chunk)
+    lim_times, lim = harness.limit_batch(cfg, chunk)
+    for argv, name, times, want in (
+            (["simulate-kinetic", "--eps-index", "1"], "kinetic_series.csv",
+             kin.times, kin.rho[trajectory]),
+            (["simulate-spde"], "spde_series.csv", lim_times, lim[trajectory])):
+        out = tmp_path / name
+        assert main(argv + ["--config", path, "--trajectory", str(trajectory),
+                            "--out", str(out)]) == 0
+        _, rows = read_csv(out / name)
+        got = np.array(rows, dtype=float)
+        assert np.array_equal(got[:, 0], times)
+        flat = want.reshape(len(times), -1)
+        assert np.max(np.abs(got[:, 1:] - flat)) <= 1e-12 * np.max(np.abs(flat))
 
 
 def test_out_flag_overrides_directory(tmp_path):

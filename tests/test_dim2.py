@@ -31,7 +31,7 @@ def test_generator_brackets_cancel():
         for _ in range(4):
             f = random_smooth_field(GRID, 4, rng) + 1.0
             n = nm.sample_stationary(rng)
-            b0, b1, b2, _ = b.generator_parts(f, n)
+            b0, b1, b2, _ = (part[0] for part in b.generator_parts(b.state(f[None], n[None])))
             lim = b.generator_limit(f @ VM.weights)
             scale = 1.0 + vel.inner_xv(VM, GRID, f, f)
             assert abs(b0) < 1e-13 * scale

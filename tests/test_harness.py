@@ -167,6 +167,28 @@ class TestRunEnsemble:
         harness._limit_chunk((cfg.raw, [0, 1]))
         assert len(built) == 2
 
+    def test_pool_never_larger_than_the_job_list(self, monkeypatch):
+        # a fake executor records its size and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert harness._run_chunked(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
+        assert harness._run_chunked(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert sizes == [3, 2]
+
     def test_gronwall_margin_kept_and_merged_by_max(self):
         cfg = small_config(ensemble=40)  # two chunks
         res = harness.run_ensemble(cfg, kinetic_only=True)

@@ -80,6 +80,17 @@ class TestChainSpec:
         assert np.array_equal(ch.exit_rates, [1.0, 2.0, 1.0])
         assert not ch.exit_rates.flags.writeable
 
+    def test_jump_cdf_rows(self):
+        g = np.array([[-1.0, 1.0, 0.0], [0.5, -2.0, 1.5], [1.0, 0.0, -1.0]])
+        s = np.array([1.0, 0.0, -1.0])
+        ch = nz.ChainSpec(s - nz.stationary_law(g) @ s, g)
+        assert not ch.jump_cdf.flags.writeable
+        for i in range(3):
+            cdf = np.minimum(ch.jump_cdf[i], 1.0)
+            prob = np.diff(np.concatenate([[0.0], cdf]))
+            want = np.where(np.arange(3) == i, 0.0, g[i] / ch.exit_rates[i])
+            assert prob == pytest.approx(want, abs=1e-15)
+
 
 class TestSamplingAndPaths:
     def test_stationary_frequency(self):
@@ -108,6 +119,56 @@ class TestSamplingAndPaths:
         path = model.simulate_path(0.0, make_stream(13, 2, 0, 0))
         assert path.n_jumps == 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jumps_match_a_sequential_scan(self, seed):
+        # reference: scan the normalised rate row left to right, skipping the
+        # diagonal, and jump at the first partial sum above the uniform
+        ch = random_chain(np.random.default_rng(seed), n_states=5)
+
+        def scan(start, horizon, rng):
+            t, i, times, states = 0.0, start, [], []
+            while True:
+                t += rng.exponential(1.0 / ch.exit_rates[i])
+                if t >= horizon:
+                    return times, states
+                row, u, cdf = ch.rates[i] / ch.exit_rates[i], rng.random(), 0.0
+                for j in range(ch.n_states):
+                    if j != i:
+                        cdf += row[j]
+                        if u < cdf:
+                            i = j
+                            break
+                times.append(t)
+                states.append(i)
+
+        want_t, want_s = scan(seed % 5, 200.0, make_stream(seed, 2, 0, 0))
+        got_t, got_s = nz.simulate_chain(ch, seed % 5, 200.0, make_stream(seed, 2, 0, 0))
+        assert len(want_s) > 100
+        assert got_t.tolist() == want_t
+        assert got_s.tolist() == want_s
+
+    @pytest.mark.parametrize("start, target", [(0, 2), (1, 2), (2, 1)])
+    def test_largest_uniform_never_self_jumps(self, start, target):
+        # row 0 normalises to 0.25 + 0.7499999999999999 = 1 - 2^-53, which is
+        # the largest value rng.random() returns; the jump must still leave the
+        # state, for the last reachable one
+        g = np.array([[-0.4, 0.1, 0.3], [0.5, -1.0, 0.5], [0.3, 0.3, -0.6]])
+        s = np.array([-1.0, 0.5, 1.5])
+        ch = nz.ChainSpec(s - nz.stationary_law(g) @ s, g)
+
+        class StubRng:
+            holds = iter([0.1, 1e9])
+
+            def exponential(self, scale):
+                return next(self.holds)
+
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        times, states = nz.simulate_chain(ch, start, 1.0, StubRng())
+        assert times.tolist() == [0.1]
+        assert states.tolist() == [target]
+
     @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
     def test_bad_horizon_rejected(self, horizon):
         model = _single_mode_model(nz.telegraph(1.0, 1.0))
@@ -120,9 +181,11 @@ class TestSamplingAndPaths:
         model = _single_mode_model(ch)
         rng = make_stream(14, 2, 0, 0)
         n_paths, horizon = 200, 50.0
-        avgs = [model.simulate_path(horizon, rng).integral_of_chain(ch, 0) / horizon
-                for _ in range(n_paths)]
-        avgs = np.asarray(avgs)
+        avgs = np.empty(n_paths)
+        for i in range(n_paths):
+            path = model.simulate_path(horizon, rng)
+            avgs[i] = nz.chain_integral(ch, path.initial[0], path.jump_times[0],
+                                        path.jump_states[0], horizon) / horizon
         stderr = avgs.std(ddof=1) / np.sqrt(n_paths)
         assert abs(avgs.mean()) <= 3 * stderr
 
@@ -316,7 +379,9 @@ def test_spatial_autocovariance_matches_kernel():
     samples = np.empty(n_paths)
     for i in range(n_paths):
         path = model.simulate_path(horizon, rng)
-        ints = [path.integral_of_chain(ch, j) for j, ch in enumerate(model.chains)]
+        ints = [nz.chain_integral(ch, path.initial[j], path.jump_times[j],
+                                  path.jump_states[j], horizon)
+                for j, ch in enumerate(model.chains)]
         mx = sum(ints[j] * model.modes[j].reshape(-1)[ix] for j in range(2))
         my = sum(ints[j] * model.modes[j].reshape(-1)[iy] for j in range(2))
         samples[i] = mx * my / horizon

@@ -21,10 +21,10 @@ def _coeffs(labels_chains):
 
 
 def _heat(rho, dt, K, grid=GRID):
-    """spde_step without noise modes: the exact heat flow of div(K grad rho)."""
+    """One noiseless step of solve_spde_batch: the exact heat flow of div(K grad rho)."""
     coeffs = spde.LimitCoefficients(grid, np.atleast_2d(K), np.zeros(0),
                                     np.zeros((0,) + grid.shape))
-    return spde.spde_step(rho, dt, coeffs, np.zeros(0))
+    return spde.solve_spde_batch(rho, dt, 1, coeffs, np.zeros((1, 1, 0)), [1])[0, 0]
 
 
 class TestHeatStep:
@@ -66,7 +66,7 @@ class TestSpdeStep:
         coeffs, _ = _coeffs([("const", nz.telegraph(1.0, 1.0))])
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
         dt = 0.01
-        out = spde.spde_step(rho, dt, coeffs, np.zeros(1))
+        out = spde.solve_spde_batch(rho, dt, 1, coeffs, np.zeros((1, 1, 1)), [1])[0, 0]
         heat = 1.0 + 0.4 * np.exp(-4 * np.pi ** 2 * coeffs.K[0, 0] * dt) * np.cos(2 * np.pi * X)
         assert out == pytest.approx(heat, abs=1e-13)
 
@@ -86,10 +86,8 @@ class TestSpdeStep:
         rng = make_stream(40, 1, 0, 0)
         n = 20000
         dw = rng.normal(0.0, np.sqrt(dt), size=(n, 1))
-        acc = np.zeros(64)
-        for i in range(n):
-            acc += spde.spde_step(rho, dt, coeffs, dw[i])
-        mc = acc / n
+        steps = spde.solve_spde_batch(rho, dt, 1, coeffs, dw[:, None], [1])[:, 0]
+        mc = steps.sum(axis=0) / n
         target = rho * np.exp(c * dt / 2)
         stderr = np.abs(rho) * np.sqrt((np.exp(2 * c * dt) - np.exp(c * dt)) / n)
         assert np.all(np.abs(mc - target) <= 3 * stderr + 1e-12)
@@ -113,29 +111,46 @@ class TestSpdeStep:
     def test_increment_count_mismatch(self):
         coeffs, _ = _coeffs([("const", nz.telegraph(1.0, 1.0))])
         with pytest.raises(ValueError):
-            spde.spde_step(np.ones(64), 0.01, coeffs, np.zeros(2))
+            spde.solve_spde_batch(np.ones(64), 0.01, 1, coeffs, np.zeros((1, 1, 2)), [1])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (2, 5, 1), (2, 4, 0), (2, 4, 2),
+                                       (4, 1), (2, 4, 1, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_misshaped_increments_rejected_before_stepping(self, monkeypatch, shape):
+        # 4 steps of one mode need increments shaped (batch, 4, 1); a short
+        # array used to fail with IndexError after some steps had run.  The
+        # grid is above DENSE_HEAT_MAX_N, so every step calls _heat
+        n = 2 * spde.DENSE_HEAT_MAX_N
+        coeffs = spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.ones(1),
+                                        np.ones((1, n)))
+        heat = spde._heat
+        steps = []
+        monkeypatch.setattr(spde, "_heat", lambda *a: (steps.append(1), heat(*a))[1])
+        with pytest.raises(ValueError, match=r"\(batch, n_steps, J\)"):
+            spde.solve_spde_batch(np.ones(n), 0.04, 4, coeffs, np.zeros(shape), [4])
+        assert steps == []
 
     def test_no_modes_reduces_to_heat(self):
         coeffs, _ = _coeffs([])
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
-        out = spde.spde_step(rho, 0.01, coeffs, np.zeros(0))
+        out = spde.solve_spde_batch(rho, 0.01, 1, coeffs, np.zeros((1, 1, 0)), [1])[0, 0]
         heat = 1.0 + 0.4 * np.exp(-4 * np.pi ** 2 * coeffs.K[0, 0] * 0.01) * np.cos(2 * np.pi * X)
         assert out == pytest.approx(heat, abs=1e-13)
 
     def test_negative_dt_rejected(self):
         coeffs, _ = _coeffs([("const", nz.telegraph(1.0, 1.0))])
         with pytest.raises(ValueError):
-            spde.spde_step(np.ones(64), -0.01, coeffs, np.zeros(1))
+            spde.solve_spde_batch(np.ones(64), -0.04, 4, coeffs, np.zeros((2, 4, 1)), [4])
         with pytest.raises(ValueError):
             spde.solve_spde_batch(np.ones(64), -0.01, 1, coeffs, np.zeros((1, 1, 1)), [1])
 
     def test_positivity(self):
         coeffs, _ = _coeffs([("cos:1", nz.telegraph(1.0, 1.0))])
         rng = make_stream(42, 1, 0, 0)
-        rho = 1.0 + 0.9 * np.cos(2 * np.pi * X)
-        for _ in range(50):
-            rho = spde.spde_step(rho, 0.01, coeffs, rng.normal(0, 0.1, size=1))
-            assert np.all(rho > 0)
+        rho0 = 1.0 + 0.9 * np.cos(2 * np.pi * X)
+        dw = rng.normal(0, 0.1, size=(1, 50, 1))
+        series = spde.solve_spde_batch(rho0, 0.5, 50, coeffs, dw, range(1, 51))
+        assert np.all(series > 0)
 
 
 def _literal_batch(rho0, final_time, n_steps, coeffs, dw, output_steps):
