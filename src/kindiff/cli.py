@@ -234,7 +234,10 @@ def cmd_diagnose_generator(cfg, args):
     rows = []
     ok = True
     for tf in cfg.functionals:
-        bundle = PerturbedTestFunction(tf, vm, nm, grid)
+        try:
+            bundle = PerturbedTestFunction(tf, vm, nm, grid)
+        except ValueError as exc:  # e.g. a mode pair over noise.MAX_PAIR_STATES
+            raise ConfigError(f"diagnose-generator: {exc}") from exc
         res = residual_scaling(bundle, states, cfg.epsilons)
         for k, eps in enumerate(cfg.epsilons):
             mean = float(res[:, k].mean())

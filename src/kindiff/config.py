@@ -6,6 +6,7 @@ silently running a different experiment.
 
 import json
 import numbers
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,7 @@ def _velocity(raw, dim: int) -> VelocityModel:
             name = _string(raw["model"], "velocity.model")
             if name == "two_speed":
                 vm = vel.two_speed()
-            elif name.startswith("ring:"):
+            elif re.fullmatch(r"ring:[0-9]+", name):
                 m = int(name.split(":")[1])
                 if m > MAX_RING_VELOCITIES:
                     raise ConfigError(f"velocity: at most {MAX_RING_VELOCITIES} "
@@ -342,11 +343,11 @@ def parse_config(data: dict) -> ExperimentConfig:
 def load_config(path, base_seed=None) -> ExperimentConfig:
     """Read and parse a config file; ``base_seed`` replaces experiment.base_seed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     experiment = data.get("experiment") if isinstance(data, dict) else None
     if base_seed is not None and isinstance(experiment, dict) and "base_seed" in experiment:

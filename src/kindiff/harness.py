@@ -4,8 +4,8 @@ Randomness contract: trajectory i of the kinetic ensemble at epsilon index e
 uses the Philox stream keyed by SeedSequence(base_seed, spawn_key=(0, e, i));
 limit trajectories use namespace 1, noise statistics 2, generator
 diagnostics 3.  Streams are counter-derived, so results are independent of
-scheduling and worker count; ensembles are processed in fixed chunks and
-reduced in chunk order, which makes outputs bitwise reproducible.
+scheduling and worker count; one pool runs the fixed chunks of all ensembles
+and each is reduced in chunk order, which makes outputs bitwise reproducible.
 `kinetic_batch` and `limit_batch` set up every simulated member, so member i
 of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory i`
 write.
@@ -151,9 +151,7 @@ def limit_batch(cfg: ExperimentConfig, indices):
     return np.asarray(out_steps) * dt, series
 
 
-def _kinetic_chunk(args):
-    raw, eps_index, indices, with_diag = args
-    cfg = parse_config(raw)
+def _kinetic_chunk(cfg: ExperimentConfig, eps_index: int, indices, with_diag: bool):
     grid, functionals = cfg.grid, cfg.functionals
     eps = cfg.epsilons[eps_index]
     diag_names = [t.name for t in functionals] if with_diag else []
@@ -180,14 +178,21 @@ def _kinetic_chunk(args):
     return acc
 
 
-def _limit_chunk(args):
-    raw, indices = args
-    cfg = parse_config(raw)
+def _limit_chunk(cfg: ExperimentConfig, indices):
     times, series = limit_batch(cfg, indices)
     acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
     acc.attempted = len(indices)
     _reduce(acc, cfg.functionals, cfg.grid, series)
     return acc
+
+
+def _chunk_job(args):
+    """One job of run_ensemble: a kinetic chunk, or a limit chunk when eps_index is None."""
+    raw, eps_index, indices, with_diag = args
+    cfg = parse_config(raw)
+    if eps_index is None:
+        return _limit_chunk(cfg, indices)
+    return _kinetic_chunk(cfg, eps_index, indices, with_diag)
 
 
 @dataclass
@@ -217,33 +222,26 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
 
     Results are a deterministic function of (config, base_seed) and identical
     for any worker count.  Per-trajectory failures are recorded and excluded;
-    more than MAX_FAILURE_FRACTION of failures aborts the run.
+    more than MAX_FAILURE_FRACTION failures at one epsilon abort the run after all chunks.
     """
-    raw = cfg.raw
-    n = cfg.ensemble_size
-    kin = {}
-    for e_idx, eps in enumerate(cfg.epsilons):
-        jobs = [(raw, e_idx, idxs, diagnostics) for idxs in _chunks(n)]
-        parts = _run_chunked(_kinetic_chunk, jobs, workers)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc.merge(p)
+    sizes = {e_idx: cfg.ensemble_size for e_idx in range(len(cfg.epsilons))}
+    if not kinetic_only:
+        sizes[None] = cfg.ensemble_size if limit_size is None else limit_size
+        if sizes[None] < 1:
+            raise ValueError(f"limit_size must be at least 1, got {limit_size}")
+    jobs = [(cfg.raw, key, idxs, diagnostics) for key, size in sizes.items()
+            for idxs in _chunks(size)]
+    folded = {}  # each ensemble reduced in chunk order
+    for (_, key, _, _), part in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
+        folded[key] = folded[key].merge(part) if key in folded else part
+    kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}
+    for eps, acc in kin.items():
         if len(acc.failures) > MAX_FAILURE_FRACTION * acc.attempted:
             raise RuntimeError(
                 f"too many trajectory failures at epsilon={eps}: "
                 f"{len(acc.failures)}/{acc.attempted}"
             )
-        kin[eps] = acc
-    if kinetic_only:
-        limit = None
-    else:
-        m = n if limit_size is None else limit_size
-        jobs = [(raw, idxs) for idxs in _chunks(m)]
-        parts = _run_chunked(_limit_chunk, jobs, workers)
-        limit = parts[0]
-        for p in parts[1:]:
-            limit = limit.merge(p)
-    return EnsembleResult(config=cfg, epsilons=list(cfg.epsilons), kinetic=kin, limit=limit)
+    return EnsembleResult(cfg, list(cfg.epsilons), kin, folded.get(None))
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,10 @@ def test_config_error_exit_code(tmp_path):
     ("solver.dt_factor", 0),
     ("experiment.ensemble_size", "abc"),
     ("grid.n", 4.7),
+    ("velocity.model", "ring:4:junk"),
+    ("velocity.model", "ring: 4"),
 ])
-def test_malformed_scalar_exit_code(tmp_path, key, value):
+def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
     section, _, name = key.partition(".")
     cfg = write_config(tmp_path)
     with open(cfg) as fh:
@@ -175,6 +177,10 @@ def test_malformed_scalar_exit_code(tmp_path, key, value):
     with open(cfg, "w") as fh:
         json.dump(data, fh)
     assert main(["converge", "--config", cfg]) == 2
+    # the message names what is wrong: a loose ring:<m> parse would instead
+    # fail later, on the 1-d grid of this config
+    err = capsys.readouterr().err
+    assert key in err or repr(value) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -215,6 +221,26 @@ def test_config_builds_each_model_once(tmp_path, monkeypatch, seed_args):
     cfg = write_config(tmp_path)
     assert main(["coeffs", "--config", cfg] + seed_args) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("content", [b'{"grid": \xff}', b"[" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_config_that_is_not_json_text(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["coeffs", "--config", str(bad)]) == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+def test_diagnose_generator_refuses_an_over_budget_mode_pair(tmp_path, capsys):
+    # two 70-state chains: their product chain has 4900 > noise.MAX_PAIR_STATES states
+    n = 70
+    rates = np.roll(np.eye(n), 1, axis=1) - np.eye(n)  # cycle i -> i + 1 at rate 1
+    chain = {"states": np.linspace(-1.0, 1.0, n).tolist(), "rates": rates.tolist()}
+    modes = [{"label": label, "amplitude": 1.0, "chain": chain} for label in ("cos:1", "sin:1")]
+    cfg = write_config(tmp_path, **{"noise.modes": modes})
+    assert main(["diagnose-generator", "--config", cfg, "--states", "2"]) == 2
+    assert "mode pair (0, 1)" in capsys.readouterr().err
 
 
 def test_seed_override_keeps_json_errors(tmp_path, capsys):

@@ -162,9 +162,9 @@ class TestRunEnsemble:
                             lambda self: (built.append(self), init(self)))
         cfg = small_config(ensemble=4)
         built.clear()
-        harness._kinetic_chunk((cfg.raw, 0, [0, 1], True))
+        harness._chunk_job((cfg.raw, 0, [0, 1], True))
         assert len(built) == 1
-        harness._limit_chunk((cfg.raw, [0, 1]))
+        harness._chunk_job((cfg.raw, None, [0, 1], False))
         assert len(built) == 2
 
     def test_pool_never_larger_than_the_job_list(self, monkeypatch):
@@ -188,6 +188,43 @@ class TestRunEnsemble:
         assert harness._run_chunked(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
         assert harness._run_chunked(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
         assert sizes == [3, 2]
+
+    def test_one_pool_per_run(self, monkeypatch):
+        # every chunk of every ensemble goes to one executor; the fake starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(ensemble=40)  # two chunks per ensemble, six in all
+        res = harness.run_ensemble(cfg, workers=2)
+        assert sizes == [2]
+        assert res.limit.attempted == 40
+        assert all(ens.attempted == 40 for ens in res.kinetic.values())
+
+    def test_too_many_failures_abort_the_run(self, monkeypatch):
+        monkeypatch.setattr(kinetic, "OVERFLOW_NORM", 1e-30)  # every trajectory fails
+        with pytest.raises(RuntimeError, match=r"failures at epsilon=0\.4: 4/4"):
+            harness.run_ensemble(small_config(ensemble=4), workers=1)
+
+    def test_limit_size_below_one_raises_before_any_chunk(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "kinetic_batch", lambda *args: ran.append(args))
+        cfg = small_config(ensemble=4)
+        with pytest.raises(ValueError, match="limit_size must be at least 1"):
+            harness.run_ensemble(cfg, limit_size=0)
+        assert ran == []
 
     def test_gronwall_margin_kept_and_merged_by_max(self):
         cfg = small_config(ensemble=40)  # two chunks
