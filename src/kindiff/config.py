@@ -23,6 +23,9 @@ from .velocity import VelocityModel
 MAX_GRID_POINTS = 2 ** 14
 MAX_RING_VELOCITIES = 256
 MAX_OUTPUT_TIMES = 10 ** 5
+# steps per trajectory, kinetic or limit: at the cap one 32-member limit chunk
+# with 16 modes holds 410 MB of increments
+MAX_STEPS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -300,6 +303,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         steps = final_time / dt if dt > 0 else np.inf
         if not np.isfinite(steps):
             raise ConfigError(f"final_time / (dt_factor * eps^2) overflows at eps={e}")
+        if round(steps) > MAX_STEPS:
+            raise ConfigError(f"experiment.epsilons: {round(steps)} kinetic steps at eps={e} "
+                              f"exceed the limit of {MAX_STEPS} per trajectory")
         if abs(round(steps) * dt - final_time) > 1e-9 * final_time:
             raise ConfigError(
                 f"final_time must be an integer number of macroscopic steps "
@@ -310,8 +316,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if ensemble < 1:
         raise ConfigError("experiment.ensemble_size must be positive")
     spde_steps = _integer(solver.get("spde_steps", spde.DEFAULT_STEPS), "solver.spde_steps")
-    if spde_steps < 1:
-        raise ConfigError("solver.spde_steps must be positive")
+    if not 1 <= spde_steps <= MAX_STEPS:
+        raise ConfigError(f"solver.spde_steps must lie in [1, {MAX_STEPS}]")
     base_seed = _integer(exp["base_seed"], "experiment.base_seed")
     if base_seed < 0:
         raise ConfigError("experiment.base_seed must be nonnegative")

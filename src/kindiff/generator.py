@@ -171,10 +171,9 @@ class PerturbedTestFunction:
                           noise_mod.resolvent_solve(ch, ch.states),
                           noise_mod.carre_du_champ(ch, p)])
                 for ch, p in zip(nm.chains, self.p_tab)]
-        sizes = [ch.n_states for ch in nm.chains]
-        self._n_states = np.array(sizes, dtype=np.int64)
-        self._chain_off = np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(np.int64)
-        # rows s, M^{-1}I, (I - G)^{-1} M^{-1}I, (I - G)^{-1} s, Gamma(M^{-1}I); chains side by side
+        self._n_states = np.array([ch.n_states for ch in nm.chains], dtype=np.int64)
+        # rows s, M^{-1}I, (I - G)^{-1} M^{-1}I, (I - G)^{-1} s, Gamma(M^{-1}I); chains side
+        # by side, as in the noise model's flat state table
         self._chain_tab = np.concatenate(tabs, axis=1) if J else np.zeros((5, 0))
 
         # Poisson solves for the noise-quadratic observables theta_{jl}(n) = s_j(n_j) phi_l(n_l),
@@ -237,7 +236,7 @@ class PerturbedTestFunction:
         st.rho = f @ self.vm.weights
         spec = np.fft.rfftn(f, axes=self._axes) * self._m1_half
         st.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
-        chain = self._chain_tab[:, self._chain_off + n]  # (5, B, J)
+        chain = self._chain_tab[:, self.nm.state_offsets + n]  # (5, B, J)
         st.sv, st.pv, st.Bv, st.Nv, st.Gv = chain
         st.nf = (st.sv @ self._modes_flat).reshape(st.rho.shape)
         st.b = (st.pv @ self._modes_flat).reshape(st.rho.shape)
@@ -461,8 +460,8 @@ class GeneratorInstrument:
         self.gens = np.zeros((batch, n_times))
         self.brackets = np.zeros((batch, n_times))
 
-    def observe(self, i, t, f, state_indices):
-        """Record output i at time t of the batch (f, state_indices)."""
+    def observe(self, i, f, state_indices):
+        """Record output i of the batch (f, state_indices)."""
         st = self.bundle.state(f, state_indices)
         e = self.eps
         self.values[:, i] = self.bundle.value_eps(st, e)
@@ -489,7 +488,7 @@ class MartingaleReport:
     martingales: np.ndarray   # (n_traj, n_times)
 
 
-def martingale_residual(times, values, gens, brackets=None,
+def martingale_residual(times, values, gens, brackets,
                         min_trajectories: int = 100) -> MartingaleReport:
     """Ensemble statistics of M_eps(t) = phi_eps(t) - phi_eps(0) - int L_eps phi_eps.
 
@@ -505,12 +504,7 @@ def martingale_residual(times, values, gens, brackets=None,
     mart = values - values[:, :1] - _cumtrapz(times, gens)
     mean = mart.mean(axis=0)
     stderr = mart.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    if brackets is not None:
-        qv = _cumtrapz(times, np.asarray(brackets, dtype=float))
-        gap = mart ** 2 - qv
-        qv_mean = gap.mean(axis=0)
-        qv_stderr = gap.std(axis=0, ddof=1) / np.sqrt(n_traj)
-    else:
-        qv_mean = np.zeros_like(mean)
-        qv_stderr = np.zeros_like(mean)
+    gap = mart ** 2 - _cumtrapz(times, np.asarray(brackets, dtype=float))
+    qv_mean = gap.mean(axis=0)
+    qv_stderr = gap.std(axis=0, ddof=1) / np.sqrt(n_traj)
     return MartingaleReport(times, mean, stderr, qv_mean, qv_stderr, mart)

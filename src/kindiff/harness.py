@@ -208,11 +208,16 @@ class EnsembleResult:
 
 
 def _run_chunked(worker, jobs, workers: int):
+    """Yield worker(job) for each job, in job order, as the results arrive.
+
+    With one worker a job runs only when its result is taken.
+    """
     if workers <= 1 or len(jobs) <= 1:
-        return [worker(j) for j in jobs]
+        yield from map(worker, jobs)
+        return
     # a fork-started pool forks all its workers at the first submit
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(worker, jobs))
+        yield from pool.map(worker, jobs)
 
 
 def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
@@ -231,7 +236,7 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
             raise ValueError(f"limit_size must be at least 1, got {limit_size}")
     jobs = [(cfg.raw, key, idxs, diagnostics) for key, size in sizes.items()
             for idxs in _chunks(size)]
-    folded = {}  # each ensemble reduced in chunk order
+    folded = {}  # each ensemble reduced in chunk order, one part at a time
     for (_, key, _, _), part in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
         folded[key] = folded[key].merge(part) if key in folded else part
     kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}

@@ -15,7 +15,9 @@ so the only scheme error is the splitting commutator.
 Production runs go through `KineticStepper`, which advances a batch of
 trajectories together with the state held as an rfft over space: relaxation
 and transport act per frequency, so each piece costs one irfft -> noise
-multiplier -> rfft pair, and the energy check uses Parseval.
+multiplier -> rfft pair, and the energy check uses Parseval.  The noise of a
+batch is one segment table, the members' `NoisePath.seg_states` stacked in
+batch order, whose chain values are read once through `NoiseModel.values`.
 `solve_trajectory` is its batch of one.
 """
 
@@ -166,7 +168,9 @@ class KineticStepper:
     bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
     which is what the `.real` after every complex ifft in `advance` applies.
     A step without a jump is one full piece whose phase is cached; members
-    with jumps take further pieces with their own phases.
+    with jumps take further pieces with their own phases.  `_schedule` lays
+    out those pieces for the whole batch at once, and each member's noise
+    state is its current row of the batch's segment table.
     """
 
     def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
@@ -252,57 +256,49 @@ class KineticStepper:
         d = np.asarray(delta, dtype=float).reshape(-1, 1)
         return np.exp(m * (d * self.eps)).reshape((-1, 1) + self.grid.shape)
 
-    def _chain_values(self, path, seg):
-        """Chain state values (len(seg), J) on the given segments of a path."""
-        states = path.seg_states[seg]
-        return np.stack([ch.states[states[:, j]] for j, ch in enumerate(self.noise.chains)],
-                        axis=1)
-
     def _schedule(self, paths):
         """The pieces of every step that has jumps, as flat sorted columns.
 
         Step k owns the jumps in (k beta, (k+1) beta]: its pieces end at each
         of them and at (k+1) beta (a jump on that edge leaves a zero-length
         last piece, which is dropped).  Round r is each member's r-th piece.
+        A row indexes the batch's segment table, the members' ``seg_states``
+        stacked in batch order: member b's segment s is row s + b + (the jumps
+        of the members before b).
         Returns (pieces, tails, blocks): ``pieces`` holds member, length and
-        chain values sorted by (step, round, member); ``tails`` holds the
-        segment and chain values each jumping member ends its step in, sorted
-        by (step, member); ``blocks[k]`` is (one slice of ``pieces`` per
-        round, the slice of ``tails``).
+        segment row sorted by (step, round, member); ``tails`` holds the
+        member and the row each jumping member ends its step in, sorted by
+        (step, member); ``blocks[k]`` is (one slice of ``pieces`` per round,
+        the slice of ``tails``).
         """
         edges = np.arange(self.n_steps + 1) * self.beta
-        cols, tail_cols = [], []
-        for b, path in enumerate(paths):
-            jt = path.seg_times[1:-1]
-            ks = np.searchsorted(edges, jt, side="left") - 1
-            n = int(np.count_nonzero(ks < self.n_steps))
-            if n == 0:
-                continue
-            jt, ks, j = jt[:n], ks[:n], np.arange(n)
-            first = np.r_[True, ks[1:] != ks[:-1]]
-            last = np.r_[ks[1:] != ks[:-1], True]
-            start = np.where(first, edges[ks], np.r_[0.0, jt[:-1]])
-            rnd = j - np.maximum.accumulate(np.where(first, j, 0))
-            tail_seg = j[last] + 1
-            tail_values = self._chain_values(path, tail_seg)
-            # the pieces ending at a jump, then the tail piece of each step
-            cols.append((np.r_[ks, ks[last]],
-                         np.r_[rnd, rnd[last] + 1],
-                         np.full(n + tail_seg.size, b),
-                         np.r_[jt - start, edges[ks[last] + 1] - jt[last]],
-                         np.concatenate([self._chain_values(path, j), tail_values])))
-            tail_cols.append((ks[last], np.full(tail_seg.size, b), tail_seg, tail_values))
-        if not cols:
+        jt = np.concatenate([p.seg_times[1:-1] for p in paths])
+        member = np.repeat(np.arange(len(paths)), [p.n_jumps for p in paths])
+        row = np.arange(jt.size) + member  # the segment that ends at the jump
+        ks = np.searchsorted(edges, jt, side="left") - 1
+        keep = ks < self.n_steps
+        jt, ks, member, row = jt[keep], ks[keep], member[keep], row[keep]
+        if jt.size == 0:
             return None, None, {}
-
-        step, rnd, member, delta, values = (np.concatenate(c) for c in zip(*cols))
+        j = np.arange(jt.size)
+        new = (ks[1:] != ks[:-1]) | (member[1:] != member[:-1])
+        first, last = np.r_[True, new], np.r_[new, True]
+        start = np.where(first, edges[ks], np.r_[0.0, jt[:-1]])
+        rnd = j - np.maximum.accumulate(np.where(first, j, 0))
+        # the pieces ending at a jump, then the tail piece of each step, which
+        # starts at the step's last jump in the segment after it
+        t_step, t_member, t_row = ks[last], member[last], row[last] + 1
+        step = np.r_[ks, t_step]
+        rnd = np.r_[rnd, rnd[last] + 1]
+        member = np.r_[member, t_member]
+        delta = np.r_[jt - start, edges[t_step + 1] - jt[last]]
+        row = np.r_[row, t_row]
         keep = np.flatnonzero(delta > 0.0)
         order = keep[np.lexsort((member[keep], rnd[keep], step[keep]))]
-        pieces = {"member": member[order], "delta": delta[order], "values": values[order]}
+        pieces = {"member": member[order], "delta": delta[order], "row": row[order]}
         step, rnd = step[order], rnd[order]
-        t_step, t_member, t_seg, t_values = (np.concatenate(c) for c in zip(*tail_cols))
         t_order = np.lexsort((t_member, t_step))
-        tails = {"member": t_member[t_order], "seg": t_seg[t_order], "values": t_values[t_order]}
+        tails = {"member": t_member[t_order], "row": t_row[t_order]}
         t_step = t_step[t_order]
 
         rounds = {}
@@ -338,16 +334,14 @@ class KineticStepper:
         for i, k in enumerate(out_steps):
             rec_for_step.setdefault(int(k), []).append(i)
 
-        seg = np.zeros(batch, dtype=np.int64)   # current segment of each member's path
-        # every member's segment states in one table: member b's segment s is row first[b] + s
+        # the batch's segment table (rows as in _schedule) and each member's current row
         seg_states = np.concatenate([p.seg_states for p in paths])
-        first = np.cumsum([0] + [p.seg_states.shape[0] for p in paths[:-1]])
+        seg_values = noise.values(seg_states)
+        cur = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
         dead = np.zeros(batch, dtype=bool)
         full_mult = None
         if noise.n_modes:
-            full_mult = self._multiplier(
-                np.concatenate([self._chain_values(p, [0]) for p in paths]),
-                np.full(batch, self.beta))
+            full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
 
         def record(step):
             outs = rec_for_step.get(step)
@@ -355,7 +349,7 @@ class KineticStepper:
                 return
             f = np.moveaxis(self.to_fields(fhat), 1, -1)
             rho = f @ self.mu
-            states = seg_states[first + seg]
+            states = seg_states[cur]
             if instruments:
                 f = np.ascontiguousarray(f)
             for i in outs:
@@ -365,7 +359,7 @@ class KineticStepper:
                 for rec in (rho_rec, norm2_rec, state_rec):
                     rec[dead, i] = 0
                 for ins in instruments:
-                    ins.observe(i, step * self.dt, f, state_rec[:, i])
+                    ins.observe(i, f, state_rec[:, i])
 
         def fail(b, exc):
             failures[b] = exc
@@ -379,12 +373,12 @@ class KineticStepper:
                 if block is None:
                     fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
                 else:
-                    fhat = self._jump_step(fhat, pieces, block[0], full_mult)
+                    fhat = self._jump_step(fhat, pieces, block[0], full_mult, seg_values)
                     tl = block[1]
                     members = tails["member"][tl]
-                    seg[members] = tails["seg"][tl]
+                    cur[members] = tails["row"][tl]
                     full_mult[members] = self._multiplier(
-                        tails["values"][tl], np.full(members.size, self.beta))
+                        seg_values[cur[members]], np.full(members.size, self.beta))
                 nrm = self.norm2(fhat)
                 t_macro = (k + 1) * self.dt
                 for b in np.flatnonzero(~(nrm <= OVERFLOW_NORM ** 2)):
@@ -409,26 +403,26 @@ class KineticStepper:
             failures=failures,
         )
 
-    def _jump_step(self, fhat, pieces, rounds, full_mult):
+    def _jump_step(self, fhat, pieces, rounds, full_mult, seg_values):
         """A step in which some members jump; ``rounds`` slice ``pieces`` by round.
 
         Round 0 covers the whole batch, members without a jump taking the
         cached full piece; later rounds gather only the members that still
         have pieces left.
         """
-        member, delta, values = pieces["member"], pieces["delta"], pieces["values"]
-        rows, d0 = member[rounds[0]], delta[rounds[0]]
+        member, delta, row = pieces["member"], pieces["delta"], pieces["row"]
+        sub, d0 = member[rounds[0]], delta[rounds[0]]
         phase = np.repeat(self._full_phase[None], fhat.shape[0], axis=0)
-        phase[rows] = self.phase(d0)
+        phase[sub] = self.phase(d0)
         theta = np.full((fhat.shape[0], 1, 1), self._full_theta)
-        theta[rows, 0, 0] = np.exp(-0.5 * d0)
+        theta[sub, 0, 0] = np.exp(-0.5 * d0)
         mult = full_mult.copy()
-        mult[rows] = self._multiplier(values[rounds[0]], d0)
+        mult[sub] = self._multiplier(seg_values[row[rounds[0]]], d0)
         fhat = self.piece(fhat, phase, theta, mult)
         for sl in rounds[1:]:
             sub, d = member[sl], delta[sl]
             fhat[sub] = self.piece(fhat[sub], self.phase(d), np.exp(-0.5 * d)[:, None, None],
-                                   self._multiplier(values[sl], d))
+                                   self._multiplier(seg_values[row[sl]], d))
         return fhat
 
 

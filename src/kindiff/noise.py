@@ -11,6 +11,11 @@ of the noise reduce to finite linear algebra on the chains:
   c = int_R E[m(0) m(t)] dt = -2 sum_k pi_k s_k phi_k  with  G phi = s;
 * the spatial covariance kernel is k(x,y) = sum_j c_j eta_j(x) eta_j(y) and
   F(x) = k(x,x) its trace.
+
+`NoiseModel` owns the layout of the chain states: chain j's state i is entry
+``state_offsets[j] + i`` of one flat table, and `NoiseModel.values` reads
+chain values for any array of state indices.  A `NoisePath` holds the jumps
+of every chain and merges them into segments on which all states are frozen.
 """
 
 from dataclasses import dataclass, field
@@ -285,21 +290,17 @@ class NoiseModel:
             [integrated_autocovariance(ch) for ch in self.chains]
         )
         # certified W^{1,inf}-type bound C_* for both m and M^{-1}I(m)
-        sup_mode = np.array([np.max(np.abs(m)) for m in self.modes]) if self.n_modes else np.zeros(0)
-        grad_sup = []
-        for m in self.modes:
-            grads = self.grid.grad(m)
-            grad_sup.append(max(float(np.max(np.abs(g))) for g in grads))
-        grad_sup = np.array(grad_sup) if self.n_modes else np.zeros(0)
-        s_sup = np.array([np.max(np.abs(ch.states)) for ch in self.chains]) if self.n_modes else np.zeros(0)
-        p_sup = np.array([np.max(np.abs(p)) for p in self.poisson_identity]) if self.n_modes else np.zeros(0)
-        bounds = [
-            float(np.sum(sup_mode * s_sup)),
-            float(np.sum(grad_sup * s_sup)),
-            float(np.sum(sup_mode * p_sup)),
-            float(np.sum(grad_sup * p_sup)),
-        ]
-        self.bound = max(bounds) if bounds else 0.0
+        sup_mode = np.array([np.max(np.abs(m)) for m in self.modes])
+        grad_sup = np.array([max(float(np.max(np.abs(g))) for g in self.grid.grad(m))
+                             for m in self.modes])
+        s_sup = np.array([np.max(np.abs(ch.states)) for ch in self.chains])
+        p_sup = np.array([np.max(np.abs(p)) for p in self.poisson_identity])
+        self.bound = max(float(np.sum(sup_mode * s_sup)), float(np.sum(grad_sup * s_sup)),
+                         float(np.sum(sup_mode * p_sup)), float(np.sum(grad_sup * p_sup)))
+        # every chain's state values in one flat table: chain j's state i is
+        # entry state_offsets[j] + i
+        self.state_offsets = np.cumsum([0] + [ch.n_states for ch in self.chains])[:-1]
+        self._state_values = np.concatenate([np.zeros(0)] + [ch.states for ch in self.chains])
 
     @property
     def n_modes(self) -> int:
@@ -308,14 +309,15 @@ class NoiseModel:
     # ---- fields -----------------------------------------------------
 
     def _combine(self, values) -> np.ndarray:
-        if self.n_modes == 0:
-            return np.zeros(self.grid.shape)
         return np.tensordot(np.asarray(values, dtype=float), self.modes, axes=1)
+
+    def values(self, state_indices) -> np.ndarray:
+        """Chain values (..., J) of the chain state indices (..., J)."""
+        return self._state_values[self.state_offsets + np.asarray(state_indices, dtype=np.int64)]
 
     def field(self, state_indices) -> np.ndarray:
         """m(x) for the given chain states."""
-        vals = [ch.states[i] for ch, i in zip(self.chains, state_indices)]
-        return self._combine(vals)
+        return self._combine(self.values(state_indices))
 
     def m_inverse_field(self, state_indices) -> np.ndarray:
         """M^{-1}I(n)(x) = sum_j phi_j(n_j) eta_j(x)."""
@@ -337,8 +339,6 @@ class NoiseModel:
 
     def trace_field(self) -> np.ndarray:
         """F(x) = k(x,x) = sum_j c_j eta_j(x)^2."""
-        if self.n_modes == 0:
-            return np.zeros(self.grid.shape)
         return np.einsum("j,j...,j...->...", self.coefficients, self.modes, self.modes)
 
     def apply_Q(self, f) -> np.ndarray:
@@ -346,8 +346,6 @@ class NoiseModel:
         f = np.asarray(f, dtype=float)
         if f.shape != self.grid.shape:
             raise ValueError("field does not live on the model grid")
-        if self.n_modes == 0:
-            return np.zeros(self.grid.shape)
         proj = np.array([self.grid.inner(m, f) for m in self.modes])
         return self._combine(self.coefficients * proj)
 
@@ -382,6 +380,7 @@ class NoisePath:
     jump_states: tuple  # per chain, state index after each jump
 
     def __post_init__(self):
+        runs = []  # per chain: its initial state, then the state after each jump
         for j, (t, s) in enumerate(zip(self.jump_times, self.jump_states)):
             if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= self.horizon):
                 raise ValueError("jump times must be strictly increasing inside the horizon")
@@ -390,22 +389,19 @@ class NoisePath:
             seq = np.concatenate([[self.initial[j]], s])
             if np.any(np.diff(seq) == 0):
                 raise ValueError("the state must change at every jump")
-        n_chains = len(self.jump_times)
-        merged = [(float(t), j, int(s)) for j in range(n_chains)
-                  for t, s in zip(self.jump_times[j], self.jump_states[j])]
-        merged.sort(key=lambda r: r[0])
-        k = len(merged)
-        self.seg_times = np.empty(k + 2)
-        self.seg_times[0] = 0.0
-        self.seg_times[-1] = self.horizon
-        self.seg_states = np.empty((k + 1, n_chains), dtype=np.int64)
-        cur = np.asarray(self.initial, dtype=np.int64).copy()
-        self.seg_states[0] = cur
-        for idx, (t, j, s) in enumerate(merged):
-            self.seg_times[idx + 1] = t
-            cur = cur.copy()
-            cur[j] = s
-            self.seg_states[idx + 1] = cur
+            runs.append(seq)
+        # merge the chains' jumps by time; the stable sort keeps chain order on a tie
+        times = np.concatenate([np.zeros(0), *self.jump_times])
+        chain = np.repeat(np.arange(len(runs)), [t.size for t in self.jump_times])
+        order = np.argsort(times, kind="stable")
+        self.seg_times = np.concatenate([[0.0], times[order], [self.horizon]])
+        # seen[k, j]: jumps of chain j among the first k merged jumps, which
+        # index chain j's run in segment k
+        seen = np.zeros((order.size + 1, len(runs)), dtype=np.int64)
+        seen[np.arange(1, order.size + 1), chain[order]] = 1
+        np.cumsum(seen, axis=0, out=seen)
+        table = np.concatenate([np.zeros(0, dtype=np.int64), *runs]).astype(np.int64)
+        self.seg_states = table[np.cumsum([0] + [r.size for r in runs])[:-1] + seen]
 
     @property
     def n_jumps(self) -> int:

@@ -167,6 +167,8 @@ def test_config_error_exit_code(tmp_path):
     ("grid.n", 4.7),
     ("velocity.model", "ring:4:junk"),
     ("velocity.model", "ring: 4"),
+    ("experiment.epsilons", [1e-5]),
+    ("solver.spde_steps", 10 ** 12),
 ])
 def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
     section, _, name = key.partition(".")
@@ -181,6 +183,21 @@ def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
     # fail later, on the 1-d grid of this config
     err = capsys.readouterr().err
     assert key in err or repr(value) in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate-kinetic", "experiment.epsilons", [1e-5]),   # 4.8e9 steps
+    ("simulate-spde", "solver.spde_steps", 10 ** 12),
+])
+def test_unrunnable_step_count_exits_before_simulating(tmp_path, capsys, monkeypatch,
+                                                       command, key, value):
+    def refuse(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(harness, "kinetic_batch", refuse)
+    monkeypatch.setattr(harness, "limit_batch", refuse)
+    assert main([command, "--config", write_config(tmp_path, **{key: value})]) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

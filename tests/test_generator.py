@@ -293,7 +293,7 @@ class TestGeneratorEps:
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
         f = vel.lift(VM, rho)
         ins = GeneratorInstrument(b, 0.1, 1)
-        ins.observe(0, 0.0, f[None], np.zeros((1, 0), dtype=int))
+        ins.observe(0, f[None], np.zeros((1, 0), dtype=int))
         assert abs(ins.gens[0, 0]) < 1e-12
 
     def test_epsilon_scaling_ratio(self):
@@ -442,7 +442,7 @@ class TestMartingale:
     def test_minimum_ensemble_enforced(self):
         with pytest.raises(ValueError):
             martingale_residual(np.array([0.0, 1.0]), np.zeros((5, 2)),
-                                np.zeros((5, 2)))
+                                np.zeros((5, 2)), np.zeros((5, 2)))
 
 
 def test_residual_scaling_shapes():

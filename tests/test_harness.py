@@ -185,9 +185,22 @@ class TestRunEnsemble:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert harness._run_chunked(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
-        assert harness._run_chunked(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        assert list(harness._run_chunked(abs, [-1, -2, -3], workers=8)) == [1, 2, 3]
+        assert list(harness._run_chunked(abs, [-1, -2, -3], workers=2)) == [1, 2, 3]
         assert sizes == [3, 2]
+
+    def test_serial_parts_are_computed_as_they_are_taken(self):
+        ran = []
+
+        def worker(job):
+            ran.append(job)
+            return -job
+
+        parts = harness._run_chunked(worker, [1, 2, 3], workers=1)
+        assert next(parts) == -1
+        assert ran == [1]
+        assert list(parts) == [-2, -3]
+        assert ran == [1, 2, 3]
 
     def test_one_pool_per_run(self, monkeypatch):
         # every chunk of every ensemble goes to one executor; the fake starts no process
@@ -400,6 +413,8 @@ class TestConfigValidation:
         ("solver", "dt_factor", 0),
         ("experiment", "ensemble_size", "abc"),
         ("grid", "n", 4.7),
+        ("experiment", "epsilons", [1e-5]),
+        ("solver", "spde_steps", 10 ** 12),
     ])
     def test_malformed_scalars_raise_config_error(self, section, key, value):
         raw = copy.deepcopy(SHIPPED["standard.json"])

@@ -241,6 +241,65 @@ def _scripted_path(noise, horizon, jump_times):
     return nz.NoisePath(horizon, np.zeros(n, dtype=int), times, states)
 
 
+def _schedule_by_member(pieces, tails, blocks):
+    """{(member, step): [[(length, row) per round], tail row]} from a stepper schedule."""
+    out = {}
+    for k, (rounds, tl) in blocks.items():
+        for sl in rounds:
+            assert np.all(np.diff(pieces["member"][sl]) > 0)
+            for m, d, r in zip(pieces["member"][sl], pieces["delta"][sl], pieces["row"][sl]):
+                out.setdefault((int(m), k), [[], None])[0].append((float(d), int(r)))
+        assert np.all(np.diff(tails["member"][tl]) > 0)
+        for m, r in zip(tails["member"][tl], tails["row"][tl]):
+            out[(int(m), k)][1] = int(r)
+    return out
+
+
+class TestSchedule:
+    """The batch's piece schedule against the schedules of its members alone."""
+
+    def test_batch_matches_member_schedules(self):
+        nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)),
+                           np.stack([nz.make_mode(GRID, "cos:1"), nz.make_mode(GRID, "sin:2")]))
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        stepper = kinetic.KineticStepper(VM, GRID, nm, cfg)
+        assert stepper.n_steps == 8
+        horizon = 0.8
+        two_flips = (np.array([0.35, 0.62]), np.array([0.35]))  # chains 0 and 1 tie at 0.35
+        paths = [
+            # past the horizon: the jump on the last edge stays, the later ones go
+            _scripted_path(nm, 2.0, [0.05, 0.3, 0.8, 1.2, 1.9]),
+            _scripted_path(nm, horizon, TestBatchStepper.JUMPS),
+            _scripted_path(nm, horizon, []),
+            nz.NoisePath(horizon, np.zeros(2, dtype=int), two_flips,
+                         (np.array([1, 0]), np.array([1]))),
+        ]
+        paths += [nm.simulate_path(horizon, make_stream(14, 0, 0, i)) for i in range(3)]
+        first = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
+        want = {}
+        for b, path in enumerate(paths):
+            for (_, k), (seq, tail) in _schedule_by_member(*stepper._schedule([path])).items():
+                want[(b, k)] = [[(d, r + first[b]) for d, r in seq], tail + first[b]]
+        pieces, tails, blocks = stepper._schedule(paths)
+        assert _schedule_by_member(pieces, tails, blocks) == want
+        # the round slices tile the sorted columns in step order
+        covered = [np.arange(pieces["member"].size)[sl]
+                   for k in sorted(blocks) for sl in blocks[k][0]]
+        assert np.array_equal(np.concatenate(covered), np.arange(pieces["member"].size))
+        # the scripted member alone, by hand: steps 1, 2, 4 (a jump on its right
+        # edge, so no tail piece) and 6; segment s ends at jump s
+        alone = _schedule_by_member(*stepper._schedule([paths[1]]))
+        assert sorted(alone) == [(0, 1), (0, 2), (0, 4), (0, 6)]
+        lengths = {k: [d for d, _ in alone[(0, k)][0]] for k in (1, 2, 4, 6)}
+        rows = {k: ([r for _, r in alone[(0, k)][0]], alone[(0, k)][1]) for k in (1, 2, 4, 6)}
+        assert lengths[1] == pytest.approx([0.03, 0.07])
+        assert lengths[2] == pytest.approx([0.01, 0.03, 0.03, 0.03])
+        assert lengths[4] == pytest.approx([0.1])
+        assert lengths[6] == pytest.approx([0.01, 0.09])
+        assert rows == {1: ([0, 1], 1), 2: ([1, 2, 3, 4], 4), 4: ([4], 5), 6: ([5, 6], 6)}
+        assert stepper._schedule([paths[2]]) == (None, None, {})
+
+
 class TestBatchStepper:
     """The batched spectral stepper against the literal sub-flow composition."""
 

@@ -208,6 +208,72 @@ class TestSamplingAndPaths:
         assert sup_inv <= model.bound + 1e-12
 
 
+def _tuple_merge(path):
+    """Reference segment table: sort (time, chain, state) tuples, copy the state row per jump."""
+    n_chains = len(path.jump_times)
+    merged = [(float(t), j, int(s)) for j in range(n_chains)
+              for t, s in zip(path.jump_times[j], path.jump_states[j])]
+    merged.sort(key=lambda r: r[0])
+    cur = np.asarray(path.initial, dtype=np.int64).copy()
+    rows = [cur.copy()]
+    for _, j, s in merged:
+        cur[j] = s
+        rows.append(cur.copy())
+    times = np.array([0.0] + [r[0] for r in merged] + [path.horizon])
+    return times, np.array(rows, dtype=np.int64).reshape(len(rows), n_chains)
+
+
+def _flips(times, start):
+    """Jump record of a two-state chain flipping at ``times`` from ``start``."""
+    times = np.asarray(times, dtype=float)
+    return times, (start + 1 + np.arange(times.size)) % 2
+
+
+class TestNoisePath:
+    @pytest.mark.parametrize("case", ["no_chains", "one_chain", "three_chains_with_ties",
+                                      "all_jumps_tied", "simulated"])
+    def test_merge_matches_the_tuple_sort(self, case):
+        if case == "no_chains":
+            path = nz.NoisePath(5.0, np.zeros(0, dtype=int), (), ())
+        elif case == "one_chain":
+            t, s = _flips([0.3, 1.1, 2.5, 4.0], 1)
+            path = nz.NoisePath(5.0, np.array([1]), (t,), (s,))
+        elif case == "three_chains_with_ties":
+            # chain 1 never jumps; chains 0 and 2 jump together at 1.0 and 2.0
+            t0, s0 = _flips([0.5, 1.0, 2.0], 0)
+            t2, s2 = np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1])
+            path = nz.NoisePath(4.0, np.array([0, 1, 1]),
+                                (t0, np.zeros(0), t2), (s0, np.zeros(0, dtype=int), s2))
+        elif case == "all_jumps_tied":
+            # long enough that an unstable sort reorders the tied jumps
+            ts = [_flips(np.arange(1.0, 41.0), start) for start in (0, 1, 0)]
+            path = nz.NoisePath(41.0, np.array([0, 1, 0]),
+                                tuple(t for t, _ in ts), tuple(s for _, s in ts))
+        else:
+            grid = TorusGrid(1, 8)
+            chains = (nz.telegraph(1.0, 2.0), random_chain(np.random.default_rng(3)),
+                      nz.zero_chain())
+            model = nz.NoiseModel(grid, chains, np.ones((3, 8)))
+            path = model.simulate_path(20.0, make_stream(17, 2, 0, 0))
+            assert path.n_jumps > 20
+        want_times, want_states = _tuple_merge(path)
+        assert np.array_equal(path.seg_times, want_times)
+        assert np.array_equal(path.seg_states, want_states)
+        assert path.seg_states.dtype == np.int64
+        assert path.n_jumps == want_states.shape[0] - 1
+
+    def test_values_read_each_chains_states(self):
+        grid = TorusGrid(1, 8)
+        chains = (nz.telegraph(0.5, 1.0), random_chain(np.random.default_rng(4), n_states=3),
+                  nz.zero_chain(), nz.telegraph(2.0, 1.0))
+        model = nz.NoiseModel(grid, chains, np.ones((4, 8)))
+        idx = np.array([[[i % 2, i % 3, 0, (i + 1) % 2] for i in range(6)]])  # (1, 6, 4)
+        want = np.array([[[ch.states[i] for ch, i in zip(chains, row)] for row in idx[0]]])
+        assert np.array_equal(model.values(idx), want)
+        empty = nz.NoiseModel(grid, (), np.zeros((0, 8)))
+        assert empty.values(np.zeros((3, 0), dtype=int)).shape == (3, 0)
+
+
 def _single_mode_model(chain):
     grid = TorusGrid(1, 4)
     return nz.NoiseModel(grid, (chain,), np.ones((1, 4)))
