@@ -4,7 +4,8 @@ Subcommands: coeffs, noise-stats, simulate-kinetic, simulate-spde, converge,
 diagnose-generator.  Every run writes CSV files with a header row plus a
 run_manifest.json (config echo, seed, versions, failure counts) into the
 output directory.  Exit codes: 0 success, 2 config error, 3 acceptance-check
-failure.
+failure or failed run (the simulated trajectory of simulate-kinetic failed,
+or too many trajectories of one converge ensemble did).
 """
 
 import argparse
@@ -17,12 +18,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import harness
+from . import harness, kinetic
 from . import velocity as vel
 from .config import ConfigError, load_config
 from .generator import PerturbedTestFunction, random_smooth_field, residual_scaling
 from .noise import empirical_autocovariance
 
+# a run that raises one of these is reported as failed, not as a crash
+RUN_FAILURES = (kinetic.TrajectoryOverflowError, kinetic.GronwallViolationError,
+                harness.TooManyFailuresError)
 RATIO_BAND = (1.5, 2.5)  # accepted residual-halving band for eps -> eps/2
 # normalised residuals below this are rounding of an exact cancellation, so
 # their ratio carries no scaling information
@@ -332,6 +336,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RUN_FAILURES as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -77,14 +77,18 @@ class _DirData:
     """Pairings of a batch of kinetic fields h (B, *shape, V) with the functional's weights.
 
     One product with the bundle's projection matrix gives every pairing the
-    pieces below need, for a direction h and for the state f itself.
+    pieces below need, for a direction h and for the state f itself.  The
+    product is taken one row at a time, a stack of (1, K) @ (K, P) products:
+    a single (B, K) @ (K, P) product lets BLAS pick a blocking from B, which
+    changes the rounding of every row, so a member's pairings would depend on
+    how many members share its batch.
     """
 
     __slots__ = ("w", "cAw", "bAw", "A2w", "eta", "Aeta", "mAw", "pairs")
 
     def __init__(self, owner: "PerturbedTestFunction", h: np.ndarray):
         J = owner.J
-        p = h.reshape(h.shape[0], -1) @ owner._proj
+        p = np.matmul(h.reshape(h.shape[0], 1, -1), owner._proj)[:, 0]
         self.w = p[:, 0]                             # (bar h, w)
         self.cAw = p[:, 1]                           # (bar h, div K grad w)
         self.bAw = -p[:, 2]                          # (bar(Ah), w) by skew-adjointness
@@ -111,7 +115,8 @@ class PerturbedTestFunction:
     Every piece acts on a batch: ``state`` takes f of shape (B, *grid.shape, V)
     and chain indices n of shape (B, J) and returns the evaluation record, and
     every piece evaluated on that record is a (B,) array.  A single state is
-    the batch of one, ``state(f[None], n[None])``.
+    the batch of one, ``state(f[None], n[None])``.  Every row is computed
+    alone, so a member's values do not depend on the size of its batch.
     """
 
     def __init__(self, functional: TestFunctional, vm: VelocityModel,
@@ -238,8 +243,8 @@ class PerturbedTestFunction:
         st.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
         chain = self._chain_tab[:, self.nm.state_offsets + n]  # (5, B, J)
         st.sv, st.pv, st.Bv, st.Nv, st.Gv = chain
-        st.nf = (st.sv @ self._modes_flat).reshape(st.rho.shape)
-        st.b = (st.pv @ self._modes_flat).reshape(st.rho.shape)
+        st.nf = np.matmul(st.sv[:, None], self._modes_flat).reshape(st.rho.shape)
+        st.b = np.matmul(st.pv[:, None], self._modes_flat).reshape(st.rho.shape)
         pf = _DirData(self, f)
         st.mw = pf.w
         st.alpha = st.mw if self.quad else np.ones(f.shape[0])

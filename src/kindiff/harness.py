@@ -4,11 +4,18 @@ Randomness contract: trajectory i of the kinetic ensemble at epsilon index e
 uses the Philox stream keyed by SeedSequence(base_seed, spawn_key=(0, e, i));
 limit trajectories use namespace 1, noise statistics 2, generator
 diagnostics 3.  Streams are counter-derived, so results are independent of
-scheduling and worker count; one pool runs the fixed chunks of all ensembles
-and each is reduced in chunk order, which makes outputs bitwise reproducible.
-`kinetic_batch` and `limit_batch` set up every simulated member, so member i
-of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory i`
-write.
+scheduling and worker count.
+
+An ensemble is cut into fixed chunks of CHUNK members, the unit of reduction:
+each chunk becomes one `EpsEnsemble` part, and the parts of an ensemble are
+merged in chunk order, which makes outputs bitwise reproducible.  A job, the
+unit of work one pool runs, steps up to `job_chunks(cfg)` consecutive kinetic
+chunks of one epsilon as one batch, since a kinetic step costs NumPy dispatch
+rather than arithmetic, and returns one part per chunk; a limit job is one
+chunk.  Every member's records are independent of the batch it runs in, so a
+part is the same whatever job it came from.  `kinetic_batch` and
+`limit_batch` set up every simulated member, so member i of an ensemble is
+also what `simulate-kinetic` / `simulate-spde --trajectory i` write.
 """
 
 import concurrent.futures
@@ -24,8 +31,16 @@ from .grid import TorusGrid
 from .stats import RunningStats
 
 CHUNK = 32
+# a kinetic job holds at most MAX_JOB_CHUNKS chunks, and its density record
+# (members x output times x grid points doubles) at most JOB_RECORD_BUDGET values
+MAX_JOB_CHUNKS = 8
+JOB_RECORD_BUDGET = 2 ** 20
 KIN_NS, LIM_NS, NOISE_NS, DIAG_NS = 0, 1, 2, 3
 MAX_FAILURE_FRACTION = 0.01
+
+
+class TooManyFailuresError(RuntimeError):
+    """More than MAX_FAILURE_FRACTION of the trajectories at one epsilon failed."""
 
 
 def make_stream(base_seed: int, namespace: int, major: int, minor: int):
@@ -36,6 +51,25 @@ def make_stream(base_seed: int, namespace: int, major: int, minor: int):
 
 def _chunks(n: int):
     return [list(range(a, min(a + CHUNK, n))) for a in range(0, n, CHUNK)]
+
+
+def _job_groups(n: int, per_job: int):
+    """The chunks of an n-member ensemble in consecutive jobs of up to per_job chunks.
+
+    A last chunk of one member is a job of its own: BLAS rounds a one-row
+    product (the stepper's Parseval norm) unlike the same row in a larger one.
+    """
+    chunks = _chunks(n)
+    groups = [chunks[a:a + per_job] for a in range(0, len(chunks), per_job)]
+    if len(groups[-1]) > 1 and len(groups[-1][-1]) == 1:
+        groups[-1:] = [groups[-1][:-1], groups[-1][-1:]]
+    return groups
+
+
+def job_chunks(cfg: ExperimentConfig) -> int:
+    """How many consecutive kinetic chunks of one epsilon a job steps as one batch."""
+    per_chunk = CHUNK * len(cfg.output_times) * cfg.grid.npoints
+    return min(MAX_JOB_CHUNKS, max(1, JOB_RECORD_BUDGET // per_chunk))
 
 
 def _functional_values(functionals, grid, rho_series):
@@ -151,31 +185,42 @@ def limit_batch(cfg: ExperimentConfig, indices):
     return np.asarray(out_steps) * dt, series
 
 
-def _kinetic_chunk(cfg: ExperimentConfig, eps_index: int, indices, with_diag: bool):
+def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool):
+    """Step the members of ``chunks`` as one batch; one EpsEnsemble per chunk, in order.
+
+    The parts are not merged here: merge is not bitwise associative, so they
+    are folded into the ensemble one chunk at a time, like any other part.
+    """
     grid, functionals = cfg.grid, cfg.functionals
     eps = cfg.epsilons[eps_index]
+    indices = [i for chunk in chunks for i in chunk]
     diag_names = [t.name for t in functionals] if with_diag else []
     instruments = [GeneratorInstrument(PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid),
                                        eps, len(cfg.output_times), len(indices))
                    for t in functionals] if with_diag else []
     res = kinetic_batch(cfg, eps_index, indices, instruments)
-    acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
-    acc.attempted = len(indices)
-    acc.failures = [(indices[b], f"{type(exc).__name__}: {exc}")
-                    for b, exc in sorted(res.failures.items())]
-    ok = res.finished
-    if not ok:
-        return acc
-    rows = ok if res.failures else slice(None)  # a slice takes no copy
-    _reduce(acc, functionals, grid, res.rho[rows])
-    acc.norm2.update_batch(res.norm2[rows])
-    acc.norm4.update_batch(res.norm2[rows] ** 2)
-    acc.sup_norm2.update_batch(res.sup_norm2[rows])
-    acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
-    for name, ins in zip(diag_names, instruments):
-        acc.diagnostics[name] = {"values": ins.values[rows], "gens": ins.gens[rows],
-                                 "brackets": ins.brackets[rows]}
-    return acc
+    parts, hi = [], 0
+    for chunk in chunks:
+        lo, hi = hi, hi + len(chunk)
+        failed = [b for b in range(lo, hi) if b in res.failures]
+        acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
+        acc.attempted = len(chunk)
+        acc.failures = [(indices[b], f"{type(res.failures[b]).__name__}: {res.failures[b]}")
+                        for b in failed]
+        parts.append(acc)
+        if len(failed) == len(chunk):
+            continue
+        # a slice takes no copy
+        rows = [b for b in res.finished if lo <= b < hi] if failed else slice(lo, hi)
+        _reduce(acc, functionals, grid, res.rho[rows])
+        acc.norm2.update_batch(res.norm2[rows])
+        acc.norm4.update_batch(res.norm2[rows] ** 2)
+        acc.sup_norm2.update_batch(res.sup_norm2[rows])
+        acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
+        for name, ins in zip(diag_names, instruments):
+            acc.diagnostics[name] = {"values": ins.values[rows], "gens": ins.gens[rows],
+                                     "brackets": ins.brackets[rows]}
+    return parts
 
 
 def _limit_chunk(cfg: ExperimentConfig, indices):
@@ -187,12 +232,17 @@ def _limit_chunk(cfg: ExperimentConfig, indices):
 
 
 def _chunk_job(args):
-    """One job of run_ensemble: a kinetic chunk, or a limit chunk when eps_index is None."""
-    raw, eps_index, indices, with_diag = args
+    """One job of run_ensemble: its list of chunks' EpsEnsemble parts, in chunk order.
+
+    ``args`` is (raw config, eps_index, chunks, with_diag); the chunks are
+    consecutive kinetic chunks of one epsilon, or one limit chunk when
+    eps_index is None.
+    """
+    raw, eps_index, chunks, with_diag = args
     cfg = parse_config(raw)
     if eps_index is None:
-        return _limit_chunk(cfg, indices)
-    return _kinetic_chunk(cfg, eps_index, indices, with_diag)
+        return [_limit_chunk(cfg, indices) for indices in chunks]
+    return _kinetic_job(cfg, eps_index, chunks, with_diag)
 
 
 @dataclass
@@ -227,22 +277,24 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
 
     Results are a deterministic function of (config, base_seed) and identical
     for any worker count.  Per-trajectory failures are recorded and excluded;
-    more than MAX_FAILURE_FRACTION failures at one epsilon abort the run after all chunks.
+    more than MAX_FAILURE_FRACTION failures at one epsilon raise TooManyFailuresError
+    after all jobs.
     """
     sizes = {e_idx: cfg.ensemble_size for e_idx in range(len(cfg.epsilons))}
     if not kinetic_only:
         sizes[None] = cfg.ensemble_size if limit_size is None else limit_size
         if sizes[None] < 1:
             raise ValueError(f"limit_size must be at least 1, got {limit_size}")
-    jobs = [(cfg.raw, key, idxs, diagnostics) for key, size in sizes.items()
-            for idxs in _chunks(size)]
+    jobs = [(cfg.raw, key, group, diagnostics) for key, size in sizes.items()
+            for group in _job_groups(size, 1 if key is None else job_chunks(cfg))]
     folded = {}  # each ensemble reduced in chunk order, one part at a time
-    for (_, key, _, _), part in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
-        folded[key] = folded[key].merge(part) if key in folded else part
+    for (_, key, _, _), parts in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
+        for part in parts:
+            folded[key] = folded[key].merge(part) if key in folded else part
     kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}
     for eps, acc in kin.items():
         if len(acc.failures) > MAX_FAILURE_FRACTION * acc.attempted:
-            raise RuntimeError(
+            raise TooManyFailuresError(
                 f"too many trajectory failures at epsilon={eps}: "
                 f"{len(acc.failures)}/{acc.attempted}"
             )

@@ -251,8 +251,13 @@ class KineticStepper:
     # ---- noise ---------------------------------------------------------
 
     def _multiplier(self, values, delta):
-        """exp(m delta eps) for chain values (A, J) and lengths (A,) -> (A, 1, *shape)."""
-        m = values @ self._modes
+        """exp(m delta eps) for chain values (A, J) and lengths (A,) -> (A, 1, *shape).
+
+        A member's field is its own (1, J) @ (J, npoints) product, so it does
+        not depend on how many members take a piece together (see
+        generator._DirData).
+        """
+        m = np.matmul(values[:, None], self._modes)[:, 0]
         d = np.asarray(delta, dtype=float).reshape(-1, 1)
         return np.exp(m * (d * self.eps)).reshape((-1, 1) + self.grid.shape)
 

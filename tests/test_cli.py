@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,29 @@ def test_config_error_exit_code(tmp_path):
     assert main(["coeffs", "--config", str(bad)]) == 2
     cfg = write_config(tmp_path, **{"experiment.epsilons": [0.1, 0.2]})
     assert main(["coeffs", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command,shipped,size,message", [
+    ("simulate-kinetic", "scalar_mode.json", None,
+     r"run failed: TrajectoryOverflowError: \|\|f\|\|_L2 exceeded"),
+    ("converge", "standard.json", 100,
+     r"run failed: TooManyFailuresError: too many trajectory failures at epsilon=0\.2: 100/100"),
+])
+def test_failed_run_exit_code(tmp_path, capsys, command, shipped, size, message):
+    # at mode amplitude 300 every kinetic trajectory overflows
+    with open(os.path.join(CONFIG_DIR, shipped)) as fh:
+        raw = json.load(fh)
+    for mode in raw["noise"]["modes"]:
+        mode["amplitude"] = 300.0
+    if size is not None:
+        raw["experiment"]["ensemble_size"] = size
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(raw))
+    with np.errstate(all="ignore"):  # the limit ensemble of converge overflows too
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(message, err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -6,7 +6,8 @@ import pytest
 from kindiff import kinetic
 from kindiff import noise as nz
 from kindiff import velocity as vel
-from kindiff.generator import PerturbedTestFunction, TestFunctional, random_smooth_field
+from kindiff.generator import (PerturbedTestFunction, TestFunctional, _DirData,
+                               random_smooth_field)
 from kindiff.grid import TorusGrid
 from kindiff.harness import make_stream
 
@@ -77,3 +78,23 @@ def test_noisy_trajectory_runs_with_mass_positivity():
     assert np.all(np.isfinite(res.rho))
     assert np.min(res.rho) > 0
     assert res.gronwall_margin <= 0
+
+
+def test_projection_rows_do_not_depend_on_the_batch():
+    # BLAS picks a blocking of a (B, K) @ (K, P) product from B, and with it
+    # the rounding of every row; each row is therefore its own product
+    w = 1.0 + 0.3 * np.cos(2 * np.pi * XS[0]) * np.sin(2 * np.pi * XS[1])
+    b = PerturbedTestFunction(TestFunctional("quadratic", w), VM, two_mode_model(), GRID)
+    h = np.random.default_rng(5).standard_normal((100,) + GRID.shape + (4,))
+
+    def rows(size):
+        out = []
+        for a in range(0, 100, size):
+            d = _DirData(b, h[a:a + size])
+            out.append(np.column_stack([d.w, d.cAw, d.bAw, d.A2w, d.eta, d.Aeta, d.mAw,
+                                        d.pairs.reshape(len(d.w), -1)]))
+        return np.concatenate(out)
+
+    whole = rows(100)
+    assert np.array_equal(whole, rows(32))
+    assert np.array_equal(whole, rows(1))

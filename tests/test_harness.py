@@ -162,9 +162,9 @@ class TestRunEnsemble:
                             lambda self: (built.append(self), init(self)))
         cfg = small_config(ensemble=4)
         built.clear()
-        harness._chunk_job((cfg.raw, 0, [0, 1], True))
+        harness._chunk_job((cfg.raw, 0, [[0, 1], [2, 3]], True))
         assert len(built) == 1
-        harness._chunk_job((cfg.raw, None, [0, 1], False))
+        harness._chunk_job((cfg.raw, None, [[0, 1]], False))
         assert len(built) == 2
 
     def test_pool_never_larger_than_the_job_list(self, monkeypatch):
@@ -220,7 +220,7 @@ class TestRunEnsemble:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(ensemble=40)  # two chunks per ensemble, six in all
+        cfg = small_config(ensemble=40)  # one job per epsilon and two limit jobs
         res = harness.run_ensemble(cfg, workers=2)
         assert sizes == [2]
         assert res.limit.attempted == 40
@@ -253,6 +253,87 @@ class TestRunEnsemble:
                        for rng in streams]
             assert res.kinetic[eps].gronwall_margin_max == pytest.approx(max(margins), abs=1e-12)
             assert res.kinetic[eps].gronwall_margin_max <= 0.0
+
+
+def assert_parts_equal(a, b):
+    assert (a.attempted, a.failures) == (b.attempted, b.failures)
+    assert a.gronwall_margin_max == b.gronwall_margin_max
+    for x, y in zip(a.functional_stats + [a.rho_mean, a.norm2, a.norm4, a.sup_norm2],
+                    b.functional_stats + [b.rho_mean, b.norm2, b.norm4, b.sup_norm2]):
+        assert x.count == y.count
+        assert np.array_equal(x.mean, y.mean) and np.array_equal(x.m2, y.m2)
+    assert a.samples.keys() == b.samples.keys()
+    for name in a.samples:
+        assert np.array_equal(a.samples[name], b.samples[name])
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for name, diag in a.diagnostics.items():
+        for key in ("values", "gens", "brackets"):
+            assert np.array_equal(diag[key], b.diagnostics[name][key])
+
+
+def dim2_config(ensemble, n=16, output_count=4):
+    chain = {"kind": "telegraph", "sigma": 0.8, "rate": 2.0}
+    return parse_config({
+        "grid": {"dim": 2, "n": n},
+        "velocity": {"model": "ring:4"},
+        "noise": {"modes": [
+            {"label": "cos:1,0", "amplitude": 1.0,
+             "chain": {"kind": "telegraph", "sigma": 1.0, "rate": 1.0}},
+            {"label": "sin:0,1", "amplitude": 0.7, "chain": chain}]},
+        "solver": {"dt_factor": 0.1, "spde_steps": 64},
+        "initial": {"mean": 1.0, "modes": [{"label": "cos:1,0", "amplitude": 0.3}]},
+        "functionals": [
+            {"name": "mass", "kind": "linear", "weight": {"label": "const"}},
+            {"name": "quad", "kind": "quadratic", "weight": {"label": "cos:1,0"}}],
+        "experiment": {"epsilons": [0.4], "ensemble_size": ensemble, "final_time": 0.048,
+                       "output_times": {"count": output_count}, "base_seed": 5,
+                       "output_dir": "out"},
+    })
+
+
+class TestKineticJobs:
+    """A job steps several chunks as one batch and returns one part per chunk."""
+
+    @pytest.mark.parametrize("cfg", [small_config(ensemble=100, epsilons=(0.4,)),
+                                     dim2_config(ensemble=100)], ids=["1d", "2d"])
+    def test_each_part_equals_its_chunk_run_alone(self, cfg):
+        chunks = harness._chunks(100)  # three chunks and a tail of 4
+        parts = harness._chunk_job((cfg.raw, 0, chunks, True))
+        assert len(parts) == len(chunks) == 4
+        for chunk, part in zip(chunks, parts):
+            alone, = harness._chunk_job((cfg.raw, 0, [chunk], True))
+            assert_parts_equal(part, alone)
+
+    def test_a_failure_stays_in_its_chunk(self, monkeypatch):
+        # at this seed the loudest member is 33, row 1 of the second chunk
+        cfg = small_config(ensemble=40, epsilons=(0.1,), seed=104)
+        chunks = harness._chunks(40)
+        sup = harness.kinetic_batch(cfg, 0, range(40)).sup_norm2
+        loud = int(np.argmax(sup))
+        assert loud == 33
+        # the chunks run alone under the shipped overflow guard
+        clean = [harness._chunk_job((cfg.raw, 0, [c], False))[0] for c in chunks]
+        # an overflow guard between the loudest member and all the others
+        monkeypatch.setattr(kinetic, "OVERFLOW_NORM",
+                            np.sqrt(0.5 * (sup[loud] + np.max(np.delete(sup, loud)))))
+        parts = harness._chunk_job((cfg.raw, 0, chunks, False))
+        assert_parts_equal(parts[0], clean[0])
+        assert_parts_equal(parts[1], harness._chunk_job((cfg.raw, 0, [chunks[1]], False))[0])
+        (index, message), = parts[1].failures
+        assert index == 33
+        assert message.startswith("TrajectoryOverflowError: ||f||_L2 exceeded")
+        assert parts[1].attempted == 8 and parts[1].rho_mean.count == 7
+        assert np.array_equal(parts[1].samples["mass"], np.delete(clean[1].samples["mass"], 1))
+
+    def test_job_sizes(self):
+        shipped = {name: harness.job_chunks(parse_config(SHIPPED[name])) for name in
+                   ("martingale.json", "standard.json", "scalar_mode.json")}
+        assert shipped == {"martingale.json": 7, "standard.json": 8, "scalar_mode.json": 8}
+        assert harness.job_chunks(dim2_config(ensemble=1, n=128, output_count=65)) == 1
+        # a last chunk of one member runs alone
+        assert [[c[0] for c in g] for g in harness._job_groups(97, 8)] == [[0, 32, 64], [96]]
+        assert [[c[0] for c in g] for g in harness._job_groups(100, 7)] == [[0, 32, 64, 96]]
+        assert [len(g) for g in harness._job_groups(290, 8)] == [8, 2]
 
 
 class TestSobolevDistance:
