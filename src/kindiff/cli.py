@@ -4,8 +4,8 @@ Subcommands: coeffs, noise-stats, simulate-kinetic, simulate-spde, converge,
 diagnose-generator.  Every run writes CSV files with a header row plus a
 run_manifest.json (config echo, seed, versions, failure counts) into the
 output directory.  Exit codes: 0 success, 2 config error, 3 acceptance-check
-failure or failed run (the simulated trajectory of simulate-kinetic failed,
-or too many trajectories of one converge ensemble did).
+failure or failed run (the simulated trajectory of simulate-kinetic or
+simulate-spde failed, or too many trajectories of one converge ensemble did).
 """
 
 import argparse
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import harness, kinetic
+from . import harness, kinetic, spde
 from . import velocity as vel
 from .config import ConfigError, load_config
 from .generator import PerturbedTestFunction, random_smooth_field, residual_scaling
@@ -26,7 +26,7 @@ from .noise import empirical_autocovariance
 
 # a run that raises one of these is reported as failed, not as a crash
 RUN_FAILURES = (kinetic.TrajectoryOverflowError, kinetic.GronwallViolationError,
-                harness.TooManyFailuresError)
+                spde.LimitOverflowError, harness.TooManyFailuresError)
 RATIO_BAND = (1.5, 2.5)  # accepted residual-halving band for eps -> eps/2
 # normalised residuals below this are rounding of an exact cancellation, so
 # their ratio carries no scaling information
@@ -147,6 +147,8 @@ def cmd_simulate_spde(cfg, args):
     if args.trajectory < 0:
         raise ConfigError("--trajectory must be nonnegative")
     times, series = harness.limit_batch(cfg, [args.trajectory])
+    if not np.isfinite(series).all():
+        raise spde.LimitOverflowError("the record is not finite")
     header, rows = _series_rows(times, series[0], cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "spde_series.csv"), header, rows)

@@ -45,13 +45,13 @@ rounding and the third equal to the limit generator
     L phi(rho) = (div K grad rho, u) + (F rho, u)/2 + sum_j c_j H(rho eta_j, rho eta_j)/2.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
 from .grid import TorusGrid
-from .noise import MAX_PAIR_STATES, NoiseModel
+from .noise import NoiseModel
 from .velocity import VelocityModel
 
 
@@ -100,13 +100,7 @@ class _DirData:
 
 
 class _EvalState:
-    """Per-(f, n) derived quantities of a batch, shared by all functional pieces."""
-
-    __slots__ = (
-        "f", "n", "rho", "Af", "sv", "pv", "Bv", "Nv", "Gv", "nf", "b",
-        "mw", "alpha", "r", "rP", "fmAw", "aw", "psiq",
-        "S_A", "S_A2", "S_cA", "S_b", "S_n", "S_B", "S_N", "dir_L", "dir_A",
-    )
+    """Evaluation record of a batch (f, n): the shared `record` plus one bundle's pairings."""
 
 
 class PerturbedTestFunction:
@@ -131,6 +125,7 @@ class PerturbedTestFunction:
         self.J = J = nm.n_modes
         self._fshape = grid.shape + (vm.n_velocities,)
         self._axes = tuple(range(1, grid.dim + 1))
+        self.tables = nm.chain_tables
 
         mu = vm.weights
         a = vm.velocities
@@ -169,63 +164,18 @@ class PerturbedTestFunction:
         self._dens = (np.stack([w, self.curlyAw, self.Fw] + list(weta), axis=-1)
                       .reshape(grid.npoints, -1) * grid.cell_volume)
 
-        # chain tables: identity Poisson solution, resolvents, jump variance rate
-        self.c = nm.coefficients
-        self.p_tab = list(nm.poisson_identity)
-        tabs = [np.stack([ch.states, p, noise_mod.resolvent_solve(ch, p),
-                          noise_mod.resolvent_solve(ch, ch.states),
-                          noise_mod.carre_du_champ(ch, p)])
-                for ch, p in zip(nm.chains, self.p_tab)]
-        self._n_states = np.array([ch.n_states for ch in nm.chains], dtype=np.int64)
-        # rows s, M^{-1}I, (I - G)^{-1} M^{-1}I, (I - G)^{-1} s, Gamma(M^{-1}I); chains side
-        # by side, as in the noise model's flat state table
-        self._chain_tab = np.concatenate(tabs, axis=1) if J else np.zeros((5, 0))
-
-        # Poisson solves for the noise-quadratic observables theta_{jl}(n) = s_j(n_j) phi_l(n_l),
-        # flattened into one table: entry (j, l) at off + sj * n_j + sl * n_l
-        self.psiQ = {}
-        self.thetaQ_mean = {}
-        psi_parts = []
-        self._psiq_off = np.zeros((J, J), dtype=np.int64)
-        self._psiq_sj = np.ones((J, J), dtype=np.int64)
-        self._psiq_sl = np.zeros((J, J), dtype=np.int64)
-        pos = 0
-        for j, chj in enumerate(nm.chains):
-            for l, chl in enumerate(nm.chains):
-                if j == l:
-                    theta = chj.states * self.p_tab[j]
-                    mean = float(chj.stationary @ theta)  # equals -c_j / 2
-                    tab = noise_mod.solve_poisson(chj, mean - theta)
-                else:
-                    if chj.n_states * chl.n_states > MAX_PAIR_STATES:
-                        raise ValueError(
-                            f"product-chain solve budget exceeded for mode pair ({j}, {l})"
-                        )
-                    theta = np.outer(chj.states, self.p_tab[l])
-                    mean = float(chj.stationary @ theta @ chl.stationary)
-                    tab = noise_mod.solve_poisson_pair(chj, chl, mean - theta)
-                    self._psiq_sj[j, l] = chl.n_states
-                    self._psiq_sl[j, l] = 1
-                self.psiQ[(j, l)] = tab
-                self.thetaQ_mean[(j, l)] = mean
-                self._psiq_off[j, l] = pos
-                psi_parts.append(tab.reshape(-1))
-                pos += tab.size
-        self._psiq_flat = np.concatenate(psi_parts) if J else np.zeros(0)
-        self._thetaQ = np.array([[self.thetaQ_mean[(j, l)] for l in range(J)]
-                                 for j in range(J)]).reshape(J, J)
-
     # ---- evaluation record ---------------------------------------------
 
     def _dalpha(self, st, d: _DirData):
         # derivative of alpha(rho): 0 for linear phi, (bar h, w) for quadratic
         return d.w if self.quad else np.zeros_like(d.w)
 
-    def state(self, f, n) -> _EvalState:
-        """Assemble the shared evaluation record for a batch of kinetic states.
+    def record(self, f, n) -> _EvalState:
+        """The fields of the evaluation record that no functional enters.
 
         ``f`` is (B, *grid.shape, V) and ``n`` holds the (B, J) chain state
-        indices; every field of the record carries the leading batch axis.
+        indices.  Every field carries the batch axis, and every bundle on the
+        same velocity model, noise model and grid builds the same record.
         """
         f = np.asarray(f, dtype=float)
         n = np.asarray(n, dtype=np.int64)
@@ -233,21 +183,25 @@ class PerturbedTestFunction:
             raise ValueError("f must be a batch of kinetic fields on the grid")
         if n.shape != (f.shape[0], self.J):
             raise ValueError("one chain state index per mode is required")
-        if np.any(n < 0) or np.any(n >= self._n_states):
-            raise ValueError("chain state index out of range")
-        st = _EvalState()
-        st.f = f
-        st.n = n
-        st.rho = f @ self.vm.weights
+        rec = _EvalState()
+        rec.f = f
+        rec.chain, rec.psiq = self.tables.at(n)  # (5, B, J) and (B, J, J)
+        rec.sv, rec.pv, rec.Bv, rec.Nv, rec.Gv = rec.chain
+        rec.rho = f @ self.vm.weights
         spec = np.fft.rfftn(f, axes=self._axes) * self._m1_half
-        st.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
-        chain = self._chain_tab[:, self.nm.state_offsets + n]  # (5, B, J)
-        st.sv, st.pv, st.Bv, st.Nv, st.Gv = chain
-        st.nf = np.matmul(st.sv[:, None], self._modes_flat).reshape(st.rho.shape)
-        st.b = np.matmul(st.pv[:, None], self._modes_flat).reshape(st.rho.shape)
-        pf = _DirData(self, f)
+        rec.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+        rec.nf = np.matmul(rec.sv[:, None], self._modes_flat).reshape(rec.rho.shape)
+        rec.h_L = rec.rho[..., None] - f  # the direction of L_L
+        rec.h_A = f * rec.nf[..., None]   # the direction of L_A, f n.eta - A f
+        rec.h_A -= rec.Af
+        return rec
+
+    def pair(self, rec: _EvalState) -> _EvalState:
+        """This functional's evaluation record: ``rec`` from `record` plus its pairings."""
+        st = copy.copy(rec)
+        pf = _DirData(self, st.f)
         st.mw = pf.w
-        st.alpha = st.mw if self.quad else np.ones(f.shape[0])
+        st.alpha = st.mw if self.quad else np.ones(st.f.shape[0])
         st.r = pf.eta
         st.rP = pf.pairs
         st.fmAw = pf.mAw
@@ -256,22 +210,12 @@ class PerturbedTestFunction:
         paf = _DirData(self, st.Af)
         st.S_A = paf.w
         st.aw = paf.eta
-        st.S_n, st.S_b, st.S_B, st.S_N = np.einsum("kbj,bj->kb", chain[:4], st.r)
-        idx = (self._psiq_off + self._psiq_sj * n[:, :, None]
-               + self._psiq_sl * n[:, None, :])
-        st.psiq = self._psiq_flat[idx]  # (B, J, J)
-        st.dir_L = None
-        st.dir_A = None
+        st.S_n, st.S_b, st.S_B, st.S_N = np.einsum("kbj,bj->kb", st.chain[:4], st.r)
         return st
 
-    def _dir(self, st: _EvalState, which: str) -> _DirData:
-        if which == "L":
-            if st.dir_L is None:
-                st.dir_L = _DirData(self, st.rho[..., None] - st.f)
-            return st.dir_L
-        if st.dir_A is None:
-            st.dir_A = _DirData(self, -st.Af + st.f * st.nf[..., None])
-        return st.dir_A
+    def state(self, f, n) -> _EvalState:
+        """The evaluation record of a batch of kinetic states, ``pair(record(f, n))``."""
+        return self.pair(self.record(f, n))
 
     # ---- phi ----------------------------------------------------------
 
@@ -327,7 +271,7 @@ class PerturbedTestFunction:
         return np.sum(dbeta * st.psiq, axis=(1, 2))
 
     def m_phi2_star(self, st: _EvalState):
-        gap = self._thetaQ - st.sv[:, :, None] * st.pv[:, None, :]
+        gap = self.tables.pair_means - st.sv[:, :, None] * st.pv[:, None, :]
         return np.sum(self._beta(st) * gap, axis=(1, 2))
 
     # ---- phi2: noise-linear resolvent part ---------------------------------
@@ -376,8 +320,8 @@ class PerturbedTestFunction:
         b0 = L_L phi (vanishes), b1 = L_A phi + L_L phi1 (vanishes),
         b2 = L_A phi1 + L_L phi2 (equals the limit generator), b3 = L_A phi2.
         """
-        dL = self._dir(st, "L")
-        dA = self._dir(st, "A")
+        dL = _DirData(self, st.h_L)
+        dA = _DirData(self, st.h_A)
         b0 = self.d_phi(st, dL)
         b1 = self.d_phi(st, dA) + self.d_phi1(st, dL) + self.m_phi1(st)
         b2 = (self.d_phi1(st, dA) + self._d_phi2(st, dL)
@@ -402,7 +346,7 @@ class PerturbedTestFunction:
         alpha = mw if self.quad else 1.0
         out = alpha * s_ca + 0.5 * alpha * s_f
         if self.quad:
-            out = out + 0.5 * ((r * r) @ self.c)
+            out = out + 0.5 * ((r * r) @ self.nm.coefficients)
         return out
 
 
@@ -453,26 +397,31 @@ def residual_scaling(bundle: PerturbedTestFunction, states, eps_list):
 class GeneratorInstrument:
     """Batch observer recording phi_eps, L_eps phi_eps and the bracket rate.
 
-    ``values``, ``gens`` and ``brackets`` are (batch, n_times): row b is
-    member b of the batch the instrument observes, column i output i.
+    ``bundles`` is one PerturbedTestFunction, or a sequence of F of them on one
+    velocity model, noise model and grid, which share one record per output.
+    ``values``, ``gens`` and ``brackets`` are (batch, n_times) arrays for one
+    bundle and lists of F of them for a sequence: row b is member b, column i
+    output i.
     """
 
-    def __init__(self, bundle: PerturbedTestFunction, eps: float, n_times: int,
-                 batch: int = 1):
-        self.bundle = bundle
+    def __init__(self, bundles, eps: float, n_times: int, batch: int = 1):
+        one = isinstance(bundles, PerturbedTestFunction)
+        self.bundles = [bundles] if one else list(bundles)
         self.eps = eps
-        self.values = np.zeros((batch, n_times))
-        self.gens = np.zeros((batch, n_times))
-        self.brackets = np.zeros((batch, n_times))
+        self._records = [[np.zeros((batch, n_times)) for _ in self.bundles] for _ in range(3)]
+        self.values, self.gens, self.brackets = (r[0] for r in self._records) if one \
+            else self._records
 
     def observe(self, i, f, state_indices):
-        """Record output i of the batch (f, state_indices)."""
-        st = self.bundle.state(f, state_indices)
+        """Record output i of the batch (f, state_indices) for every bundle."""
+        rec = self.bundles[0].record(f, state_indices)
         e = self.eps
-        self.values[:, i] = self.bundle.value_eps(st, e)
-        b0, b1, b2, b3 = self.bundle.generator_parts(st)
-        self.gens[:, i] = b0 / (e * e) + b1 / e + b2 + e * b3
-        self.brackets[:, i] = self.bundle.bracket(st)
+        for bundle, values, gens, brackets in zip(self.bundles, *self._records):
+            st = bundle.pair(rec)
+            values[:, i] = bundle.value_eps(st, e)
+            b0, b1, b2, b3 = bundle.generator_parts(st)
+            gens[:, i] = b0 / (e * e) + b1 / e + b2 + e * b3
+            brackets[:, i] = bundle.bracket(st)
 
 
 def _cumtrapz(times, samples):

@@ -13,7 +13,10 @@ unit of work one pool runs, steps up to `job_chunks(cfg)` consecutive kinetic
 chunks of one epsilon as one batch, since a kinetic step costs NumPy dispatch
 rather than arithmetic, and returns one part per chunk; a limit job is one
 chunk.  Every member's records are independent of the batch it runs in, so a
-part is the same whatever job it came from.  `kinetic_batch` and
+part is the same whatever job it came from.  With diagnostics on, one
+`GeneratorInstrument` observes every functional of a kinetic job.  A limit
+member whose record is not finite is a failure, like a kinetic member that
+overflows, and is left out of the statistics.  `kinetic_batch` and
 `limit_batch` set up every simulated member, so member i of an ensemble is
 also what `simulate-kinetic` / `simulate-spde --trajectory i` write.
 """
@@ -40,7 +43,7 @@ MAX_FAILURE_FRACTION = 0.01
 
 
 class TooManyFailuresError(RuntimeError):
-    """More than MAX_FAILURE_FRACTION of the trajectories at one epsilon failed."""
+    """More than MAX_FAILURE_FRACTION of the trajectories of one ensemble failed."""
 
 
 def make_stream(base_seed: int, namespace: int, major: int, minor: int):
@@ -54,16 +57,9 @@ def _chunks(n: int):
 
 
 def _job_groups(n: int, per_job: int):
-    """The chunks of an n-member ensemble in consecutive jobs of up to per_job chunks.
-
-    A last chunk of one member is a job of its own: BLAS rounds a one-row
-    product (the stepper's Parseval norm) unlike the same row in a larger one.
-    """
+    """The chunks of an n-member ensemble in consecutive jobs of up to per_job chunks."""
     chunks = _chunks(n)
-    groups = [chunks[a:a + per_job] for a in range(0, len(chunks), per_job)]
-    if len(groups[-1]) > 1 and len(groups[-1][-1]) == 1:
-        groups[-1:] = [groups[-1][:-1], groups[-1][-1:]]
-    return groups
+    return [chunks[a:a + per_job] for a in range(0, len(chunks), per_job)]
 
 
 def job_chunks(cfg: ExperimentConfig) -> int:
@@ -195,10 +191,10 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
     eps = cfg.epsilons[eps_index]
     indices = [i for chunk in chunks for i in chunk]
     diag_names = [t.name for t in functionals] if with_diag else []
-    instruments = [GeneratorInstrument(PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid),
-                                       eps, len(cfg.output_times), len(indices))
-                   for t in functionals] if with_diag else []
-    res = kinetic_batch(cfg, eps_index, indices, instruments)
+    if with_diag:
+        ins = GeneratorInstrument([PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid)
+                                   for t in functionals], eps, len(cfg.output_times), len(indices))
+    res = kinetic_batch(cfg, eps_index, indices, [ins] if with_diag else ())
     parts, hi = [], 0
     for chunk in chunks:
         lo, hi = hi, hi + len(chunk)
@@ -217,17 +213,22 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
         acc.norm4.update_batch(res.norm2[rows] ** 2)
         acc.sup_norm2.update_batch(res.sup_norm2[rows])
         acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
-        for name, ins in zip(diag_names, instruments):
-            acc.diagnostics[name] = {"values": ins.values[rows], "gens": ins.gens[rows],
-                                     "brackets": ins.brackets[rows]}
+        for k, name in enumerate(diag_names):
+            acc.diagnostics[name] = {"values": ins.values[k][rows], "gens": ins.gens[k][rows],
+                                     "brackets": ins.brackets[k][rows]}
     return parts
 
 
 def _limit_chunk(cfg: ExperimentConfig, indices):
+    """One limit chunk's EpsEnsemble; a member whose record is not finite is a failure."""
     times, series = limit_batch(cfg, indices)
+    finite = np.isfinite(series.reshape(len(indices), -1)).all(axis=1)
     acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
     acc.attempted = len(indices)
-    _reduce(acc, cfg.functionals, cfg.grid, series)
+    acc.failures = [(i, "LimitOverflowError: the record is not finite")
+                    for i, ok in zip(indices, finite) if not ok]
+    if finite.any():
+        _reduce(acc, cfg.functionals, cfg.grid, series if finite.all() else series[finite])
     return acc
 
 
@@ -277,8 +278,8 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
 
     Results are a deterministic function of (config, base_seed) and identical
     for any worker count.  Per-trajectory failures are recorded and excluded;
-    more than MAX_FAILURE_FRACTION failures at one epsilon raise TooManyFailuresError
-    after all jobs.
+    more than MAX_FAILURE_FRACTION failures at one epsilon or in the limit
+    ensemble raise TooManyFailuresError after all jobs.
     """
     sizes = {e_idx: cfg.ensemble_size for e_idx in range(len(cfg.epsilons))}
     if not kinetic_only:
@@ -291,13 +292,12 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
     for (_, key, _, _), parts in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
         for part in parts:
             folded[key] = folded[key].merge(part) if key in folded else part
-    kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}
-    for eps, acc in kin.items():
+    for key, acc in folded.items():
         if len(acc.failures) > MAX_FAILURE_FRACTION * acc.attempted:
+            where = "in the limit ensemble" if key is None else f"at epsilon={cfg.epsilons[key]}"
             raise TooManyFailuresError(
-                f"too many trajectory failures at epsilon={eps}: "
-                f"{len(acc.failures)}/{acc.attempted}"
-            )
+                f"too many trajectory failures {where}: {len(acc.failures)}/{acc.attempted}")
+    kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}
     return EnsembleResult(cfg, list(cfg.epsilons), kin, folded.get(None))
 
 

@@ -228,9 +228,9 @@ class KineticStepper:
         return np.fft.irfft(spec, n=self.grid.n)
 
     def norm2(self, fhat):
-        """||f||^2_{L2_{x,v}} per member, by Parseval."""
-        sq = fhat.view(float)
-        return (sq * sq).reshape(fhat.shape[0], -1) @ self._parseval
+        """||f||^2_{L2_{x,v}} per member, by Parseval, each member its own product."""
+        sq = fhat.view(float).reshape(fhat.shape[0], 1, -1)
+        return np.matmul(sq * sq, self._parseval[:, None])[:, 0, 0]
 
     def piece(self, fhat, phase, theta, mult):
         """One Strang piece; theta/mult broadcast against the batch, mult None skips M."""
@@ -440,8 +440,8 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
     microscopic horizon first (or uses ``paths[b]``), so each member is a
     deterministic function of (f0, config, its stream) whatever the batch.
     ``f0`` is one initial field shared by all members or one per member.
-    ``instruments`` observe the whole batch at every output step (see
-    `generator.GeneratorInstrument`).
+    ``instruments`` observe the whole batch at every output step; one
+    `generator.GeneratorInstrument` covers any number of functionals.
     The pathwise energy bound ||f(t)||^2 <= e^{2 C_* t / eps} ||f0||^2 is
     checked at every step; a member that violates it or overflows is
     recorded in ``failures`` and the others continue.

@@ -14,10 +14,13 @@ of the noise reduce to finite linear algebra on the chains:
 
 `NoiseModel` owns the layout of the chain states: chain j's state i is entry
 ``state_offsets[j] + i`` of one flat table, and `NoiseModel.values` reads
-chain values for any array of state indices.  A `NoisePath` holds the jumps
-of every chain and merges them into segments on which all states are frozen.
+chain values for any array of state indices, and the generator's
+`ChainTables`, built at their first use, are read the same way.  A
+`NoisePath` holds the jumps of every chain and merges them into segments on
+which all states are frozen.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,6 +268,55 @@ def chain_integral(chain: ChainSpec, start: int, jump_times, jump_states,
 # the assembled noise model
 
 
+class ChainTables:
+    """Per-state tables of the generator's correctors, on a noise model's state layout.
+
+    Per chain: s, M^{-1}I, (I - G)^{-1} M^{-1}I, (I - G)^{-1} s and Gamma(M^{-1}I).
+    Per pair: psi_jl, solving M psi_jl = <theta_jl> - theta_jl for theta_jl(n) =
+    s_j(n_j) M^{-1}I_l(n_l) on the product chain (chain j alone when j = l).
+    """
+
+    def __init__(self, model: "NoiseModel"):
+        chains, J, p_tab = model.chains, model.n_modes, model.poisson_identity
+        self._offsets = model.state_offsets
+        self._sizes = np.array([ch.n_states for ch in chains], dtype=np.int64)
+        tabs = [np.stack([ch.states, p, resolvent_solve(ch, p),
+                          resolvent_solve(ch, ch.states), carre_du_champ(ch, p)])
+                for ch, p in zip(chains, p_tab)]
+        self._rows = np.concatenate([np.zeros((5, 0))] + tabs, axis=1)
+        self.pair_means = np.zeros((J, J))
+        parts = []
+        for j, chj in enumerate(chains):
+            for l, chl in enumerate(chains):
+                if j == l:
+                    theta = chj.states * p_tab[j]
+                    mean = float(chj.stationary @ theta)  # equals -c_j / 2
+                    tab = solve_poisson(chj, mean - theta)
+                else:
+                    if chj.n_states * chl.n_states > MAX_PAIR_STATES:
+                        raise ValueError(
+                            f"product-chain solve budget exceeded for mode pair ({j}, {l})")
+                    theta = np.outer(chj.states, p_tab[l])
+                    mean = float(chj.stationary @ theta @ chl.stationary)
+                    tab = solve_poisson_pair(chj, chl, mean - theta)
+                self.pair_means[j, l] = mean
+                parts.append(tab.reshape(-1))
+        # every psi_jl in one flat table: entry (j, l) at off + sj * n_j + sl * n_l
+        self._pair = np.concatenate([np.zeros(0)] + parts)
+        self._pair_off = np.cumsum([0] + [t.size for t in parts])[:-1].reshape(J, J)
+        self._pair_sl = 1 - np.eye(J, dtype=np.int64)
+        self._pair_sj = np.where(self._pair_sl == 1, self._sizes, 1)
+
+    def at(self, state_indices):
+        """The rows (5, ..., J) and psi (..., J, J) at chain state indices (..., J)."""
+        n = np.asarray(state_indices, dtype=np.int64)
+        if np.any(n < 0) or np.any(n >= self._sizes):
+            raise ValueError("chain state index out of range")
+        psi = self._pair[self._pair_off + self._pair_sj * n[..., :, None]
+                         + self._pair_sl * n[..., None, :]]
+        return self._rows[:, self._offsets + n], psi
+
+
 @dataclass
 class NoiseModel:
     """Independent chains attached to spatial modes, with derived statistics."""
@@ -305,6 +357,11 @@ class NoiseModel:
     @property
     def n_modes(self) -> int:
         return len(self.chains)
+
+    @functools.cached_property
+    def chain_tables(self) -> ChainTables:
+        """The generator's chain tables, built at the first use and then kept."""
+        return ChainTables(self)
 
     # ---- fields -----------------------------------------------------
 

@@ -37,6 +37,10 @@ DEFAULT_STEPS = 2048
 DENSE_HEAT_MAX_N = 128
 
 
+class LimitOverflowError(RuntimeError):
+    """A limit trajectory's record overflowed to inf or nan."""
+
+
 @dataclass
 class LimitCoefficients:
     """Effective coefficients (K, c_j, eta_j, F) of the limit equation."""
@@ -99,7 +103,8 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
 
     ``increments`` has shape (batch, n_steps, J); ``output_steps`` lists the
     step indices at which the batch is recorded (an index may repeat).  Returns
-    an array of shape (batch, n_out, *grid.shape).
+    an array of shape (batch, n_out, *grid.shape); a member that overflows
+    records inf or nan, without a warning.
     """
     grid, n_modes = coeffs.grid, coeffs.n_modes
     dt = final_time / n_steps
@@ -123,15 +128,18 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
         heat = _heat(np.eye(grid.n), mult, grid)
         spare = np.empty_like(rho)
     noise = np.empty((batch, grid.npoints))
-    for k in range(n_steps):
-        if dense:
-            rho, spare = np.matmul(rho, heat, out=spare), rho
-        else:
-            rho = _heat(rho, mult, grid)
-        if n_modes:
-            np.dot(increments[:, k], factors, out=noise)
-            rho *= np.exp(noise, out=noise).reshape(rho.shape)
-        if k + 1 in recorded:
-            out[:, where == k + 1] = rho[:, None]
+    # a member that overflows carries inf or nan into its record, which the
+    # caller counts as a failure (harness._limit_chunk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if dense:
+                rho, spare = np.matmul(rho, heat, out=spare), rho
+            else:
+                rho = _heat(rho, mult, grid)
+            if n_modes:
+                np.dot(increments[:, k], factors, out=noise)
+                rho *= np.exp(noise, out=noise).reshape(rho.shape)
+            if k + 1 in recorded:
+                out[:, where == k + 1] = rho[:, None]
     return out
 

@@ -326,6 +326,22 @@ def test_trajectory_flag_is_the_ensemble_member(tmp_path, trajectory):
         assert np.array_equal(got[:, 0], times)
         flat = want.reshape(len(times), -1)
         assert np.max(np.abs(got[:, 1:] - flat)) <= 1e-12 * np.max(np.abs(flat))
+    # simulate-kinetic steps the member as a batch of one, and its norms are
+    # bitwise those of the member in its chunk
+    solo = harness.kinetic_batch(cfg, 1, [trajectory])
+    for name in ("norm2", "sup_norm2", "gronwall_margin"):
+        assert np.array_equal(getattr(solo, name)[0], getattr(kin, name)[trajectory])
+
+
+def test_simulate_spde_reports_an_overflowing_member(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "standard.json")) as fh:
+        data = json.load(fh)
+    for mode in data["noise"]["modes"]:
+        mode["amplitude"] = 300.0  # every limit member overflows
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate-spde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "run failed: LimitOverflowError: the record is not finite" in capsys.readouterr().err
 
 
 def test_out_flag_overrides_directory(tmp_path):

@@ -79,7 +79,7 @@ class TestCorrector1:
         # transport part vanishes, noise part is -(rho M^-1 I, w)
         st = b.state(f[None], [[0]])
         v1 = b.phi1_value(st)[0]
-        expected = -GRID.inner(st.rho[0] * st.b[0], W_SMOOTH)
+        expected = -GRID.inner(st.rho[0] * nm.m_inverse_field([0]), W_SMOOTH)
         assert v1 == pytest.approx(expected, rel=1e-12)
 
     def test_unit_weight_reduction(self):
@@ -118,26 +118,32 @@ class TestCorrector2:
             assert b._phi2(b.state(np.zeros((1,) + GRID.shape + (2,)), [[0, 1]]))[0] == 0.0
 
     def test_product_chain_solves_verify(self):
-        # M psi = <theta> - theta checked by applying the chain generators
+        # M psi = <theta> - theta checked by applying the chain generators to
+        # the noise model's tables, read at every joint state of each pair
         nm = two_mode_model()
-        b = bundles(nm)[1]
-        for (j, l), tab in b.psiQ.items():
-            chj, chl = nm.chains[j], nm.chains[l]
-            if j == l:
-                res = chj.rates @ tab - (b.thetaQ_mean[(j, l)]
-                                         - chj.states * b.p_tab[j])
-            else:
-                kron = (np.kron(chj.rates, np.eye(chl.n_states))
-                        + np.kron(np.eye(chj.n_states), chl.rates))
-                rhs = b.thetaQ_mean[(j, l)] - np.outer(chj.states, b.p_tab[l])
-                res = kron @ tab.reshape(-1) - rhs.reshape(-1)
-            assert np.max(np.abs(res)) < 1e-10
+        tables, p_tab = nm.chain_tables, nm.poisson_identity
+        for j, chj in enumerate(nm.chains):
+            for l, chl in enumerate(nm.chains):
+                a, c = np.meshgrid(np.arange(chj.n_states), np.arange(chl.n_states),
+                                   indexing="ij")
+                n = np.zeros((a.size, nm.n_modes), dtype=np.int64)
+                n[:, l] = c.reshape(-1)
+                n[:, j] = a.reshape(-1)
+                tab = tables.at(n)[1][:, j, l].reshape(a.shape)
+                mean = tables.pair_means[j, l]
+                if j == l:  # n[:, j] = a: psi_jj varies along the first axis only
+                    res = chj.rates @ tab[:, 0] - (mean - chj.states * p_tab[j])
+                else:
+                    kron = (np.kron(chj.rates, np.eye(chl.n_states))
+                            + np.kron(np.eye(chj.n_states), chl.rates))
+                    rhs = mean - np.outer(chj.states, p_tab[l])
+                    res = kron @ tab.reshape(-1) - rhs.reshape(-1)
+                assert np.max(np.abs(res)) < 1e-10
 
     def test_diag_mean_is_half_c(self):
         nm = two_mode_model()
-        b = bundles(nm)[0]
         for j, c in enumerate(nm.coefficients):
-            assert b.thetaQ_mean[(j, j)] == pytest.approx(-c / 2, rel=1e-12)
+            assert nm.chain_tables.pair_means[j, j] == pytest.approx(-c / 2, rel=1e-12)
 
     def test_pair_budget_error_names_pair(self):
         rng = np.random.default_rng(4)
@@ -270,6 +276,62 @@ class TestBatchOracle:
             solo = (b.value_eps(one, self.EPS),) + b.generator_parts(one) + (b.bracket(one),)
             for k, (part, want) in enumerate(zip(got, solo)):
                 assert abs(part[m] - want[0]) <= 1e-12 * (1.0 + abs(want[0])), (m, k)
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_instrument_equals_one_per_functional(self, dim, n_modes):
+        grid, vm, nm = self._model(dim, n_modes)
+        x = grid.coords()
+        weights = [1.0 + 0.3 * np.cos(2 * np.pi * x[0]), 0.5 + 0.2 * np.sin(2 * np.pi * x[-1])]
+        funcs = [TestFunctional("quadratic", weights[0]), TestFunctional("linear", weights[1]),
+                 TestFunctional("quadratic", weights[1])]
+        bundles_ = [PerturbedTestFunction(tf, vm, nm, grid) for tf in funcs]
+        rng = np.random.default_rng(40 + dim)
+        batch, n_times = 7, 3
+        n = self._all_chain_states(nm, batch)
+        joint = GeneratorInstrument(bundles_, self.EPS, n_times, batch)
+        solo = [GeneratorInstrument(b, self.EPS, n_times, batch) for b in bundles_]
+        for i in range(n_times):
+            f = np.stack([random_smooth_field(grid, vm.n_velocities, rng, amplitude=0.5) + 1.0
+                          for _ in range(batch)])
+            for ins in [joint] + solo:
+                ins.observe(i, f, n)
+        for k, one in enumerate(solo):
+            for name in ("values", "gens", "brackets"):
+                assert np.shape(getattr(joint, name)) == (len(funcs), batch, n_times)
+                assert np.array_equal(getattr(joint, name)[k], getattr(one, name)), (k, name)
+
+    def test_state_is_the_shared_record_plus_its_pairings(self):
+        grid, vm, nm = self._model(2, 2)
+        x = grid.coords()
+        lin = PerturbedTestFunction(TestFunctional("linear", np.cos(2 * np.pi * x[0])),
+                                    vm, nm, grid)
+        quad = PerturbedTestFunction(TestFunctional("quadratic", 1.0 + 0.2 * np.sin(
+            2 * np.pi * x[1])), vm, nm, grid)
+        rng = np.random.default_rng(50)
+        f = np.stack([random_smooth_field(grid, vm.n_velocities, rng) + 1.0 for _ in range(5)])
+        n = self._all_chain_states(nm, 5)
+        rec = lin.record(f, n)  # the record of another functional's bundle
+        st, paired = quad.state(f, n), quad.pair(rec)
+        assert vars(st).keys() == vars(paired).keys() > vars(rec).keys()
+        for key, value in vars(st).items():
+            assert np.array_equal(value, getattr(paired, key)), key
+        for key, value in vars(rec).items():
+            assert np.array_equal(value, getattr(st, key)), key
+        for part in (quad.value_eps(st, self.EPS), quad.bracket(st)) + quad.generator_parts(st):
+            assert part.shape == (5,)
+
+    def test_chain_tables_are_built_once_per_noise_model(self, monkeypatch):
+        calls = []
+        for name in ("solve_poisson_pair", "resolvent_solve"):
+            def counted(*args, _fn=getattr(nz, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(nz, name, counted)
+        grid, vm, nm = self._model(1, 2)
+        for _ in range(2):
+            bundles(nm, weight=np.ones(grid.shape))
+        assert sorted(calls) == ["resolvent_solve"] * 4 + ["solve_poisson_pair"] * 2
 
     def test_state_rejects_bad_shapes_and_indices(self):
         nm = two_mode_model()

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kindiff import harness, kinetic
+from kindiff import noise as nz
 from kindiff import velocity as vel
 from kindiff.config import ConfigError, parse_config
 from kindiff.grid import TorusGrid
@@ -304,6 +306,16 @@ class TestKineticJobs:
             alone, = harness._chunk_job((cfg.raw, 0, [chunk], True))
             assert_parts_equal(part, alone)
 
+    @pytest.mark.parametrize("cfg", [small_config(ensemble=97, epsilons=(0.4,), n=32),
+                                     dim2_config(ensemble=97)], ids=["1d", "2d"])
+    def test_a_tail_of_one_member_equals_its_chunk_run_alone(self, cfg):
+        # the Parseval norm is one product per member, so a one-row batch rounds
+        # its norms like the same row in a batch of 97
+        chunks = harness._chunks(97)
+        parts = harness._chunk_job((cfg.raw, 0, chunks, False))
+        alone, = harness._chunk_job((cfg.raw, 0, chunks[-1:], False))
+        assert_parts_equal(parts[-1], alone)
+
     def test_a_failure_stays_in_its_chunk(self, monkeypatch):
         # at this seed the loudest member is 33, row 1 of the second chunk
         cfg = small_config(ensemble=40, epsilons=(0.1,), seed=104)
@@ -330,8 +342,8 @@ class TestKineticJobs:
                    ("martingale.json", "standard.json", "scalar_mode.json")}
         assert shipped == {"martingale.json": 7, "standard.json": 8, "scalar_mode.json": 8}
         assert harness.job_chunks(dim2_config(ensemble=1, n=128, output_count=65)) == 1
-        # a last chunk of one member runs alone
-        assert [[c[0] for c in g] for g in harness._job_groups(97, 8)] == [[0, 32, 64], [96]]
+        # a last chunk of one member shares its job like any other chunk
+        assert [[c[0] for c in g] for g in harness._job_groups(97, 8)] == [[0, 32, 64, 96]]
         assert [[c[0] for c in g] for g in harness._job_groups(100, 7)] == [[0, 32, 64, 96]]
         assert [len(g) for g in harness._job_groups(290, 8)] == [8, 2]
 
@@ -597,3 +609,96 @@ class TestConfigValidation:
         cfg = parse_config(raw)
         vm = cfg.velocity
         assert vm.n_velocities == 3
+
+
+class TestChainTables:
+    """The generator's chain tables are built once per noise model, and only for diagnostics."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = Counter()
+        for name in ("solve_poisson_pair", "resolvent_solve"):
+            def counted(*args, _fn=getattr(nz, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(nz, name, counted)
+        return calls
+
+    def test_built_once_per_noise_model(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        cfg = dim2_config(ensemble=4)  # two modes, two functionals
+        once = {"solve_poisson_pair": 2, "resolvent_solve": 4}
+        harness.run_ensemble(cfg, kinetic_only=True)
+        assert calls == {}
+        for _ in range(2):  # two jobs' worth of bundles on one noise model
+            harness._kinetic_job(cfg, 0, [[0, 1], [2, 3]], True)
+        assert calls == once
+        calls.clear()
+        harness._chunk_job((cfg.raw, 0, [[0, 1]], True))  # a job parses its own model
+        assert calls == once
+
+    def test_an_over_budget_mode_pair_runs_without_diagnostics(self):
+        n = 70  # two 70-state chains: a product chain over noise.MAX_PAIR_STATES
+        chain = {"states": np.linspace(-1.0, 1.0, n).tolist(),
+                 "rates": (np.roll(np.eye(n), 1, axis=1) - np.eye(n)).tolist()}
+        raw = copy.deepcopy(small_config().raw)
+        raw["noise"]["modes"] = [{"label": label, "amplitude": 1.0, "chain": chain}
+                                 for label in ("cos:1", "sin:1")]
+        cfg = parse_config(raw)
+        res = harness.run_ensemble(cfg, workers=1)
+        assert res.failure_counts == {0.4: 0, 0.2: 0} and res.limit.attempted == 8
+        with pytest.raises(ValueError, match=r"mode pair \(0, 1\)"):
+            harness._kinetic_job(cfg, 0, [[0]], True)
+
+
+def shipped_with_amplitude(name, amplitude):
+    raw = copy.deepcopy(SHIPPED[name])
+    for mode in raw["noise"]["modes"]:
+        mode["amplitude"] = amplitude
+    return parse_config(raw)
+
+
+class TestLimitFailures:
+    """A limit member whose record is not finite is a failure, excluded from the statistics."""
+
+    MESSAGE = "LimitOverflowError: the record is not finite"
+
+    def test_an_overflowing_chunk_fails_every_member(self):
+        cfg = shipped_with_amplitude("standard.json", 300.0)
+        acc = harness._limit_chunk(cfg, list(range(8)))
+        assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
+        assert acc.attempted == 8 and acc.rho_mean.count == 0
+        assert all(st.count == 0 for st in acc.functional_stats)
+
+    def test_only_the_member_that_is_not_finite_is_dropped(self, monkeypatch):
+        cfg = small_config(ensemble=8)
+        clean = harness._limit_chunk(cfg, list(range(8)))
+        limit_batch = harness.limit_batch
+
+        def poisoned(cfg_, indices):
+            times, series = limit_batch(cfg_, indices)
+            series[indices.index(3), -1, 0] = np.nan
+            return times, series
+
+        monkeypatch.setattr(harness, "limit_batch", poisoned)
+        acc = harness._limit_chunk(cfg, list(range(8)))
+        assert acc.failures == [(3, self.MESSAGE)]
+        assert acc.rho_mean.count == 7
+        assert np.all(np.isfinite(acc.rho_mean.mean))
+        for name, samples in clean.samples.items():
+            assert np.array_equal(acc.samples[name], np.delete(samples, 3))
+
+    def test_too_many_limit_failures_abort_the_run(self, monkeypatch):
+        limit_batch = harness.limit_batch
+
+        def poisoned(cfg_, indices):
+            times, series = limit_batch(cfg_, indices)
+            if 37 in indices:
+                series[indices.index(37)] = np.inf
+            return times, series
+
+        monkeypatch.setattr(harness, "limit_batch", poisoned)
+        cfg = small_config(ensemble=40)
+        with pytest.raises(harness.TooManyFailuresError,
+                           match="failures in the limit ensemble: 1/40"):
+            harness.run_ensemble(cfg, workers=1)
