@@ -23,6 +23,8 @@ if __name__ == "__main__":
     exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * x)
     print(f"T = {T}, exact profile 1 + 0.5 e^{{-4 pi^2 T}} cos(2 pi x)")
     for e_idx, eps in enumerate(cfg.epsilons):
-        res = kinetic_batch(cfg, e_idx, [0]).member(0)
-        err = grid.norm(res.rho[-1] - exact)
+        res = kinetic_batch(cfg, e_idx, [0])
+        if res.failures:
+            raise res.failures[0]
+        err = grid.norm(res.rho[0, -1] - exact)
         print(f"eps = {eps:5.3f}:  L2 error = {err:.6e}")

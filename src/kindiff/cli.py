@@ -132,23 +132,25 @@ def cmd_simulate_kinetic(cfg, args):
     if not 0 <= args.eps_index < len(cfg.epsilons):
         raise ConfigError(f"--eps-index must lie in [0, {len(cfg.epsilons) - 1}]")
     eps = cfg.epsilons[args.eps_index]
-    res = harness.kinetic_batch(cfg, args.eps_index, [args.trajectory]).member(0)
-    header, rows = _series_rows(res.times, res.rho, cfg.functionals, cfg.grid,
+    res = harness.kinetic_batch(cfg, args.eps_index, [args.trajectory])
+    if res.failures:
+        raise res.failures[0]
+    header, rows = _series_rows(res.times, res.rho[0], cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "kinetic_series.csv"), header, rows)
     _write_manifest(args.out, "simulate-kinetic", cfg,
                     {"epsilon": eps, "trajectory": args.trajectory})
     print(f"kinetic trajectory at epsilon={eps}: "
-          f"{len(res.times)} records, sup ||f||^2 = {res.sup_norm2:.6g}")
+          f"{len(res.times)} records, sup ||f||^2 = {res.sup_norm2[0]:.6g}")
     return 0
 
 
 def cmd_simulate_spde(cfg, args):
     if args.trajectory < 0:
         raise ConfigError("--trajectory must be nonnegative")
-    times, series = harness.limit_batch(cfg, [args.trajectory])
-    if not np.isfinite(series).all():
-        raise spde.LimitOverflowError("the record is not finite")
+    times, series, failures = harness.limit_batch(cfg, [args.trajectory])
+    if failures:
+        raise failures[0]
     header, rows = _series_rows(times, series[0], cfg.functionals, cfg.grid,
                                 args.functionals_only)
     _write_csv(os.path.join(args.out, "spde_series.csv"), header, rows)
@@ -210,7 +212,8 @@ def cmd_converge(cfg, args):
         "mean_field_distance_monotone": dist_monotone,
         "moment_bound_ok": moments.ok,
         "moment_trend_nonincreasing": moments.trend_nonincreasing,
-        "failure_counts": {_fmt(k): v for k, v in result.failure_counts.items()},
+        "failure_counts": {k if k == "limit" else _fmt(k): v
+                           for k, v in result.failure_counts.items()},
         "gronwall_margin_max": {
             _fmt(eps): float(ens.gronwall_margin_max)
             if np.isfinite(ens.gronwall_margin_max) else None

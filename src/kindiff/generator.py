@@ -146,7 +146,6 @@ class PerturbedTestFunction:
         self.curlyAw = grid.ifft(multA2bar * grid.fft(w))  # div(K grad w)
         self.Fw = nm.trace_field() * w
         modes = nm.modes
-        self._modes_flat = modes.reshape(J, grid.npoints)
         weta = w[None] * modes
 
         # projection matrix of _DirData: kinetic columns g(x, v) mu_v dx
@@ -190,7 +189,7 @@ class PerturbedTestFunction:
         rec.rho = f @ self.vm.weights
         spec = np.fft.rfftn(f, axes=self._axes) * self._m1_half
         rec.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
-        rec.nf = np.matmul(rec.sv[:, None], self._modes_flat).reshape(rec.rho.shape)
+        rec.nf = self.nm.combine(rec.sv)
         rec.h_L = rec.rho[..., None] - f  # the direction of L_L
         rec.h_A = f * rec.nf[..., None]   # the direction of L_A, f n.eta - A f
         rec.h_A -= rec.Af
@@ -397,26 +396,24 @@ def residual_scaling(bundle: PerturbedTestFunction, states, eps_list):
 class GeneratorInstrument:
     """Batch observer recording phi_eps, L_eps phi_eps and the bracket rate.
 
-    ``bundles`` is one PerturbedTestFunction, or a sequence of F of them on one
-    velocity model, noise model and grid, which share one record per output.
-    ``values``, ``gens`` and ``brackets`` are (batch, n_times) arrays for one
-    bundle and lists of F of them for a sequence: row b is member b, column i
-    output i.
+    ``bundles`` is a sequence of F PerturbedTestFunctions on one velocity
+    model, noise model and grid, which share one record per output.
+    ``values``, ``gens`` and ``brackets`` are lists of F (batch, n_times)
+    arrays, one per bundle: row b is member b, column i output i.
     """
 
     def __init__(self, bundles, eps: float, n_times: int, batch: int = 1):
-        one = isinstance(bundles, PerturbedTestFunction)
-        self.bundles = [bundles] if one else list(bundles)
+        self.bundles = list(bundles)
         self.eps = eps
-        self._records = [[np.zeros((batch, n_times)) for _ in self.bundles] for _ in range(3)]
-        self.values, self.gens, self.brackets = (r[0] for r in self._records) if one \
-            else self._records
+        self.values, self.gens, self.brackets = (
+            [np.zeros((batch, n_times)) for _ in self.bundles] for _ in range(3))
 
     def observe(self, i, f, state_indices):
         """Record output i of the batch (f, state_indices) for every bundle."""
         rec = self.bundles[0].record(f, state_indices)
         e = self.eps
-        for bundle, values, gens, brackets in zip(self.bundles, *self._records):
+        for bundle, values, gens, brackets in zip(self.bundles, self.values, self.gens,
+                                                  self.brackets):
             st = bundle.pair(rec)
             values[:, i] = bundle.value_eps(st, e)
             b0, b1, b2, b3 = bundle.generator_parts(st)

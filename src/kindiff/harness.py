@@ -14,11 +14,11 @@ chunks of one epsilon as one batch, since a kinetic step costs NumPy dispatch
 rather than arithmetic, and returns one part per chunk; a limit job is one
 chunk.  Every member's records are independent of the batch it runs in, so a
 part is the same whatever job it came from.  With diagnostics on, one
-`GeneratorInstrument` observes every functional of a kinetic job.  A limit
-member whose record is not finite is a failure, like a kinetic member that
-overflows, and is left out of the statistics.  `kinetic_batch` and
-`limit_batch` set up every simulated member, so member i of an ensemble is
-also what `simulate-kinetic` / `simulate-spde --trajectory i` write.
+`GeneratorInstrument` observes every functional of a kinetic job.
+`kinetic_batch` and `limit_batch` set up every simulated member, so member i
+of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory
+i` write; both return each failed member's exception by its batch row, and a
+failed member is left out of the statistics.
 """
 
 import concurrent.futures
@@ -88,7 +88,6 @@ class EpsEnsemble:
     rho_mean: RunningStats                  # field-valued, (n_times, *shape)
     norm2: RunningStats = None              # ||f||^2 over times (kinetic only)
     norm4: RunningStats = None
-    sup_norm2: RunningStats = None
     attempted: int = 0
     failures: list = field(default_factory=list)
     gronwall_margin_max: float = -np.inf         # largest margin of a finished trajectory
@@ -106,7 +105,7 @@ class EpsEnsemble:
             failures=self.failures + other.failures,
             gronwall_margin_max=max(self.gronwall_margin_max, other.gronwall_margin_max),
         )
-        for name in ("norm2", "norm4", "sup_norm2"):
+        for name in ("norm2", "norm4"):
             a, b = getattr(self, name), getattr(other, name)
             setattr(out, name, a.merge(b) if a is not None and b is not None else None)
         out.samples = {k: np.concatenate([self.samples[k], other.samples[k]])
@@ -129,7 +128,6 @@ def _empty_eps_ensemble(times, functionals, kinetic_side, diag_names):
     if kinetic_side:
         out.norm2 = RunningStats()
         out.norm4 = RunningStats()
-        out.sup_norm2 = RunningStats()
     out.samples = {t.name: np.zeros(0) for t in functionals}
     out.diagnostics = {
         name: {"values": np.zeros((0, len(times))), "gens": np.zeros((0, len(times))),
@@ -149,7 +147,7 @@ def _reduce(acc, functionals, grid, rho):
         acc.samples[tf.name] = vals[:, k, -1].copy()
 
 
-def kinetic_batch(cfg: ExperimentConfig, eps_index: int, indices, instruments=()):
+def kinetic_batch(cfg: ExperimentConfig, eps_index: int, indices, observer=None):
     """Kinetic ensemble members ``indices`` at epsilon index eps_index, as one batch.
 
     Member i runs on its own stream, so it is the same trajectory in any
@@ -160,12 +158,15 @@ def kinetic_batch(cfg: ExperimentConfig, eps_index: int, indices, instruments=()
     rngs = [make_stream(cfg.base_seed, KIN_NS, eps_index, i) for i in indices]
     return kinetic.solve_batch(vel.lift(cfg.velocity, cfg.rho0), scfg, cfg.velocity,
                                cfg.grid, cfg.noise, rngs, cfg.output_times,
-                               instruments=instruments)
+                               observer=observer)
 
 
 def limit_batch(cfg: ExperimentConfig, indices):
-    """Limit ensemble members ``indices`` as one batch: (times, (B, n_times, *shape) series).
+    """Limit ensemble members ``indices`` as one batch: (times, series, failures).
 
+    ``series`` is (B, n_times, *shape), and ``failures`` maps the batch row
+    of each member with a record whose L2 norm exceeds kinetic.OVERFLOW_NORM
+    or is not finite to its LimitOverflowError, the kinetic overflow rule.
     Member i draws its increments from its own stream, so it is the same
     trajectory in any chunk and as `simulate-spde --trajectory i`.
     """
@@ -178,7 +179,29 @@ def limit_batch(cfg: ExperimentConfig, indices):
         rng = make_stream(cfg.base_seed, LIM_NS, 0, i)
         dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
     series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
-    return np.asarray(out_steps) * dt, series
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = series.reshape(series.shape[:2] + (cfg.grid.npoints,))
+        norm2 = np.sum(flat * flat, axis=-1) * cfg.grid.cell_volume
+        bad = np.flatnonzero(~np.all(norm2 <= kinetic.OVERFLOW_NORM ** 2, axis=1))
+    failures = {int(b): spde.LimitOverflowError(
+        f"||rho||_L2 exceeded {kinetic.OVERFLOW_NORM:g} or is not finite") for b in bad}
+    return np.asarray(out_steps) * dt, series, failures
+
+
+def _fill(acc, cfg: ExperimentConfig, indices, failures, lo: int, hi: int, rho):
+    """Record the failures and reduce the series of batch rows lo..hi-1 into acc.
+
+    Returns the rows of the finished members, or None if every member failed.
+    """
+    acc.attempted = hi - lo
+    failed = [b for b in range(lo, hi) if b in failures]
+    acc.failures = [(indices[b], f"{type(failures[b]).__name__}: {failures[b]}") for b in failed]
+    if len(failed) == hi - lo:
+        return None
+    # a slice takes no copy
+    rows = [b for b in range(lo, hi) if b not in failures] if failed else slice(lo, hi)
+    _reduce(acc, cfg.functionals, cfg.grid, rho[rows])
+    return rows
 
 
 def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool):
@@ -194,24 +217,17 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
     if with_diag:
         ins = GeneratorInstrument([PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid)
                                    for t in functionals], eps, len(cfg.output_times), len(indices))
-    res = kinetic_batch(cfg, eps_index, indices, [ins] if with_diag else ())
+    res = kinetic_batch(cfg, eps_index, indices, ins if with_diag else None)
     parts, hi = [], 0
     for chunk in chunks:
         lo, hi = hi, hi + len(chunk)
-        failed = [b for b in range(lo, hi) if b in res.failures]
         acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
-        acc.attempted = len(chunk)
-        acc.failures = [(indices[b], f"{type(res.failures[b]).__name__}: {res.failures[b]}")
-                        for b in failed]
         parts.append(acc)
-        if len(failed) == len(chunk):
+        rows = _fill(acc, cfg, indices, res.failures, lo, hi, res.rho)
+        if rows is None:
             continue
-        # a slice takes no copy
-        rows = [b for b in res.finished if lo <= b < hi] if failed else slice(lo, hi)
-        _reduce(acc, functionals, grid, res.rho[rows])
         acc.norm2.update_batch(res.norm2[rows])
         acc.norm4.update_batch(res.norm2[rows] ** 2)
-        acc.sup_norm2.update_batch(res.sup_norm2[rows])
         acc.gronwall_margin_max = float(res.gronwall_margin[rows].max())
         for k, name in enumerate(diag_names):
             acc.diagnostics[name] = {"values": ins.values[k][rows], "gens": ins.gens[k][rows],
@@ -220,15 +236,10 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
 
 
 def _limit_chunk(cfg: ExperimentConfig, indices):
-    """One limit chunk's EpsEnsemble; a member whose record is not finite is a failure."""
-    times, series = limit_batch(cfg, indices)
-    finite = np.isfinite(series.reshape(len(indices), -1)).all(axis=1)
+    """One limit chunk's EpsEnsemble; its failed members are left out of the statistics."""
+    times, series, failures = limit_batch(cfg, indices)
     acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
-    acc.attempted = len(indices)
-    acc.failures = [(i, "LimitOverflowError: the record is not finite")
-                    for i, ok in zip(indices, finite) if not ok]
-    if finite.any():
-        _reduce(acc, cfg.functionals, cfg.grid, series if finite.all() else series[finite])
+    _fill(acc, cfg, indices, failures, 0, len(indices), series)
     return acc
 
 
@@ -255,7 +266,11 @@ class EnsembleResult:
 
     @property
     def failure_counts(self) -> dict:
-        return {eps: len(ens.failures) for eps, ens in self.kinetic.items()}
+        """Failed trajectories per epsilon, and under "limit" in the limit ensemble."""
+        out = {eps: len(ens.failures) for eps, ens in self.kinetic.items()}
+        if self.limit is not None:
+            out["limit"] = len(self.limit.failures)
+        return out
 
 
 def _run_chunked(worker, jobs, workers: int):

@@ -18,10 +18,10 @@ and transport act per frequency, so each piece costs one irfft -> noise
 multiplier -> rfft pair, and the energy check uses Parseval.  The noise of a
 batch is one segment table, the members' `NoisePath.seg_states` stacked in
 batch order, whose chain values are read once through `NoiseModel.values`.
-`solve_trajectory` is its batch of one.
+`solve_trajectory` is its batch of one and raises that member's failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,16 +100,6 @@ def advance(f, dt, eps, model: VelocityModel, grid: TorusGrid,
 
 
 @dataclass
-class TrajectoryResult:
-    times: np.ndarray          # recorded macroscopic times
-    rho: np.ndarray            # (n_times, *grid.shape)
-    norm2: np.ndarray          # ||f||^2_{L2_{x,v}} at recorded times
-    sup_norm2: float           # sup over all steps
-    gronwall_margin: float     # max of log||f||^2 - bound (negative = satisfied)
-    state_indices: np.ndarray = field(default=None)  # (n_times, J) chain states
-
-
-@dataclass
 class BatchResult:
     """Per-member records of one batch; failed members keep their exception."""
 
@@ -117,7 +107,7 @@ class BatchResult:
     rho: np.ndarray              # (B, n_times, *grid.shape)
     norm2: np.ndarray            # (B, n_times)
     sup_norm2: np.ndarray        # (B,)
-    gronwall_margin: np.ndarray  # (B,)
+    gronwall_margin: np.ndarray  # (B,) max of log||f||^2 - bound (negative = satisfied)
     state_indices: np.ndarray    # (B, n_times, J)
     failures: dict               # member -> TrajectoryOverflowError | GronwallViolationError
 
@@ -125,19 +115,6 @@ class BatchResult:
     def finished(self) -> list:
         """Members that ran to the final time, in batch order."""
         return [b for b in range(self.sup_norm2.shape[0]) if b not in self.failures]
-
-    def member(self, b: int) -> TrajectoryResult:
-        """Member b as a single trajectory; re-raises its failure."""
-        if b in self.failures:
-            raise self.failures[b]
-        return TrajectoryResult(
-            times=self.times,
-            rho=self.rho[b],
-            norm2=self.norm2[b],
-            sup_norm2=float(self.sup_norm2[b]),
-            gronwall_margin=float(self.gronwall_margin[b]),
-            state_indices=self.state_indices[b],
-        )
 
 
 def step_grid(config: SolverConfig):
@@ -204,7 +181,6 @@ class KineticStepper:
         w[..., -1] = 1.0  # n is even: the last bin is the Nyquist bin
         parseval = self.mu[:, None] * w.reshape(-1) / float(grid.npoints) ** 2
         self._parseval = np.repeat(parseval.reshape(-1), 2)  # real and imaginary parts
-        self._modes = noise.modes.reshape(noise.n_modes, grid.npoints)
 
     # ---- spectral pieces -----------------------------------------------
 
@@ -251,15 +227,10 @@ class KineticStepper:
     # ---- noise ---------------------------------------------------------
 
     def _multiplier(self, values, delta):
-        """exp(m delta eps) for chain values (A, J) and lengths (A,) -> (A, 1, *shape).
-
-        A member's field is its own (1, J) @ (J, npoints) product, so it does
-        not depend on how many members take a piece together (see
-        generator._DirData).
-        """
-        m = np.matmul(values[:, None], self._modes)[:, 0]
-        d = np.asarray(delta, dtype=float).reshape(-1, 1)
-        return np.exp(m * (d * self.eps)).reshape((-1, 1) + self.grid.shape)
+        """exp(m delta eps) for chain values (A, J) and lengths (A,) -> (A, 1, *shape)."""
+        m = self.noise.combine(values)
+        d = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * self.grid.dim)
+        return np.exp(m * (d * self.eps))[:, None]
 
     def _schedule(self, paths):
         """The pieces of every step that has jumps, as flat sorted columns.
@@ -317,7 +288,7 @@ class KineticStepper:
 
     # ---- driver --------------------------------------------------------
 
-    def run(self, f0, paths, out_steps, instruments) -> BatchResult:
+    def run(self, f0, paths, out_steps, observer) -> BatchResult:
         grid, noise, eps = self.grid, self.noise, self.eps
         batch = len(paths)
         pieces, tails, blocks = self._schedule(paths)  # before the records: lower peak memory
@@ -355,7 +326,7 @@ class KineticStepper:
             f = np.moveaxis(self.to_fields(fhat), 1, -1)
             rho = f @ self.mu
             states = seg_states[cur]
-            if instruments:
+            if observer is not None:
                 f = np.ascontiguousarray(f)
             for i in outs:
                 rho_rec[:, i] = rho
@@ -363,8 +334,8 @@ class KineticStepper:
                 state_rec[:, i] = states
                 for rec in (rho_rec, norm2_rec, state_rec):
                     rec[dead, i] = 0
-                for ins in instruments:
-                    ins.observe(i, f, state_rec[:, i])
+                if observer is not None:
+                    observer.observe(i, f, state_rec[:, i])
 
         def fail(b, exc):
             failures[b] = exc
@@ -432,7 +403,7 @@ class KineticStepper:
 
 
 def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
-                noise: NoiseModel, rngs, output_times, instruments=(),
+                noise: NoiseModel, rngs, output_times, observer=None,
                 paths=None) -> BatchResult:
     """Integrate a batch of trajectories and record the density at the requested times.
 
@@ -440,8 +411,8 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
     microscopic horizon first (or uses ``paths[b]``), so each member is a
     deterministic function of (f0, config, its stream) whatever the batch.
     ``f0`` is one initial field shared by all members or one per member.
-    ``instruments`` observe the whole batch at every output step; one
-    `generator.GeneratorInstrument` covers any number of functionals.
+    ``observer`` (a `generator.GeneratorInstrument`, which covers any
+    number of functionals) observes the whole batch at every output step.
     The pathwise energy bound ||f(t)||^2 <= e^{2 C_* t / eps} ||f0||^2 is
     checked at every step; a member that violates it or overflows is
     recorded in ``failures`` and the others continue.
@@ -460,18 +431,20 @@ def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
     if f0.ndim == grid.dim + 1:
         f0 = f0[None]
     steps = snap_steps(output_times, stepper.dt, stepper.n_steps)
-    return stepper.run(f0, paths, steps, instruments)
+    return stepper.run(f0, paths, steps, observer)
 
 
 def solve_trajectory(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,
-                     noise: NoiseModel, rng, output_times, instruments=(),
-                     path: NoisePath = None) -> TrajectoryResult:
-    """Integrate one trajectory: the batch of one of `solve_batch`.
+                     noise: NoiseModel, rng, output_times, observer=None,
+                     path: NoisePath = None) -> BatchResult:
+    """Integrate one trajectory: the `solve_batch` of one member, whose row is 0.
 
     Raises TrajectoryOverflowError or GronwallViolationError if the
     trajectory fails; the exact sub-flows make the latter structurally
     impossible.
     """
     res = solve_batch(f0, config, model, grid, noise, [rng], output_times,
-                      instruments=instruments, paths=None if path is None else [path])
-    return res.member(0)
+                      observer=observer, paths=None if path is None else [path])
+    if res.failures:
+        raise res.failures[0]
+    return res

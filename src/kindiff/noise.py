@@ -15,12 +15,14 @@ of the noise reduce to finite linear algebra on the chains:
 `NoiseModel` owns the layout of the chain states: chain j's state i is entry
 ``state_offsets[j] + i`` of one flat table, and `NoiseModel.values` reads
 chain values for any array of state indices, and the generator's
-`ChainTables`, built at their first use, are read the same way.  A
-`NoisePath` holds the jumps of every chain and merges them into segments on
-which all states are frozen.
+`ChainTables`, built at their first use, are read the same way;
+`NoiseModel.combine` maps chain values to fields.  A `NoisePath` holds the
+jumps of every chain and merges them into segments on which all states are
+frozen.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +141,16 @@ def zero_chain() -> ChainSpec:
     return ChainSpec(np.array([0.0]), np.array([[0.0]]))
 
 
+def _centered_poisson(rates, pi, theta) -> np.ndarray:
+    """The pi-centered least-squares solution of rates phi = theta - <theta>_pi."""
+    rhs = theta - float(pi @ theta)
+    phi, *_ = np.linalg.lstsq(rates, rhs, rcond=None)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    if np.max(np.abs(rates @ phi - rhs)) > POISSON_RESIDUAL_TOL * scale:
+        raise ReducibleChainError("Poisson equation is singular beyond constants")
+    return phi - float(pi @ phi)
+
+
 def solve_poisson(chain: ChainSpec, observable) -> np.ndarray:
     """Centered solution of G phi = theta - <theta>_pi.
 
@@ -148,12 +160,7 @@ def solve_poisson(chain: ChainSpec, observable) -> np.ndarray:
     theta = np.asarray(observable, dtype=float)
     if theta.shape != (chain.n_states,):
         raise ValueError("observable must assign one value per state")
-    theta_c = theta - float(chain.stationary @ theta)
-    phi, *_ = np.linalg.lstsq(chain.rates, theta_c, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(theta_c))))
-    if np.max(np.abs(chain.rates @ phi - theta_c)) > POISSON_RESIDUAL_TOL * scale:
-        raise ReducibleChainError("Poisson equation is singular beyond constants")
-    return phi - float(chain.stationary @ phi)
+    return _centered_poisson(chain.rates, chain.stationary, theta)
 
 
 def resolvent_solve(chain: ChainSpec, observable) -> np.ndarray:
@@ -187,13 +194,7 @@ def solve_poisson_pair(chain_a: ChainSpec, chain_b: ChainSpec, observable) -> np
         raise ValueError("observable table shape mismatch")
     gen = np.kron(chain_a.rates, np.eye(nb)) + np.kron(np.eye(na), chain_b.rates)
     pi = np.kron(chain_a.stationary, chain_b.stationary)
-    rhs = theta.reshape(-1) - float(pi @ theta.reshape(-1))
-    psi, *_ = np.linalg.lstsq(gen, rhs, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if np.max(np.abs(gen @ psi - rhs)) > POISSON_RESIDUAL_TOL * scale:
-        raise ReducibleChainError("product-chain Poisson equation is singular")
-    psi = psi - float(pi @ psi)
-    return psi.reshape(na, nb)
+    return _centered_poisson(gen, pi, theta.reshape(-1)).reshape(na, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,7 @@ class NoiseModel:
             raise ValueError(f"at most {MAX_MODES} modes are supported")
         modes.flags.writeable = False
         self.modes = modes
+        self._modes_flat = modes.reshape(len(self.chains), self.grid.npoints)
         # per-chain Poisson solution for the identity observable
         self.poisson_identity = tuple(solve_poisson(ch, ch.states) for ch in self.chains)
         self.coefficients = np.array(
@@ -365,8 +367,15 @@ class NoiseModel:
 
     # ---- fields -----------------------------------------------------
 
-    def _combine(self, values) -> np.ndarray:
-        return np.tensordot(np.asarray(values, dtype=float), self.modes, axes=1)
+    def combine(self, values) -> np.ndarray:
+        """Fields sum_j values_j eta_j (..., *grid.shape) of chain values (..., J).
+
+        Each row is its own (1, J) @ (J, npoints) product, so its rounding does
+        not depend on the batch it is in (see generator._DirData).
+        """
+        v = np.asarray(values, dtype=float)
+        rows = v.reshape(math.prod(v.shape[:-1]), 1, self.n_modes)
+        return np.matmul(rows, self._modes_flat).reshape(v.shape[:-1] + self.grid.shape)
 
     def values(self, state_indices) -> np.ndarray:
         """Chain values (..., J) of the chain state indices (..., J)."""
@@ -374,12 +383,12 @@ class NoiseModel:
 
     def field(self, state_indices) -> np.ndarray:
         """m(x) for the given chain states."""
-        return self._combine(self.values(state_indices))
+        return self.combine(self.values(state_indices))
 
     def m_inverse_field(self, state_indices) -> np.ndarray:
         """M^{-1}I(n)(x) = sum_j phi_j(n_j) eta_j(x)."""
         vals = [p[i] for p, i in zip(self.poisson_identity, state_indices)]
-        return self._combine(vals)
+        return self.combine(vals)
 
     def kernel_and_trace(self):
         """Covariance kernel k(x,y) (flattened grid x grid) and its trace F(x).
@@ -404,7 +413,7 @@ class NoiseModel:
         if f.shape != self.grid.shape:
             raise ValueError("field does not live on the model grid")
         proj = np.array([self.grid.inner(m, f) for m in self.modes])
-        return self._combine(self.coefficients * proj)
+        return self.combine(self.coefficients * proj)
 
     # ---- sampling ---------------------------------------------------
 

@@ -38,7 +38,7 @@ DENSE_HEAT_MAX_N = 128
 
 
 class LimitOverflowError(RuntimeError):
-    """A limit trajectory's record overflowed to inf or nan."""
+    """A limit record's L2 norm exceeded kinetic.OVERFLOW_NORM or is not finite."""
 
 
 @dataclass
@@ -129,7 +129,7 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
         spare = np.empty_like(rho)
     noise = np.empty((batch, grid.npoints))
     # a member that overflows carries inf or nan into its record, which the
-    # caller counts as a failure (harness._limit_chunk)
+    # caller counts as a failure (harness.limit_batch)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             if dense:

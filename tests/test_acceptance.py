@@ -72,7 +72,7 @@ def test_criterion_01_deterministic_diffusion_limit():
         scfg = kinetic.SolverConfig(eps, cfg.dt_factor, T)
         res = kinetic.solve_trajectory(f0, scfg, vm, grid, nm,
                                        make_stream(cfg.base_seed, 0, e_idx, 0), [T])
-        errors.append(grid.norm(res.rho[-1] - exact))
+        errors.append(grid.norm(res.rho[0, -1] - exact))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     ok = decreasing and errors[-1] < 2e-2
     report(1, "deterministic diffusion limit", ok,

@@ -313,7 +313,7 @@ def test_trajectory_flag_is_the_ensemble_member(tmp_path, trajectory):
     cfg = load_config(path)
     chunk = list(range(harness.CHUNK))
     kin = harness.kinetic_batch(cfg, 1, chunk)
-    lim_times, lim = harness.limit_batch(cfg, chunk)
+    lim_times, lim, _ = harness.limit_batch(cfg, chunk)
     for argv, name, times, want in (
             (["simulate-kinetic", "--eps-index", "1"], "kinetic_series.csv",
              kin.times, kin.rho[trajectory]),
@@ -341,7 +341,8 @@ def test_simulate_spde_reports_an_overflowing_member(tmp_path, capsys):
     cfg = tmp_path / "loud.json"
     cfg.write_text(json.dumps(data))
     assert main(["simulate-spde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "run failed: LimitOverflowError: the record is not finite" in capsys.readouterr().err
+    assert ("run failed: LimitOverflowError: ||rho||_L2 exceeded 1e+12 or is not finite"
+            in capsys.readouterr().err)
 
 
 def test_out_flag_overrides_directory(tmp_path):

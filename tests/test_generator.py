@@ -290,7 +290,7 @@ class TestBatchOracle:
         batch, n_times = 7, 3
         n = self._all_chain_states(nm, batch)
         joint = GeneratorInstrument(bundles_, self.EPS, n_times, batch)
-        solo = [GeneratorInstrument(b, self.EPS, n_times, batch) for b in bundles_]
+        solo = [GeneratorInstrument([b], self.EPS, n_times, batch) for b in bundles_]
         for i in range(n_times):
             f = np.stack([random_smooth_field(grid, vm.n_velocities, rng, amplitude=0.5) + 1.0
                           for _ in range(batch)])
@@ -299,7 +299,7 @@ class TestBatchOracle:
         for k, one in enumerate(solo):
             for name in ("values", "gens", "brackets"):
                 assert np.shape(getattr(joint, name)) == (len(funcs), batch, n_times)
-                assert np.array_equal(getattr(joint, name)[k], getattr(one, name)), (k, name)
+                assert np.array_equal(getattr(joint, name)[k], getattr(one, name)[0]), (k, name)
 
     def test_state_is_the_shared_record_plus_its_pairings(self):
         grid, vm, nm = self._model(2, 2)
@@ -354,9 +354,9 @@ class TestGeneratorEps:
                                   VM, nm, GRID)
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
         f = vel.lift(VM, rho)
-        ins = GeneratorInstrument(b, 0.1, 1)
+        ins = GeneratorInstrument([b], 0.1, 1)
         ins.observe(0, f[None], np.zeros((1, 0), dtype=int))
-        assert abs(ins.gens[0, 0]) < 1e-12
+        assert abs(ins.gens[0][0, 0]) < 1e-12
 
     def test_epsilon_scaling_ratio(self):
         # residual |L_eps phi_eps - L phi| halves when eps halves
@@ -431,15 +431,15 @@ class TestMartingale:
         f0 = vel.lift(vmm, 1.0 + 0.5 * np.cos(2 * np.pi * x))
         cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=T)
         times = np.linspace(0.0, T, n_times)
-        ins = [GeneratorInstrument(PerturbedTestFunction(
-            TestFunctional(kind, np.ones(grid.shape)), vmm, nm, grid), eps, n_times, n_traj)
-            for kind in kinds]
+        ins = GeneratorInstrument([PerturbedTestFunction(
+            TestFunctional(kind, np.ones(grid.shape)), vmm, nm, grid) for kind in kinds],
+            eps, n_times, n_traj)
         rngs = [make_stream(seed, 0, 0, i) for i in range(n_traj)]
-        res = kinetic.solve_batch(f0, cfg, vmm, grid, nm, rngs, times, instruments=ins)
+        res = kinetic.solve_batch(f0, cfg, vmm, grid, nm, rngs, times, observer=ins)
         assert res.failures == {}
-        values = {k: one.values for k, one in zip(kinds, ins)}
-        gens = {k: one.gens for k, one in zip(kinds, ins)}
-        bracks = {k: one.brackets for k, one in zip(kinds, ins)}
+        values = dict(zip(kinds, ins.values))
+        gens = dict(zip(kinds, ins.gens))
+        bracks = dict(zip(kinds, ins.brackets))
         return res.times, values, gens, bracks
 
     def test_zero_noise_reduces_to_quadrature_error(self):
@@ -486,18 +486,18 @@ class TestMartingale:
         weights = [TestFunctional(kind, 1.0 + 0.3 * np.cos(2 * np.pi * x))
                    for kind in ("linear", "quadratic")]
         bundles_ = [PerturbedTestFunction(tf, VM, nm, grid) for tf in weights]
-        ins = [GeneratorInstrument(bd, eps, len(times), len(paths)) for bd in bundles_]
-        res = kinetic.solve_batch(f0, cfg, VM, grid, nm, None, times, instruments=ins,
+        ins = GeneratorInstrument(bundles_, eps, len(times), len(paths))
+        res = kinetic.solve_batch(f0, cfg, VM, grid, nm, None, times, observer=ins,
                                   paths=paths)
         assert list(res.failures) == [1]
         assert isinstance(res.failures[1], kinetic.TrajectoryOverflowError)
         for m in res.finished:
-            solo = [GeneratorInstrument(bd, eps, len(times)) for bd in bundles_]
-            kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, instruments=solo,
+            solo = GeneratorInstrument(bundles_, eps, len(times))
+            kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, observer=solo,
                                      path=paths[m])
-            for one, batch in zip(solo, ins):
+            for k in range(len(bundles_)):
                 for name in ("values", "gens", "brackets"):
-                    row, want = getattr(batch, name)[m], getattr(one, name)[0]
+                    row, want = getattr(ins, name)[k][m], getattr(solo, name)[k][0]
                     assert np.all(np.isfinite(row))
                     assert np.allclose(row, want, rtol=1e-10, atol=1e-10), (m, name)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kindiff import harness, kinetic
+from kindiff import cli, harness, kinetic, spde
 from kindiff import noise as nz
 from kindiff import velocity as vel
 from kindiff.config import ConfigError, parse_config
@@ -142,7 +142,7 @@ class TestRunEnsemble:
     def test_failure_accounting(self):
         cfg = small_config()
         res = harness.run_ensemble(cfg)
-        assert res.failure_counts == {0.4: 0, 0.2: 0}
+        assert res.failure_counts == {0.4: 0, 0.2: 0, "limit": 0}
 
     def test_times_are_the_solver_step_times(self):
         # dt = 0.1 * 0.4^2 = 0.016 does not divide the output spacing 0.012
@@ -251,7 +251,7 @@ class TestRunEnsemble:
             streams = [harness.make_stream(cfg.base_seed, harness.KIN_NS, e_idx, i)
                        for i in range(40)]
             margins = [kinetic.solve_trajectory(f0, scfg, vm, grid, nm, rng,
-                                                cfg.output_times).gronwall_margin
+                                                cfg.output_times).gronwall_margin[0]
                        for rng in streams]
             assert res.kinetic[eps].gronwall_margin_max == pytest.approx(max(margins), abs=1e-12)
             assert res.kinetic[eps].gronwall_margin_max <= 0.0
@@ -260,8 +260,8 @@ class TestRunEnsemble:
 def assert_parts_equal(a, b):
     assert (a.attempted, a.failures) == (b.attempted, b.failures)
     assert a.gronwall_margin_max == b.gronwall_margin_max
-    for x, y in zip(a.functional_stats + [a.rho_mean, a.norm2, a.norm4, a.sup_norm2],
-                    b.functional_stats + [b.rho_mean, b.norm2, b.norm4, b.sup_norm2]):
+    for x, y in zip(a.functional_stats + [a.rho_mean, a.norm2, a.norm4],
+                    b.functional_stats + [b.rho_mean, b.norm2, b.norm4]):
         assert x.count == y.count
         assert np.array_equal(x.mean, y.mean) and np.array_equal(x.m2, y.m2)
     assert a.samples.keys() == b.samples.keys()
@@ -646,7 +646,7 @@ class TestChainTables:
                                  for label in ("cos:1", "sin:1")]
         cfg = parse_config(raw)
         res = harness.run_ensemble(cfg, workers=1)
-        assert res.failure_counts == {0.4: 0, 0.2: 0} and res.limit.attempted == 8
+        assert res.failure_counts == {0.4: 0, 0.2: 0, "limit": 0} and res.limit.attempted == 8
         with pytest.raises(ValueError, match=r"mode pair \(0, 1\)"):
             harness._kinetic_job(cfg, 0, [[0]], True)
 
@@ -659,9 +659,24 @@ def shipped_with_amplitude(name, amplitude):
 
 
 class TestLimitFailures:
-    """A limit member whose record is not finite is a failure, excluded from the statistics."""
+    """A limit member fails when one of its records has an L2 norm above the
+    overflow guard or one that is not finite; it is excluded from the statistics."""
 
-    MESSAGE = "LimitOverflowError: the record is not finite"
+    MESSAGE = (f"LimitOverflowError: ||rho||_L2 exceeded {kinetic.OVERFLOW_NORM:g} "
+               "or is not finite")
+
+    @staticmethod
+    def _poison(monkeypatch, batch, row, value):
+        """Write value into a record of the given row of every limit batch of that size."""
+        solve = spde.solve_spde_batch
+
+        def poisoned(*args):
+            series = solve(*args)
+            if series.shape[0] == batch:
+                series[row, -1, 0] = value
+            return series
+
+        monkeypatch.setattr(spde, "solve_spde_batch", poisoned)
 
     def test_an_overflowing_chunk_fails_every_member(self):
         cfg = shipped_with_amplitude("standard.json", 300.0)
@@ -670,17 +685,24 @@ class TestLimitFailures:
         assert acc.attempted == 8 and acc.rho_mean.count == 0
         assert all(st.count == 0 for st in acc.functional_stats)
 
+    def test_a_huge_finite_chunk_fails_every_member(self):
+        # at amplitude 100 every record is finite, up to about 1e148, and the
+        # squares of the functionals would overflow the variance to inf
+        cfg = shipped_with_amplitude("standard.json", 100.0)
+        _, series, failures = harness.limit_batch(cfg, list(range(8)))
+        assert np.all(np.isfinite(series)) and np.max(np.abs(series)) > 1e100
+        assert sorted(failures) == list(range(8))
+        acc = harness._limit_chunk(cfg, list(range(8)))
+        assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
+        assert all(st.count == 0 for st in acc.functional_stats + [acc.rho_mean])
+        clean = harness._limit_chunk(parse_config(SHIPPED["standard.json"]), list(range(8)))
+        for st in clean.merge(acc).functional_stats:
+            assert st.count == 8 and np.all(np.isfinite(st.m2))
+
     def test_only_the_member_that_is_not_finite_is_dropped(self, monkeypatch):
         cfg = small_config(ensemble=8)
         clean = harness._limit_chunk(cfg, list(range(8)))
-        limit_batch = harness.limit_batch
-
-        def poisoned(cfg_, indices):
-            times, series = limit_batch(cfg_, indices)
-            series[indices.index(3), -1, 0] = np.nan
-            return times, series
-
-        monkeypatch.setattr(harness, "limit_batch", poisoned)
+        self._poison(monkeypatch, 8, 3, np.nan)
         acc = harness._limit_chunk(cfg, list(range(8)))
         assert acc.failures == [(3, self.MESSAGE)]
         assert acc.rho_mean.count == 7
@@ -689,16 +711,23 @@ class TestLimitFailures:
             assert np.array_equal(acc.samples[name], np.delete(samples, 3))
 
     def test_too_many_limit_failures_abort_the_run(self, monkeypatch):
-        limit_batch = harness.limit_batch
-
-        def poisoned(cfg_, indices):
-            times, series = limit_batch(cfg_, indices)
-            if 37 in indices:
-                series[indices.index(37)] = np.inf
-            return times, series
-
-        monkeypatch.setattr(harness, "limit_batch", poisoned)
+        # member 37 is row 5 of the second limit chunk, the only one of 8 members
+        self._poison(monkeypatch, 8, 5, np.inf)
         cfg = small_config(ensemble=40)
         with pytest.raises(harness.TooManyFailuresError,
                            match="failures in the limit ensemble: 1/40"):
             harness.run_ensemble(cfg, workers=1)
+
+    def test_limit_failures_reach_the_manifest(self, tmp_path):
+        # at amplitude 45 and this seed one limit member of 100 overflows, within
+        # MAX_FAILURE_FRACTION; the energy bound keeps every kinetic member far
+        # below the guard
+        raw = copy.deepcopy(small_config(ensemble=100, seed=1).raw)
+        raw["noise"]["modes"][0]["amplitude"] = 45.0
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["converge", "--config", str(path), "--out", str(out)]) in (0, 3)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["failure_counts"] == {"0.40000000000000002": 0,
+                                              "0.20000000000000001": 0, "limit": 1}

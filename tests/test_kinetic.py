@@ -165,7 +165,7 @@ class TestSolveTrajectory:
         res = kinetic.solve_trajectory(f0, cfg, VM, GRID, nm,
                                        make_stream(4, 0, 0, 0), [T])
         exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * X)
-        assert GRID.norm(res.rho[-1] - exact) < 2e-2
+        assert GRID.norm(res.rho[0, -1] - exact) < 2e-2
 
     def test_zero_initial_data(self):
         nm = _const_noise()
@@ -181,7 +181,7 @@ class TestSolveTrajectory:
         cfg = kinetic.SolverConfig(epsilon=0.1, dt_factor=0.1, final_time=0.1)
         res = kinetic.solve_trajectory(f0, cfg, VM, GRID, nm,
                                        make_stream(6, 0, 0, 0), [0.0, 0.05, 0.1])
-        masses = res.rho.mean(axis=1)
+        masses = res.rho[0].mean(axis=1)
         assert np.max(np.abs(masses - masses[0])) < 1e-10
 
     def test_positivity_smooth_data(self):
@@ -199,7 +199,7 @@ class TestSolveTrajectory:
         cfg = kinetic.SolverConfig(epsilon=0.1, dt_factor=0.1, final_time=0.3)
         res = kinetic.solve_trajectory(f0, cfg, VM, GRID, nm,
                                        make_stream(8, 0, 0, 0), [0.3])
-        assert res.gronwall_margin <= 0.0
+        assert res.gronwall_margin[0] <= 0.0
 
     def test_determinism(self):
         nm = _const_noise()
@@ -327,8 +327,8 @@ class TestBatchStepper:
                 assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, f))) <= 1e-12
             assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
             solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
-            assert np.max(np.abs(solo.rho - res.rho[b])) <= 1e-12
-            assert np.array_equal(solo.state_indices, res.state_indices[b])
+            assert np.max(np.abs(solo.rho[0] - res.rho[b])) <= 1e-12
+            assert np.array_equal(solo.state_indices[0], res.state_indices[b])
 
     def test_matches_advance_dim1(self):
         nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0),), nz.make_mode(GRID, "cos:1")[None])
@@ -370,7 +370,7 @@ class TestBatchStepper:
         assert res.finished == [0, 2, 3]
         for b in res.finished:
             solo = kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[b])
-            assert np.max(np.abs(solo.rho - res.rho[b])) <= 1e-12
-            assert solo.gronwall_margin == res.gronwall_margin[b]
+            assert np.max(np.abs(solo.rho[0] - res.rho[b])) <= 1e-12
+            assert solo.gronwall_margin[0] == res.gronwall_margin[b]
         with pytest.raises(kinetic.TrajectoryOverflowError):
-            res.member(1)
+            kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[1])

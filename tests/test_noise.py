@@ -321,6 +321,39 @@ class TestPoisson:
         assert np.max(np.abs(ch.rates @ phi - theta_c)) < 1e-10
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_pair_solve_with_a_zero_chain(self, seed):
+        # both solves share one core; G (+) 0 is G and pi x (1) is pi exactly
+        rng = np.random.default_rng(300 + seed)
+        chains = [random_chain(rng, n_states=int(rng.integers(3, 8))),
+                  nz.telegraph(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))]
+        for ch in chains:
+            theta = rng.uniform(-2, 2, ch.n_states)
+            pair = nz.solve_poisson_pair(ch, nz.zero_chain(), theta[:, None])
+            assert np.array_equal(nz.solve_poisson(ch, theta), pair[:, 0])
+
+
+class TestCombine:
+    """`NoiseModel.combine` maps each row of chain values to its field alone."""
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_equal_each_row_combined_alone(self, dim, n_modes):
+        grid = TorusGrid(dim, 8)
+        rng = np.random.default_rng(10 * dim + n_modes)
+        modes = rng.standard_normal((n_modes,) + grid.shape)
+        model = nz.NoiseModel(grid, (nz.telegraph(1.0, 1.0),) * n_modes, modes)
+        values = rng.standard_normal((37, 3, n_modes))
+        fields = model.combine(values)
+        assert fields.shape == (37, 3) + grid.shape
+        for idx in np.ndindex(37, 3):
+            assert np.array_equal(fields[idx], model.combine(values[idx]))
+            assert np.array_equal(fields[idx], model.combine(values[idx][None])[0])
+        want = np.tensordot(values, modes, axes=1)
+        assert np.allclose(fields, want, rtol=1e-14, atol=1e-14)
+        assert model.field(np.zeros(n_modes, dtype=int)).shape == grid.shape
+
+
 class TestAutocovariance:
     def test_telegraph_formula(self):
         sigma, lam = 1.4, 2.2
