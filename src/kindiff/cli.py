@@ -10,6 +10,7 @@ simulate-spde failed, or too many trajectories of one converge ensemble did).
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -31,6 +32,12 @@ RATIO_BAND = (1.5, 2.5)  # accepted residual-halving band for eps -> eps/2
 # normalised residuals below this are rounding of an exact cancellation, so
 # their ratio carries no scaling information
 RESIDUAL_FLOOR = 1e-12
+# flag bounds, checked before any work: noise-stats paths, its expected jumps
+# per path (--horizon x the largest chain exit rate), and the doubles held by
+# the diagnose-generator states (--states x grid points x velocities)
+MAX_NOISE_PATHS = 10 ** 6
+MAX_PATH_JUMPS = 10 ** 6
+MAX_STATE_VALUES = 10 ** 7
 
 
 def _fmt(x) -> str:
@@ -91,10 +98,14 @@ def cmd_coeffs(cfg, args):
 
 def cmd_noise_stats(cfg, args):
     nm = cfg.noise
-    if args.paths < 100:
-        raise ConfigError("noise-stats needs at least 100 paths")
+    if not 100 <= args.paths <= MAX_NOISE_PATHS:
+        raise ConfigError(f"noise-stats needs between 100 and {MAX_NOISE_PATHS} paths")
     if not 0 < args.horizon < np.inf:
         raise ConfigError("noise-stats needs a positive, finite --horizon")
+    rate = max([float(ch.exit_rates.max()) for ch in nm.chains], default=0.0)
+    if args.horizon * rate > MAX_PATH_JUMPS:
+        raise ConfigError(f"noise-stats: --horizon {args.horizon:g} at exit rate {rate:g} "
+                          f"expects more than {MAX_PATH_JUMPS} jumps per path")
     rows = []
     for j, ch in enumerate(nm.chains):
         rng = harness.make_stream(cfg.base_seed, harness.NOISE_NS, j, 0)
@@ -114,16 +125,20 @@ def cmd_noise_stats(cfg, args):
     return 3 if any(bad) else 0
 
 
-def _series_rows(times, series, functionals, grid, functionals_only):
-    if functionals_only:
-        vals = harness._functional_values(functionals, grid, series)
-        header = ["time"] + [t.name for t in functionals]
-        rows = [(times[i], *vals[:, i]) for i in range(len(times))]
+def _write_trajectory(cfg, args, command, times, series, failures, extra):
+    """Raise row 0's failure, else write its <kind>_series.csv and the manifest."""
+    if failures:
+        raise failures[0]
+    if args.functionals_only:
+        vals = harness._functional_values(cfg.functionals, cfg.grid, series[0])
+        header = ["time"] + [t.name for t in cfg.functionals]
     else:
-        flat = series.reshape(series.shape[0], -1)
-        header = ["time"] + [f"rho_{i}" for i in range(flat.shape[1])]
-        rows = [(times[i], *flat[i]) for i in range(len(times))]
-    return header, rows
+        vals = series[0].reshape(len(times), -1).T
+        header = ["time"] + [f"rho_{i}" for i in range(vals.shape[0])]
+    name = command.replace("simulate-", "") + "_series.csv"
+    _write_csv(os.path.join(args.out, name), header,
+               [(t, *vals[:, i]) for i, t in enumerate(times)])
+    _write_manifest(args.out, command, cfg, {**extra, "trajectory": args.trajectory})
 
 
 def cmd_simulate_kinetic(cfg, args):
@@ -133,13 +148,8 @@ def cmd_simulate_kinetic(cfg, args):
         raise ConfigError(f"--eps-index must lie in [0, {len(cfg.epsilons) - 1}]")
     eps = cfg.epsilons[args.eps_index]
     res = harness.kinetic_batch(cfg, args.eps_index, [args.trajectory])
-    if res.failures:
-        raise res.failures[0]
-    header, rows = _series_rows(res.times, res.rho[0], cfg.functionals, cfg.grid,
-                                args.functionals_only)
-    _write_csv(os.path.join(args.out, "kinetic_series.csv"), header, rows)
-    _write_manifest(args.out, "simulate-kinetic", cfg,
-                    {"epsilon": eps, "trajectory": args.trajectory})
+    _write_trajectory(cfg, args, "simulate-kinetic", res.times, res.rho, res.failures,
+                      {"epsilon": eps})
     print(f"kinetic trajectory at epsilon={eps}: "
           f"{len(res.times)} records, sup ||f||^2 = {res.sup_norm2[0]:.6g}")
     return 0
@@ -149,12 +159,7 @@ def cmd_simulate_spde(cfg, args):
     if args.trajectory < 0:
         raise ConfigError("--trajectory must be nonnegative")
     times, series, failures = harness.limit_batch(cfg, [args.trajectory])
-    if failures:
-        raise failures[0]
-    header, rows = _series_rows(times, series[0], cfg.functionals, cfg.grid,
-                                args.functionals_only)
-    _write_csv(os.path.join(args.out, "spde_series.csv"), header, rows)
-    _write_manifest(args.out, "simulate-spde", cfg, {"trajectory": args.trajectory})
+    _write_trajectory(cfg, args, "simulate-spde", times, series, failures, {})
     print(f"limit trajectory: {len(times)} records")
     return 0
 
@@ -170,23 +175,17 @@ def cmd_converge(cfg, args):
     result = harness.run_ensemble(cfg, workers=args.workers)
     rows, verdicts = harness.weak_error_table(result)
     _write_csv(os.path.join(args.out, "weak_error.csv"),
-               ["functional", "epsilon", "error", "ci", "ratio",
-                "kin_mean", "kin_stderr", "lim_mean", "lim_stderr"],
-               [(r.functional, r.epsilon, r.error, r.ci, r.ratio,
-                 r.kin_mean, r.kin_stderr, r.lim_mean, r.lim_stderr) for r in rows])
+               [f.name for f in dataclasses.fields(harness.WeakErrorRow)],
+               [dataclasses.astuple(r) for r in rows])
 
     stat_rows = []
-    for eps, ens in result.kinetic.items():
+    ensembles = [(_fmt(eps), ens) for eps, ens in result.kinetic.items()]
+    for label, ens in ensembles + [("limit", result.limit)]:
         for name, st in zip(ens.functional_names, ens.functional_stats):
             for i, t in enumerate(ens.times):
-                stat_rows.append((_fmt(eps), name, t, np.asarray(st.mean)[i],
+                stat_rows.append((label, name, t, np.asarray(st.mean)[i],
                                   np.asarray(st.variance)[i], st.count,
                                   np.asarray(st.stderr)[i]))
-    for name, st in zip(result.limit.functional_names, result.limit.functional_stats):
-        for i, t in enumerate(result.limit.times):
-            stat_rows.append(("limit", name, t, np.asarray(st.mean)[i],
-                              np.asarray(st.variance)[i], st.count,
-                              np.asarray(st.stderr)[i]))
     _write_csv(os.path.join(args.out, "ensemble_stats.csv"),
                ["epsilon", "functional", "time", "mean", "variance", "count", "stderr"],
                stat_rows)
@@ -194,7 +193,7 @@ def cmd_converge(cfg, args):
     dists = harness.mean_field_distances(result, eta=args.eta)
     _write_csv(os.path.join(args.out, "mean_field_distance.csv"),
                ["epsilon", "h_minus_eta"],
-               [(eps, dists[eps]) for eps in result.epsilons])
+               [(eps, dists[eps]) for eps in cfg.epsilons])
 
     f0 = vel.lift(cfg.velocity, cfg.rho0)
     f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
@@ -202,10 +201,9 @@ def cmd_converge(cfg, args):
     _write_csv(os.path.join(args.out, "moment_bounds.csv"),
                ["epsilon", "sup_E_norm2", "sup_E_norm4", "bound_p2", "bound_p4"],
                [(eps, moments.sup_p2[eps], moments.sup_p4[eps],
-                 moments.bound_p2, moments.bound_p4) for eps in result.epsilons])
+                 moments.bound_p2, moments.bound_p4) for eps in cfg.epsilons])
 
-    eps_sorted = list(result.epsilons)
-    dist_monotone = all(dists[a] > dists[b] for a, b in zip(eps_sorted, eps_sorted[1:]))
+    dist_monotone = all(dists[a] > dists[b] for a, b in zip(cfg.epsilons, cfg.epsilons[1:]))
     ok = all(v == "consistent with convergence" for v in verdicts.values())
     _write_manifest(args.out, "converge", cfg, {
         "verdicts": verdicts,
@@ -223,7 +221,7 @@ def cmd_converge(cfg, args):
     for name, v in verdicts.items():
         print(f"{name}: {v}")
     print(f"H^-{args.eta} mean-field distances: "
-          + ", ".join(f"eps={e:g}: {dists[e]:.3e}" for e in eps_sorted)
+          + ", ".join(f"eps={e:g}: {dists[e]:.3e}" for e in cfg.epsilons)
           + ("  (monotone)" if dist_monotone else "  (not monotone)"))
     print(f"moment bounds: {'ok' if moments.ok else 'violated at ' + str(moments.offender)}")
     return 0 if ok and moments.ok and dist_monotone else 3
@@ -235,6 +233,9 @@ def cmd_diagnose_generator(cfg, args):
         raise ConfigError("diagnose-generator needs at least two epsilons")
     if args.states < 2:
         raise ConfigError("diagnose-generator needs --states >= 2")
+    if args.states * grid.npoints * vm.n_velocities > MAX_STATE_VALUES:
+        raise ConfigError(f"diagnose-generator: --states x grid points x velocities must be "
+                          f"at most {MAX_STATE_VALUES}")
     rng = harness.make_stream(cfg.base_seed, harness.DIAG_NS, 0, 0)
     states = []
     for _ in range(args.states):

@@ -16,6 +16,7 @@ from . import spde
 from . import velocity as vel
 from .generator import TestFunctional
 from .grid import TorusGrid
+from .kinetic import SolverConfig
 from .noise import ChainSpec, NoiseModel
 from .velocity import VelocityModel
 
@@ -299,19 +300,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not 0 < dt_factor <= 1:
         raise ConfigError("solver.dt_factor must lie in (0, 1]")
     for e in epsilons:
-        dt = dt_factor * e * e
-        steps = final_time / dt if dt > 0 else np.inf
-        if not np.isfinite(steps):
-            raise ConfigError(f"final_time / (dt_factor * eps^2) overflows at eps={e}")
-        if round(steps) > MAX_STEPS:
-            raise ConfigError(f"experiment.epsilons: {round(steps)} kinetic steps at eps={e} "
+        try:
+            n_steps = SolverConfig(e, dt_factor, final_time).n_steps
+        except ValueError as exc:
+            raise ConfigError(f"experiment.epsilons: {exc}") from exc
+        if n_steps > MAX_STEPS:
+            raise ConfigError(f"experiment.epsilons: {n_steps} kinetic steps at eps={e} "
                               f"exceed the limit of {MAX_STEPS} per trajectory")
-        if abs(round(steps) * dt - final_time) > 1e-9 * final_time:
-            raise ConfigError(
-                f"final_time must be an integer number of macroscopic steps "
-                f"(dt_factor * eps^2) at eps={e}; nearest valid values are "
-                f"{np.floor(steps) * dt:.6g} and {np.ceil(steps) * dt:.6g}"
-            )
     ensemble = _integer(exp["ensemble_size"], "experiment.ensemble_size")
     if ensemble < 1:
         raise ConfigError("experiment.ensemble_size must be positive")

@@ -260,8 +260,7 @@ def _chunk_job(args):
 @dataclass
 class EnsembleResult:
     config: ExperimentConfig
-    epsilons: list
-    kinetic: dict          # eps -> EpsEnsemble
+    kinetic: dict          # eps -> EpsEnsemble, in config.epsilons order
     limit: EpsEnsemble
 
     @property
@@ -313,7 +312,7 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
             raise TooManyFailuresError(
                 f"too many trajectory failures {where}: {len(acc.failures)}/{acc.attempted}")
     kin = {eps: folded[e_idx] for e_idx, eps in enumerate(cfg.epsilons)}
-    return EnsembleResult(cfg, list(cfg.epsilons), kin, folded.get(None))
+    return EnsembleResult(cfg, kin, folded.get(None))
 
 
 # ---------------------------------------------------------------------------
@@ -346,55 +345,41 @@ class WeakErrorRow:
     lim_stderr: float
 
 
-def check_comparison_time(cfg: ExperimentConfig, time_index: int = -1):
-    """Raise ConfigError unless every ensemble will record output time_index at one time.
+def check_comparison_time(cfg: ExperimentConfig):
+    """Raise ConfigError unless every ensemble records the last output time at one time.
 
-    Works from the config alone, so that converge can refuse a config before
-    any trajectory is run; _check_same_time makes the same check on a result.
+    The limit ensemble snaps its output times to the spde_steps grid and each
+    kinetic ensemble to its own step times k * dt.  Works from the config
+    alone, so that converge can refuse a config before any trajectory is run.
     """
     dt = cfg.final_time / cfg.spde_steps
-    t_lim = kinetic.snap_steps(cfg.output_times, dt, cfg.spde_steps)[time_index] * dt
+    t_lim = kinetic.snap_steps(cfg.output_times, dt, cfg.spde_steps)[-1] * dt
     for eps in cfg.epsilons:
-        kdt, n_steps = kinetic.step_grid(kinetic.SolverConfig(
-            epsilon=eps, dt_factor=cfg.dt_factor, final_time=cfg.final_time))
-        t_kin = kinetic.snap_steps(cfg.output_times, kdt, n_steps)[time_index] * kdt
+        scfg = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time)
+        t_kin = kinetic.snap_steps(cfg.output_times, scfg.dt, scfg.n_steps)[-1] * scfg.dt
         if abs(t_kin - t_lim) > 1e-9 * cfg.final_time:
-            raise ConfigError(f"output time {cfg.output_times[time_index]} is recorded at "
+            raise ConfigError(f"output time {cfg.output_times[-1]} is recorded at "
                               f"t={t_kin} at epsilon={eps} but at t={t_lim} in the limit "
                               f"ensemble; choose a time on both step grids")
 
 
-def _check_same_time(result: EnsembleResult, time_index: int):
-    """Refuse to compare kinetic and limit records taken at different times.
-
-    The limit ensemble snaps its output times to the spde_steps grid and each
-    kinetic ensemble to its own step times k * dt, so only some indices agree.
-    """
-    t_lim = float(result.limit.times[time_index])
-    for eps, ens in result.kinetic.items():
-        t_kin = float(ens.times[time_index])
-        if abs(t_kin - t_lim) > 1e-9 * result.config.final_time:
-            raise ValueError(f"time index {time_index}: the kinetic ensemble at "
-                             f"epsilon={eps} is at t={t_kin}, the limit at t={t_lim}")
-
-
-def weak_error_table(result: EnsembleResult, time_index: int = -1):
-    """Per-functional weak errors |E phi(rho_eps) - E phi(rho)| with CIs and verdicts."""
-    if len(result.epsilons) < 2:
+def weak_error_table(result: EnsembleResult):
+    """Per-functional weak errors |E phi(rho_eps) - E phi(rho)| at the last output time."""
+    if len(result.config.epsilons) < 2:
         raise ValueError("need at least two epsilon values")
-    _check_same_time(result, time_index)
+    check_comparison_time(result.config)
     rows, verdicts = [], {}
     names = result.limit.functional_names
     for k, name in enumerate(names):
         lim_stat = result.limit.functional_stats[k]
-        lm = float(np.asarray(lim_stat.mean)[time_index])
-        ls = float(np.asarray(lim_stat.stderr)[time_index])
+        lm = float(np.asarray(lim_stat.mean)[-1])
+        ls = float(np.asarray(lim_stat.stderr)[-1])
         errors, cis = [], []
         prev_err = None
-        for eps in result.epsilons:
+        for eps in result.config.epsilons:
             stat = result.kinetic[eps].functional_stats[k]
-            km = float(np.asarray(stat.mean)[time_index])
-            ks = float(np.asarray(stat.stderr)[time_index])
+            km = float(np.asarray(stat.mean)[-1])
+            ks = float(np.asarray(stat.stderr)[-1])
             err = abs(km - lm)
             ci = 3.0 * float(np.hypot(ks, ls))
             ratio = np.nan if prev_err is None else (prev_err / err if err > 0 else np.inf)
@@ -409,14 +394,13 @@ def weak_error_table(result: EnsembleResult, time_index: int = -1):
     return rows, verdicts
 
 
-def mean_field_distances(result: EnsembleResult, eta: float = 1.0,
-                         time_index: int = -1) -> dict:
-    """H^{-eta} distance between kinetic and limit ensemble-mean densities."""
-    _check_same_time(result, time_index)
+def mean_field_distances(result: EnsembleResult, eta: float = 1.0) -> dict:
+    """H^{-eta} distance between kinetic and limit ensemble-mean densities at the last output."""
+    check_comparison_time(result.config)
     grid = result.config.grid
-    ref = np.asarray(result.limit.rho_mean.mean)[time_index]
+    ref = np.asarray(result.limit.rho_mean.mean)[-1]
     return {
-        eps: sobolev_distance(np.asarray(ens.rho_mean.mean)[time_index], ref, eta, grid)
+        eps: sobolev_distance(np.asarray(ens.rho_mean.mean)[-1], ref, eta, grid)
         for eps, ens in result.kinetic.items()
     }
 
@@ -450,7 +434,7 @@ def uniform_moment_check(result: EnsembleResult, f0_norm2: float) -> MomentRepor
         if offender is None and sup4[eps] > bound4:
             t = float(ens.times[int(np.argmax(m4))])
             offender = (eps, t, sup4[eps])
-    seq = [sup2[e] for e in result.epsilons]
+    seq = [sup2[e] for e in result.config.epsilons]
     trend = all(b <= a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
     return MomentReport(sup2, sup4, bound2, bound4, offender is None,
                         trend, offender)

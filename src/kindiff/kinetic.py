@@ -21,7 +21,7 @@ batch order, whose chain values are read once through `NoiseModel.values`.
 `solve_trajectory` is its batch of one and raises that member's failure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,13 @@ class GronwallViolationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """One kinetic run's step grid: final_time must be n_steps whole steps dt."""
+
     epsilon: float
     dt_factor: float = 0.1  # macroscopic step is dt_factor * epsilon^2
     final_time: float = 1.0
+    dt: float = field(init=False)
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -55,6 +59,16 @@ class SolverConfig:
             raise ValueError("dt_factor must lie in (0, 1]")
         if self.final_time <= 0.0:
             raise ValueError("final_time must be positive")
+        dt = self.dt_factor * self.epsilon * self.epsilon
+        steps = self.final_time / dt if dt > 0 else np.inf
+        if not np.isfinite(steps):
+            raise ValueError(f"final_time / (dt_factor * eps^2) overflows at eps={self.epsilon}")
+        if abs(round(steps) * dt - self.final_time) > 1e-9 * self.final_time:
+            raise ValueError(
+                f"final_time must be an integer number of macroscopic steps "
+                f"(dt_factor * eps^2) at eps={self.epsilon}; nearest valid values are "
+                f"{np.floor(steps) * dt:.6g} and {np.ceil(steps) * dt:.6g}")
+        self.dt, self.n_steps = dt, int(round(steps))
 
 
 def step_transport(f, tau, eps, model: VelocityModel, grid: TorusGrid):
@@ -117,15 +131,6 @@ class BatchResult:
         return [b for b in range(self.sup_norm2.shape[0]) if b not in self.failures]
 
 
-def step_grid(config: SolverConfig):
-    """(dt, n_steps): the macroscopic step and the step count reaching final_time."""
-    dt = config.dt_factor * config.epsilon * config.epsilon
-    n_steps = int(round(config.final_time / dt))
-    if n_steps <= 0 or abs(n_steps * dt - config.final_time) > 1e-9 * config.final_time:
-        n_steps = max(1, int(np.ceil(config.final_time / dt - 1e-12)))
-    return dt, n_steps
-
-
 def snap_steps(times, dt, n_steps):
     """Indices k of the steps k * dt at which the requested times are recorded."""
     return [min(max(int(round(t / dt)), 0), n_steps) for t in times]
@@ -154,7 +159,7 @@ class KineticStepper:
                  config: SolverConfig):
         self.model, self.grid, self.noise = model, grid, noise
         self.eps, self.beta = config.epsilon, config.dt_factor
-        self.dt, self.n_steps = step_grid(config)
+        self.dt, self.n_steps = config.dt, config.n_steps
         self.mu = model.weights
         self.axes = tuple(range(-grid.dim, 0))
         half = grid.n // 2 + 1
@@ -193,6 +198,8 @@ class KineticStepper:
 
     def to_spectrum(self, f):
         """(B, V, *shape) real fields -> (B, V, R) half-spectra."""
+        # in 1-d, rfftn/irfftn over one axis give the same bits as rfft/irfft but
+        # cost about 11/3 us more per call at n = 64, and a job makes thousands
         out = np.fft.rfftn(f, axes=self.axes) if self.grid.dim > 1 else np.fft.rfft(f)
         return out.reshape(f.shape[:2] + (-1,))
 

@@ -208,17 +208,16 @@ def make_mode(grid: TorusGrid, label: str, amplitude: float = 1.0) -> np.ndarray
     for dim 2, e.g. "cos:1,0".
     """
     if label == "const":
-        return np.full(grid.shape, amplitude)
-    try:
-        kind, kstr = label.split(":")
-        kvec = [int(p) for p in kstr.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"unrecognized mode label {label!r}") from exc
+        kind, kvec = "cos", [0] * grid.dim
+    else:
+        try:
+            kind, kstr = label.split(":")
+            kvec = [int(p) for p in kstr.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"unrecognized mode label {label!r}") from exc
     if kind not in ("cos", "sin") or len(kvec) != grid.dim:
         raise ValueError(f"unrecognized mode label {label!r}")
-    coords = grid.coords()
-    phase = sum(2 * np.pi * k * x for k, x in zip(kvec, coords))
-    return amplitude * (np.cos(phase) if kind == "cos" else np.sin(phase))
+    return amplitude * mode_from_fourier(grid, [(kvec, kind == "cos", kind == "sin")])
 
 
 def mode_from_fourier(grid: TorusGrid, terms) -> np.ndarray:

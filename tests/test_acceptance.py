@@ -172,7 +172,7 @@ def test_criterion_08_uniform_moment_bound(standard_result):
     f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
     rep = harness.uniform_moment_check(standard_result, f0n2)
     sups = ", ".join(f"eps={e:g}: {rep.sup_p2[e] / f0n2:.3f}"
-                     for e in standard_result.epsilons)
+                     for e in standard_result.config.epsilons)
     report(8, "uniform moment bound", rep.ok,
            f"sup E||f||^2 / ||f0||^2 = {sups} (bound {cfg.moment_p2_factor}); "
            f"p4 bound {cfg.moment_p4_factor} also enforced")
@@ -193,7 +193,7 @@ def test_criterion_09_gronwall_zero_violations(standard_result, martingale_run,
 def test_criterion_10_weak_convergence_trend(standard_result):
     rows, verdicts = harness.weak_error_table(standard_result)
     dists = harness.mean_field_distances(standard_result, eta=1.0)
-    eps = standard_result.epsilons
+    eps = standard_result.config.epsilons
     monotone = all(dists[a] > dists[b] for a, b in zip(eps, eps[1:]))
     consistent = all(v == "consistent with convergence" for v in verdicts.values())
     err_txt = "; ".join(

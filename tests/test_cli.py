@@ -224,6 +224,22 @@ def test_unrunnable_step_count_exits_before_simulating(tmp_path, capsys, monkeyp
     assert key in capsys.readouterr().err
 
 
+def test_converge_refuses_an_off_grid_last_time_before_simulating(tmp_path, capsys,
+                                                                   monkeypatch):
+    # eps 0.4 steps by 0.016 and records the output time 0.012 at 0.016; the
+    # limit grid 0.048 / 64 records it at 0.012
+    def refuse(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(harness, "kinetic_batch", refuse)
+    monkeypatch.setattr(harness, "limit_batch", refuse)
+    cfg = write_config(tmp_path, **{"experiment.ensemble_size": 128,
+                                    "experiment.output_times": [0.0, 0.012]})
+    assert main(["converge", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon=0.4" in err and "choose a time on both step grids" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate-kinetic", "--eps-index", "5"],
     ["simulate-kinetic", "--eps-index", "-1"],
@@ -232,8 +248,11 @@ def test_unrunnable_step_count_exits_before_simulating(tmp_path, capsys, monkeyp
     ["noise-stats", "--horizon", "0"],
     ["noise-stats", "--horizon", "-1"],
     ["noise-stats", "--horizon", "inf"],
+    ["noise-stats", "--paths", "10000000000000"],
+    ["noise-stats", "--horizon", "1e12"],
     ["diagnose-generator", "--states", "0"],
     ["diagnose-generator", "--states", "1"],
+    ["diagnose-generator", "--states", "100000000000"],
     ["converge", "--eta", "-1"],
     ["converge", "--eta", "nan"],
     ["converge", "--workers", "0"],

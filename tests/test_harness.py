@@ -111,7 +111,7 @@ class TestRunEnsemble:
         cfg = small_config()
         r1 = harness.run_ensemble(cfg)
         r2 = harness.run_ensemble(cfg)
-        for eps in r1.epsilons:
+        for eps in r1.config.epsilons:
             a = np.asarray(r1.kinetic[eps].functional_stats[0].mean)
             b = np.asarray(r2.kinetic[eps].functional_stats[0].mean)
             assert np.array_equal(a, b)
@@ -122,7 +122,7 @@ class TestRunEnsemble:
         cfg = small_config(ensemble=70)  # forces multiple chunks
         r1 = harness.run_ensemble(cfg, workers=1)
         r2 = harness.run_ensemble(cfg, workers=2)
-        for eps in r1.epsilons:
+        for eps in r1.config.epsilons:
             for s1, s2 in zip(r1.kinetic[eps].functional_stats,
                               r2.kinetic[eps].functional_stats):
                 assert np.array_equal(np.asarray(s1.mean), np.asarray(s2.mean))
@@ -384,7 +384,7 @@ class TestWeakErrorTable:
         for st_ in limit.functional_stats:
             st_.update_batch(np.zeros((400, n_times)))
         res.limit = limit
-        for eps, err in zip(res.epsilons, errors):
+        for eps, err in zip(res.config.epsilons, errors):
             ens = res.kinetic[eps]
             for st_ in ens.functional_stats:
                 st_.count = 400
@@ -422,26 +422,56 @@ for _name in sorted(os.listdir(CONFIG_DIR)):
 
 
 class TestComparisonTimes:
-    def test_mismatched_interior_time_rejected(self):
+    def test_mismatched_last_time_rejected(self):
         # kinetic steps of 0.016 and 0.004 against the limit grid of 0.00075:
         # the output time 0.012 is recorded at 0.016 at eps 0.4, the final time
         # 0.048 is hit exactly on every side
         res = harness.run_ensemble(small_config(ensemble=4))
         assert res.kinetic[0.4].times[1] != pytest.approx(res.limit.times[1])
-        with pytest.raises(ValueError, match="time index 1"):
-            harness.weak_error_table(res, time_index=1)
-        with pytest.raises(ValueError, match="time index 1"):
-            harness.mean_field_distances(res, time_index=1)
-        harness.weak_error_table(res, time_index=-1)
-        harness.mean_field_distances(res, time_index=-1)
-        # the config-level check, made before any run, gives the same verdicts
+        harness.weak_error_table(res)
+        harness.mean_field_distances(res)
+        harness.check_comparison_time(res.config)
+        raw = json.loads(json.dumps(res.config.raw))
+        raw["experiment"]["output_times"] = [0.0, 0.012]
+        off = harness.run_ensemble(parse_config(raw))
+        assert off.kinetic[0.4].times[-1] != pytest.approx(off.limit.times[-1])
+        # the analyses make the config-level check, which converge makes before any run
+        for check in (harness.weak_error_table, harness.mean_field_distances):
+            with pytest.raises(ConfigError, match="epsilon=0.4"):
+                check(off)
         with pytest.raises(ConfigError, match="epsilon=0.4"):
-            harness.check_comparison_time(res.config, time_index=1)
-        harness.check_comparison_time(res.config, time_index=-1)
+            harness.check_comparison_time(off.config)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_shipped_configs_compare_at_final_time(self, name):
         harness.check_comparison_time(parse_config(SHIPPED[name]))
+
+
+def test_exact_mass_identity_with_a_constant_mode():
+    # with one constant mode, transport and relaxation conserve mass and the
+    # multiplier scales it: mass(t) = mass0 exp(eps eta int_0^{t/eps^2} m), the
+    # integral taken exactly from member i's own jump record.  This checks the
+    # piece lengths, the jump times, the eps scaling and the output snapping.
+    cfg = parse_config(SHIPPED["scalar_mode.json"])
+    eps, (chain,) = cfg.epsilons[0], cfg.noise.chains
+    eta = cfg.noise.modes[0].flat[0]
+    assert np.all(cfg.noise.modes == eta)
+    members = list(range(harness.CHUNK))
+    res = harness.kinetic_batch(cfg, 0, members)
+    horizon = kinetic.SolverConfig(eps, cfg.dt_factor, cfg.final_time).n_steps * cfg.dt_factor
+    mass0 = cfg.rho0.mean()
+    gaps = []
+    for i in members:
+        path = cfg.noise.simulate_path(
+            horizon, harness.make_stream(cfg.base_seed, harness.KIN_NS, 0, i))
+        jt, js = path.jump_times[0], path.jump_states[0]
+        for k, t in enumerate(res.times):
+            micro = t / eps ** 2
+            before = jt < micro
+            integral = nz.chain_integral(chain, path.initial[0], jt[before], js[before], micro)
+            gaps.append(res.rho[i, k].mean() / (mass0 * np.exp(eps * eta * integral)) - 1.0)
+    assert len(res.times) == 6 and res.failures == {}
+    assert np.max(np.abs(gaps)) <= 1e-12
 
 
 class TestMomentCheck:
@@ -454,7 +484,7 @@ class TestMomentCheck:
         f0n2 = vel.inner_xv(cfg.velocity, cfg.grid, f0, f0)
         rep = harness.uniform_moment_check(res, f0n2)
         assert rep.ok
-        for eps in res.epsilons:
+        for eps in res.config.epsilons:
             assert rep.sup_p2[eps] <= f0n2 * (1 + 1e-12)
 
     def test_threshold_violation_reported(self):
@@ -529,6 +559,17 @@ class TestConfigValidation:
         raw["plotting"] = {}
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    def test_final_time_off_the_step_grid(self):
+        # the whole-step rule and its message belong to kinetic.SolverConfig
+        raw = self.base()
+        raw["experiment"]["epsilons"] = [0.2]
+        raw["experiment"]["final_time"] = 0.05
+        with pytest.raises(ValueError) as solver:
+            kinetic.SolverConfig(0.2, 0.1, 0.05)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(raw)
+        assert str(parsed.value) == f"experiment.epsilons: {solver.value}"
 
     def test_epsilons_must_decrease(self):
         raw = self.base()

@@ -169,9 +169,9 @@ class TestSolveTrajectory:
 
     def test_zero_initial_data(self):
         nm = _const_noise()
-        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=0.05)
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=0.048)
         res = kinetic.solve_trajectory(np.zeros((64, 2)), cfg, VM, GRID, nm,
-                                       make_stream(5, 0, 0, 0), [0.0, 0.05])
+                                       make_stream(5, 0, 0, 0), [0.0, 0.048])
         assert not res.rho.any()
 
     def test_mass_conservation_zero_noise(self):
@@ -231,6 +231,15 @@ class TestSolveTrajectory:
             kinetic.SolverConfig(epsilon=0.0, dt_factor=0.1, final_time=1.0)
         with pytest.raises(ValueError):
             kinetic.SolverConfig(epsilon=0.5, dt_factor=1.5, final_time=1.0)
+
+    def test_final_time_must_be_whole_steps(self):
+        # 0.05 is 12.5 steps of 0.004: refused, not rounded up to 13 steps
+        with pytest.raises(ValueError, match="nearest valid values are 0.048 and 0.052"):
+            kinetic.SolverConfig(0.2, 0.1, 0.05)
+        with pytest.raises(ValueError, match="overflows at eps=1e-200"):
+            kinetic.SolverConfig(1e-200, 0.1, 1.0)
+        cfg = kinetic.SolverConfig(0.2, 0.1, 0.052)
+        assert cfg.n_steps == 13 and cfg.dt == 0.1 * 0.2 * 0.2
 
 
 def _scripted_path(noise, horizon, jump_times):
@@ -310,7 +319,7 @@ class TestBatchStepper:
     def _compare_with_advance(self, grid, vm, nm):
         eps = 0.2
         cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=8 * 0.1 * eps ** 2)
-        dt, n_steps = kinetic.step_grid(cfg)
+        dt, n_steps = cfg.dt, cfg.n_steps
         horizon = n_steps * 0.1
         paths = [_scripted_path(nm, horizon, self.JUMPS)]
         paths += [nm.simulate_path(horizon, make_stream(11, 0, 0, i)) for i in range(3)]
@@ -344,9 +353,8 @@ class TestBatchStepper:
         cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=0.08)
         res = kinetic.solve_trajectory(vel.lift(VM, np.ones(64)), cfg, VM, GRID, _no_noise(),
                                        make_stream(13, 0, 0, 0), [0.0, 0.005, 0.01, 0.08])
-        dt, n_steps = kinetic.step_grid(cfg)
-        assert n_steps == 20 and dt == pytest.approx(0.004, rel=1e-12)
-        assert np.array_equal(res.times, np.array([0, 1, 2, 20]) * dt)
+        assert cfg.n_steps == 20 and cfg.dt == pytest.approx(0.004, rel=1e-12)
+        assert np.array_equal(res.times, np.array([0, 1, 2, 20]) * cfg.dt)
 
     def test_failure_is_isolated(self):
         # member 1 sits in the huge state and overflows; the others decay
