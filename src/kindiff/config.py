@@ -24,8 +24,10 @@ from .velocity import VelocityModel
 MAX_GRID_POINTS = 2 ** 14
 MAX_RING_VELOCITIES = 256
 MAX_OUTPUT_TIMES = 10 ** 5
-# steps per trajectory, kinetic or limit: at the cap one 32-member limit chunk
-# with 16 modes holds 410 MB of increments
+# steps per trajectory, kinetic or limit.  A limit job takes several chunks
+# only while their increments fit in harness.LIMIT_JOB_INCREMENTS (2 MiB), so
+# at the cap a limit job is one 32-member chunk, and with 16 modes it holds
+# 410 MB of increments
 MAX_STEPS = 10 ** 5
 
 

@@ -10,15 +10,20 @@ An ensemble is cut into fixed chunks of CHUNK members, the unit of reduction:
 each chunk becomes one `EpsEnsemble` part, and the parts of an ensemble are
 merged in chunk order, which makes outputs bitwise reproducible.  A job, the
 unit of work one pool runs, steps up to `job_chunks(cfg)` consecutive kinetic
-chunks of one epsilon as one batch, since a kinetic step costs NumPy dispatch
-rather than arithmetic, and returns one part per chunk; a limit job is one
-chunk.  Every member's records are independent of the batch it runs in, so a
-part is the same whatever job it came from.  With diagnostics on, one
+chunks of one epsilon, or up to `limit_job_chunks(cfg)` consecutive limit
+chunks, as one batch, since a step costs NumPy dispatch rather than
+arithmetic, and returns one part per chunk.  A kinetic member's records are
+independent of the batch it runs in, so a kinetic part is the same whatever
+job it came from.  A limit member's records depend on its batch width to
+rounding (about 2e-15 relative, see spde), so a limit part agrees with its
+chunk run alone to 1e-12.  The jobs are cut from the ensemble size and the
+job budgets alone, never from the worker count, so the outputs are bitwise
+the same for any number of workers.  With diagnostics on, one
 `GeneratorInstrument` observes every functional of a kinetic job.
 `kinetic_batch` and `limit_batch` set up every simulated member, so member i
 of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory
-i` write; both return each failed member's exception by its batch row, and a
-failed member is left out of the statistics.
+i` write (the limit member to 1e-12); both return each failed member's
+exception by its batch row, and a failed member is left out of the statistics.
 """
 
 import concurrent.futures
@@ -34,10 +39,13 @@ from .grid import TorusGrid
 from .stats import RunningStats
 
 CHUNK = 32
-# a kinetic job holds at most MAX_JOB_CHUNKS chunks, and its density record
-# (members x output times x grid points doubles) at most JOB_RECORD_BUDGET values
+# a job holds at most MAX_JOB_CHUNKS chunks; a kinetic job's density record
+# (members x output times x grid points doubles) at most JOB_RECORD_BUDGET
+# values, and a limit job's increments (members x spde_steps x noise modes
+# doubles) at most LIMIT_JOB_INCREMENTS values, 2 MiB
 MAX_JOB_CHUNKS = 8
 JOB_RECORD_BUDGET = 2 ** 20
+LIMIT_JOB_INCREMENTS = 2 ** 18
 KIN_NS, LIM_NS, NOISE_NS, DIAG_NS = 0, 1, 2, 3
 MAX_FAILURE_FRACTION = 0.01
 
@@ -62,10 +70,18 @@ def _job_groups(n: int, per_job: int):
     return [chunks[a:a + per_job] for a in range(0, len(chunks), per_job)]
 
 
+def _chunks_within(budget: int, per_chunk: int) -> int:
+    return min(MAX_JOB_CHUNKS, max(1, budget // max(1, per_chunk)))
+
+
 def job_chunks(cfg: ExperimentConfig) -> int:
     """How many consecutive kinetic chunks of one epsilon a job steps as one batch."""
-    per_chunk = CHUNK * len(cfg.output_times) * cfg.grid.npoints
-    return min(MAX_JOB_CHUNKS, max(1, JOB_RECORD_BUDGET // per_chunk))
+    return _chunks_within(JOB_RECORD_BUDGET, CHUNK * len(cfg.output_times) * cfg.grid.npoints)
+
+
+def limit_job_chunks(cfg: ExperimentConfig) -> int:
+    """How many consecutive limit chunks a job steps as one batch."""
+    return _chunks_within(LIMIT_JOB_INCREMENTS, CHUNK * cfg.spde_steps * cfg.noise.n_modes)
 
 
 def _functional_values(functionals, grid, rho_series):
@@ -168,17 +184,20 @@ def limit_batch(cfg: ExperimentConfig, indices):
     of each member with a record whose L2 norm exceeds kinetic.OVERFLOW_NORM
     or is not finite to its LimitOverflowError, the kinetic overflow rule.
     Member i draws its increments from its own stream, so it is the same
-    trajectory in any chunk and as `simulate-spde --trajectory i`.
+    trajectory in any batch and as `simulate-spde --trajectory i`, up to the
+    rounding that depends on the batch width (records agree to 1e-12).
     """
     coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
     n_steps = cfg.spde_steps
     dt = cfg.final_time / n_steps
     out_steps = kinetic.snap_steps(cfg.output_times, dt, n_steps)
-    dw = np.empty((len(indices), n_steps, coeffs.n_modes))
+    # step-major, so that each step of the batch reads one contiguous (J, B) block
+    dw = np.empty((n_steps, coeffs.n_modes, len(indices)))
     for row, i in enumerate(indices):
         rng = make_stream(cfg.base_seed, LIM_NS, 0, i)
-        dw[row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
-    series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs, dw, out_steps)
+        dw[..., row] = rng.normal(0.0, np.sqrt(dt), size=(n_steps, coeffs.n_modes))
+    series = spde.solve_spde_batch(cfg.rho0, cfg.final_time, n_steps, coeffs,
+                                   dw.transpose(2, 0, 1), out_steps)
     with np.errstate(over="ignore", invalid="ignore"):
         flat = series.reshape(series.shape[:2] + (cfg.grid.npoints,))
         norm2 = np.sum(flat * flat, axis=-1) * cfg.grid.cell_volume
@@ -235,25 +254,33 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
     return parts
 
 
-def _limit_chunk(cfg: ExperimentConfig, indices):
-    """One limit chunk's EpsEnsemble; its failed members are left out of the statistics."""
+def _limit_job(cfg: ExperimentConfig, chunks):
+    """Step the limit members of ``chunks`` as one batch; one EpsEnsemble per chunk, in order.
+
+    A chunk's failed members are left out of its statistics.
+    """
+    indices = [i for chunk in chunks for i in chunk]
     times, series, failures = limit_batch(cfg, indices)
-    acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
-    _fill(acc, cfg, indices, failures, 0, len(indices), series)
-    return acc
+    parts, hi = [], 0
+    for chunk in chunks:
+        lo, hi = hi, hi + len(chunk)
+        acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
+        _fill(acc, cfg, indices, failures, lo, hi, series)
+        parts.append(acc)
+    return parts
 
 
 def _chunk_job(args):
     """One job of run_ensemble: its list of chunks' EpsEnsemble parts, in chunk order.
 
     ``args`` is (raw config, eps_index, chunks, with_diag); the chunks are
-    consecutive kinetic chunks of one epsilon, or one limit chunk when
-    eps_index is None.
+    consecutive kinetic chunks of one epsilon, or consecutive limit chunks
+    when eps_index is None.
     """
     raw, eps_index, chunks, with_diag = args
     cfg = parse_config(raw)
     if eps_index is None:
-        return [_limit_chunk(cfg, indices) for indices in chunks]
+        return _limit_job(cfg, chunks)
     return _kinetic_job(cfg, eps_index, chunks, with_diag)
 
 
@@ -301,7 +328,8 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
         if sizes[None] < 1:
             raise ValueError(f"limit_size must be at least 1, got {limit_size}")
     jobs = [(cfg.raw, key, group, diagnostics) for key, size in sizes.items()
-            for group in _job_groups(size, 1 if key is None else job_chunks(cfg))]
+            for group in _job_groups(size, limit_job_chunks(cfg) if key is None
+                                     else job_chunks(cfg))]
     folded = {}  # each ensemble reduced in chunk order, one part at a time
     for (_, key, _, _), parts in zip(jobs, _run_chunked(_chunk_job, jobs, workers)):
         for part in parts:

@@ -2,16 +2,20 @@
 
     d rho = div(K grad rho) dt + (1/2) F rho dt + rho sum_j sqrt(c_j) eta_j dbeta_j
 
-A batch is held as real fields with a leading batch axis; a step of length dt is
+A batch is held points-major, as real fields (*grid.shape, batch) with the
+members on the contiguous axis; a step of length dt is
 
     rho <- irfft(rfft(rho) * exp(-4 pi^2 xi^T K xi dt)) * exp(sum_j sqrt(c_j) eta_j dbeta_j),
 
-the exact heat flow (its half-spectrum multiplier built once per call) and then
-the geometric noise multiplier (its exponent one matrix product per step, formed
-in a preallocated buffer).  On a 1-d grid of at most DENSE_HEAT_MAX_N points the
-heat flow is instead one product with its n x n matrix, the same rfft map applied
-to the identity once per call; it is a symmetric circulant whose rows sum to 1.
-Above that size the FFT pair is cheaper, and 2-d grids always take it.
+the exact heat flow over the grid axes (its half-spectrum multiplier built once
+per call) and then the geometric noise multiplier, whose (points, batch)
+exponent is one (points, J) @ (J, batch) product per step into a preallocated
+buffer, or for J = 1 a broadcast multiply with the same bits.  On a 1-d grid of
+at most DENSE_HEAT_MAX_N points the heat flow is instead one (n, n) @ (n, batch)
+product with its matrix, the same rfft map applied to the identity once per
+call; it is a symmetric circulant whose rows sum to 1.  Above that size the FFT
+pair is cheaper, and 2-d grids always take it.  Step k reads the increments of
+every member as one contiguous (J, batch) block of a step-major array.
 The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
 the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
@@ -19,6 +23,13 @@ never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construct
 `solve_spde_batch` is the only stepper: a single trajectory is its batch of one
 and a single step a call with n_steps = 1.  The caller supplies the Gaussian
 increments; `harness.limit_batch` draws them from each member's stream.
+
+Batch width: BLAS picks its column kernels by the batch width, so a member's
+record can round differently in batches of different widths, by up to about
+2e-15 relative.  Against the same members in a 300-member batch (OpenBLAS
+0.3.31), rows were bitwise equal for every width B with B % 8 = 0, and for
+B <= 244 also with B % 8 in {5, 6, 7}.  Bitwise reproducible outputs therefore
+need a fixed batch makeup, which `harness` derives from the ensemble size alone.
 """
 
 from dataclasses import dataclass
@@ -31,9 +42,11 @@ from .noise import NoiseModel
 from .velocity import VelocityModel
 
 DEFAULT_STEPS = 2048
-# largest 1-d grid stepped with the dense heat matrix.  One heat step of a
-# 32-member batch, dense product vs rfft pair (2 cores, numpy 2.4): 5 vs 23 us
-# at n = 64, 26 vs 32 us at 128, 68 vs 49 us at 256
+# largest 1-d grid stepped with the dense heat matrix.  One points-major heat
+# step, dense product vs rfft pair (one thread, numpy 2.4, OpenBLAS 0.3.31):
+# 8 vs 48 us at n = 64, 26-28 vs 42-71 us at 128, 101-142 vs 80-113 us at 256
+# for 32 members; 27 vs 120 us, 118-125 vs 211-218 us, 465-506 vs 276-404 us
+# for 128 members
 DENSE_HEAT_MAX_N = 128
 
 
@@ -80,11 +93,11 @@ class LimitCoefficients:
 
 
 def _heat(rho, mult, grid: TorusGrid):
-    """irfft(rfft(rho) * mult) for real fields (batch, *grid.shape)."""
+    """irfft(rfft(rho) * mult) over the grid axes of real fields (*grid.shape, batch)."""
     # rfftn/irfftn over one axis give the same bits but cost about 11/3 us more
     if grid.dim == 1:
-        return np.fft.irfft(np.fft.rfft(rho) * mult, n=grid.n)
-    return np.fft.irfftn(np.fft.rfftn(rho, axes=(-2, -1)) * mult, s=grid.shape, axes=(-2, -1))
+        return np.fft.irfft(np.fft.rfft(rho, axis=0) * mult, n=grid.n, axis=0)
+    return np.fft.irfftn(np.fft.rfftn(rho, axes=(0, 1)) * mult, s=grid.shape, axes=(0, 1))
 
 
 def drift_consistency(coeffs: LimitCoefficients, trace_field) -> float:
@@ -103,9 +116,9 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     """Evolve a batch of trajectories with the supplied Gaussian increments.
 
     ``increments`` has shape (batch, n_steps, J); ``output_steps`` lists the
-    step indices at which the batch is recorded (an index may repeat).  Returns
-    an array of shape (batch, n_out, *grid.shape); a member that overflows
-    records inf or nan, without a warning.
+    integer step indices in [0, n_steps] at which the batch is recorded (an
+    index may repeat).  Returns an array of shape (batch, n_out, *grid.shape);
+    a member that overflows records inf or nan, without a warning.
     """
     grid, n_modes = coeffs.grid, coeffs.n_modes
     dt = final_time / n_steps
@@ -115,32 +128,40 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     if increments.ndim != 3 or increments.shape[1:] != (n_steps, n_modes):
         raise ValueError(f"increments must have shape (batch, n_steps, J) = "
                          f"(batch, {n_steps}, {n_modes}), got {increments.shape}")
-    # even in xi with the Nyquist bins zeroed: the rfft half spectrum is exact
-    mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1] * dt)
-    factors = coeffs.root_factors.reshape(n_modes, grid.npoints)
-    batch = increments.shape[0]
-    rho = np.array(np.broadcast_to(rho0, (batch,) + grid.shape), dtype=float)
     where = np.asarray(output_steps)
+    if where.size and (where.dtype.kind not in "iu" or where.min() < 0 or where.max() > n_steps):
+        raise ValueError(f"output_steps must be integers in [0, {n_steps}], "
+                         f"got {where.tolist()}")
+    batch = increments.shape[0]
+    # step-major (n_steps, J, batch): no copy when the caller drew them so
+    steps = np.ascontiguousarray(increments.transpose(1, 2, 0))
+    rho = np.moveaxis(np.broadcast_to(rho0, (batch,) + grid.shape), 0, -1).copy()
+    # even in xi with the Nyquist bins zeroed: the rfft half spectrum is exact
+    mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1] * dt)[..., None]
+    factors = coeffs.root_factors.reshape(n_modes, grid.npoints).T
     recorded = set(where.tolist())
     out = np.empty((batch, where.size) + grid.shape)
-    out[:, where == 0] = rho[:, None]
+    out[:, where == 0] = np.moveaxis(rho, -1, 0)[:, None]
     dense = grid.dim == 1 and grid.n <= DENSE_HEAT_MAX_N
     if dense:
         heat = _heat(np.eye(grid.n), mult, grid)
         spare = np.empty_like(rho)
-    noise = np.empty((batch, grid.npoints))
+    # a one-term product has the same bits as a multiply, and OpenBLAS's K = 1
+    # product costs about 2.4 ns per output against 1.5 ns for the multiply and
+    # 0.4 ns for a K = 2 product (64 x 128 outputs, one thread)
+    mix = np.multiply if n_modes == 1 else np.matmul
+    noise = np.empty((grid.npoints, batch))
     # a member that overflows carries inf or nan into its record, which the
     # caller counts as a failure (harness.limit_batch)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             if dense:
-                rho, spare = np.matmul(rho, heat, out=spare), rho
+                rho, spare = np.matmul(heat, rho, out=spare), rho
             else:
                 rho = _heat(rho, mult, grid)
             if n_modes:
-                np.dot(increments[:, k], factors, out=noise)
+                mix(factors, steps[k], out=noise)
                 rho *= np.exp(noise, out=noise).reshape(rho.shape)
             if k + 1 in recorded:
-                out[:, where == k + 1] = rho[:, None]
+                out[:, where == k + 1] = np.moveaxis(rho, -1, 0)[:, None]
     return out
-

@@ -222,7 +222,7 @@ class TestRunEnsemble:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(ensemble=40)  # one job per epsilon and two limit jobs
+        cfg = small_config(ensemble=40)  # one job per epsilon and one limit job
         res = harness.run_ensemble(cfg, workers=2)
         assert sizes == [2]
         assert res.limit.attempted == 40
@@ -346,6 +346,83 @@ class TestKineticJobs:
         assert [[c[0] for c in g] for g in harness._job_groups(97, 8)] == [[0, 32, 64, 96]]
         assert [[c[0] for c in g] for g in harness._job_groups(100, 7)] == [[0, 32, 64, 96]]
         assert [len(g) for g in harness._job_groups(290, 8)] == [8, 2]
+
+
+def assert_parts_close(a, b, rtol=1e-12):
+    """Two limit parts with the same members, statistics equal to rtol of their scale."""
+    assert (a.attempted, a.failures) == (b.attempted, b.failures)
+    for x, y in zip(a.functional_stats + [a.rho_mean], b.functional_stats + [b.rho_mean]):
+        assert x.count == y.count
+        for u, v in ((x.mean, y.mean), (x.m2, y.m2)):
+            assert np.max(np.abs(u - v)) <= rtol * np.max(np.abs(v))
+    assert a.samples.keys() == b.samples.keys()
+    for name, v in b.samples.items():
+        assert np.max(np.abs(a.samples[name] - v)) <= rtol * np.max(np.abs(v))
+
+
+class TestLimitJobs:
+    """A limit job steps several chunks as one batch and returns one part per chunk.
+
+    The parts agree with the chunks run alone to rounding only: the points-major
+    heat and noise products round a member by the batch width (see spde).
+    """
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(ensemble=100),
+        small_config(ensemble=100, n=2 * spde.DENSE_HEAT_MAX_N, spde_steps=16),
+        dim2_config(ensemble=100)], ids=["dense", "fft", "2d"])
+    def test_each_part_matches_its_chunk_run_alone(self, cfg):
+        chunks = harness._chunks(100)  # three chunks and a tail of 4
+        assert harness.limit_job_chunks(cfg) >= len(chunks)
+        parts = harness._chunk_job((cfg.raw, None, chunks, False))
+        assert len(parts) == len(chunks) == 4
+        for chunk, part in zip(chunks, parts):
+            alone, = harness._chunk_job((cfg.raw, None, [chunk], False))
+            assert part.attempted == len(chunk) and part.rho_mean.count == len(chunk)
+            assert_parts_close(part, alone)
+
+    def test_a_failure_stays_in_its_chunk(self, monkeypatch):
+        # member 33 is row 33 of the job and row 1 of its second chunk
+        cfg = small_config(ensemble=70)
+        chunks = harness._chunks(70)
+        clean = harness._chunk_job((cfg.raw, None, chunks, False))
+        TestLimitFailures._poison(monkeypatch, 70, 33, np.nan)
+        parts = harness._chunk_job((cfg.raw, None, chunks, False))
+        assert [p.failures for p in parts] == [[], [(33, TestLimitFailures.MESSAGE)], []]
+        # the same job, so the other chunks' parts are bitwise the clean ones
+        assert_parts_close(parts[0], clean[0], rtol=0.0)
+        assert_parts_close(parts[2], clean[2], rtol=0.0)
+        assert parts[1].attempted == 32 and parts[1].rho_mean.count == 31
+        for name, samples in clean[1].samples.items():
+            assert np.array_equal(parts[1].samples[name], np.delete(samples, 1))
+
+    def test_job_sizes(self, monkeypatch):
+        shipped = {name: harness.limit_job_chunks(parse_config(raw))
+                   for name, raw in SHIPPED.items()}
+        # 2048 steps of one mode are 2^16 increments per chunk, of two modes 2^17
+        assert shipped == {"deterministic.json": 8, "martingale.json": 4,
+                           "scalar_mode.json": 4, "standard.json": 2}
+        assert harness.limit_job_chunks(small_config(spde_steps=4096)) == 2
+        assert harness.limit_job_chunks(small_config(spde_steps=4097)) == 1
+        assert harness.limit_job_chunks(small_config(spde_steps=10 ** 5)) == 1
+        assert harness.limit_job_chunks(small_config(noise=False)) == harness.MAX_JOB_CHUNKS
+
+        # the job list run_ensemble builds, taken before any job runs
+        class Stop(Exception):
+            pass
+
+        def record(worker, jobs, workers):
+            seen.extend(jobs)
+            raise Stop
+
+        monkeypatch.setattr(harness, "_run_chunked", record)
+        for ensemble, want in ((100, [[32, 32, 32, 4]]), (290, [[32] * 4, [32] * 4, [32, 2]])):
+            seen = []
+            with pytest.raises(Stop):
+                harness.run_ensemble(small_config(ensemble=ensemble, spde_steps=2048))
+            groups = [group for _, key, group, _ in seen if key is None]
+            assert [[len(c) for c in g] for g in groups] == want
+            assert [i for g in groups for c in g for i in c] == list(range(ensemble))
 
 
 class TestSobolevDistance:
@@ -721,7 +798,7 @@ class TestLimitFailures:
 
     def test_an_overflowing_chunk_fails_every_member(self):
         cfg = shipped_with_amplitude("standard.json", 300.0)
-        acc = harness._limit_chunk(cfg, list(range(8)))
+        acc, = harness._limit_job(cfg, [list(range(8))])
         assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
         assert acc.attempted == 8 and acc.rho_mean.count == 0
         assert all(st.count == 0 for st in acc.functional_stats)
@@ -733,18 +810,18 @@ class TestLimitFailures:
         _, series, failures = harness.limit_batch(cfg, list(range(8)))
         assert np.all(np.isfinite(series)) and np.max(np.abs(series)) > 1e100
         assert sorted(failures) == list(range(8))
-        acc = harness._limit_chunk(cfg, list(range(8)))
+        acc, = harness._limit_job(cfg, [list(range(8))])
         assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
         assert all(st.count == 0 for st in acc.functional_stats + [acc.rho_mean])
-        clean = harness._limit_chunk(parse_config(SHIPPED["standard.json"]), list(range(8)))
+        clean, = harness._limit_job(parse_config(SHIPPED["standard.json"]), [list(range(8))])
         for st in clean.merge(acc).functional_stats:
             assert st.count == 8 and np.all(np.isfinite(st.m2))
 
     def test_only_the_member_that_is_not_finite_is_dropped(self, monkeypatch):
         cfg = small_config(ensemble=8)
-        clean = harness._limit_chunk(cfg, list(range(8)))
+        clean, = harness._limit_job(cfg, [list(range(8))])
         self._poison(monkeypatch, 8, 3, np.nan)
-        acc = harness._limit_chunk(cfg, list(range(8)))
+        acc, = harness._limit_job(cfg, [list(range(8))])
         assert acc.failures == [(3, self.MESSAGE)]
         assert acc.rho_mean.count == 7
         assert np.all(np.isfinite(acc.rho_mean.mean))
@@ -752,9 +829,10 @@ class TestLimitFailures:
             assert np.array_equal(acc.samples[name], np.delete(samples, 3))
 
     def test_too_many_limit_failures_abort_the_run(self, monkeypatch):
-        # member 37 is row 5 of the second limit chunk, the only one of 8 members
-        self._poison(monkeypatch, 8, 5, np.inf)
+        # both limit chunks of 40 members run as one job, and member 37 is its row 37
+        self._poison(monkeypatch, 40, 37, np.inf)
         cfg = small_config(ensemble=40)
+        assert harness.limit_job_chunks(cfg) > 1
         with pytest.raises(harness.TooManyFailuresError,
                            match="failures in the limit ensemble: 1/40"):
             harness.run_ensemble(cfg, workers=1)

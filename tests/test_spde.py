@@ -130,6 +130,23 @@ class TestSpdeStep:
             spde.solve_spde_batch(np.ones(n), 0.04, 4, coeffs, np.zeros(shape), [4])
         assert steps == []
 
+    @pytest.mark.parametrize("output_steps", [[0, 4, 7, -1], [5], [-1, 4], [0, 2.5]],
+                             ids=["both-sides", "past-the-end", "negative", "fractional"])
+    def test_output_steps_outside_the_run_rejected_before_stepping(self, monkeypatch,
+                                                                    output_steps):
+        # a record at a step the run never reaches would come back as
+        # uninitialised memory
+        n = 2 * spde.DENSE_HEAT_MAX_N
+        coeffs = spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.ones(1),
+                                        np.ones((1, n)))
+        heat = spde._heat
+        steps = []
+        monkeypatch.setattr(spde, "_heat", lambda *a: (steps.append(1), heat(*a))[1])
+        with pytest.raises(ValueError, match=r"output_steps must be integers in \[0, 4\]"):
+            spde.solve_spde_batch(np.ones(n), 0.04, 4, coeffs, np.zeros((2, 4, 1)),
+                                  output_steps)
+        assert steps == []
+
     def test_no_modes_reduces_to_heat(self):
         coeffs, _ = _coeffs([])
         rho = 1.0 + 0.4 * np.cos(2 * np.pi * X)
@@ -247,7 +264,9 @@ class TestDenseHeat:
         heat = _dense_heat_matrix(coeffs, self.dt)
         mult = np.exp(coeffs.heat_exponent[:n // 2 + 1] * self.dt)
         rho = 1.0 + np.random.default_rng(n).standard_normal((3, n))
-        assert np.max(np.abs(rho @ heat - spde._heat(rho, mult, coeffs.grid))) <= 1e-13
+        # _heat takes the batch points-major, (n, batch)
+        fft_step = spde._heat(rho.T, mult[:, None], coeffs.grid).T
+        assert np.max(np.abs(rho @ heat - fft_step)) <= 1e-13
 
     @pytest.mark.parametrize("n, fft_calls", [(spde.DENSE_HEAT_MAX_N, 1),
                                                (2 * spde.DENSE_HEAT_MAX_N, 5)])
