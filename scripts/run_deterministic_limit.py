@@ -2,7 +2,8 @@
 """Deterministic diffusion-limit experiment.
 
 Integrates the noiseless kinetic equation for a sweep of epsilons and prints
-the L2 distance to the exact heat-equation profile at the final time.
+the L2 distance to the exact heat-equation profile at the final time.  Exits
+1 unless that distance falls strictly as epsilon decreases.
 """
 import os
 import sys
@@ -22,9 +23,13 @@ if __name__ == "__main__":
     x = grid.coords()[0]
     exact = 1.0 + 0.5 * np.exp(-4 * np.pi ** 2 * T) * np.cos(2 * np.pi * x)
     print(f"T = {T}, exact profile 1 + 0.5 e^{{-4 pi^2 T}} cos(2 pi x)")
+    errors = []
     for e_idx, eps in enumerate(cfg.epsilons):
         res = kinetic_batch(cfg, e_idx, [0])
         if res.failures:
             raise res.failures[0]
-        err = grid.norm(res.rho[0, -1] - exact)
-        print(f"eps = {eps:5.3f}:  L2 error = {err:.6e}")
+        errors.append(grid.norm(res.rho[0, -1] - exact))
+        print(f"eps = {eps:5.3f}:  L2 error = {errors[-1]:.6e}")
+    if not all(b < a for a, b in zip(errors, errors[1:])):
+        print("L2 error does not fall strictly with eps", file=sys.stderr)
+        sys.exit(1)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import harness, kinetic, spde
 from . import velocity as vel
-from .config import ConfigError, load_config
+from .config import MAX_PATH_JUMPS, ConfigError, load_config
 from .generator import PerturbedTestFunction, random_smooth_field, residual_scaling
 from .noise import empirical_autocovariance
 
@@ -32,11 +32,11 @@ RATIO_BAND = (1.5, 2.5)  # accepted residual-halving band for eps -> eps/2
 # normalised residuals below this are rounding of an exact cancellation, so
 # their ratio carries no scaling information
 RESIDUAL_FLOOR = 1e-12
-# flag bounds, checked before any work: noise-stats paths, its expected jumps
-# per path (--horizon x the largest chain exit rate), and the doubles held by
-# the diagnose-generator states (--states x grid points x velocities)
+# flag bounds, checked before any work: noise-stats paths, and the doubles
+# held by the diagnose-generator states (--states x grid points x velocities);
+# a noise-stats path (--horizon x the largest chain exit rate) expects at most
+# config.MAX_PATH_JUMPS jumps
 MAX_NOISE_PATHS = 10 ** 6
-MAX_PATH_JUMPS = 10 ** 6
 MAX_STATE_VALUES = 10 ** 7
 
 

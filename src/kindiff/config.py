@@ -24,6 +24,14 @@ from .velocity import VelocityModel
 MAX_GRID_POINTS = 2 ** 14
 MAX_RING_VELOCITIES = 256
 MAX_OUTPUT_TIMES = 10 ** 5
+# one member's density record, output times x grid points doubles: 16 MiB,
+# and 512 MiB for a 32-member chunk
+MAX_RECORD_VALUES = 2 ** 21
+# the harness lists every chunk's members before any work
+MAX_ENSEMBLE_SIZE = 10 ** 6
+# expected jumps of one noise path (horizon x summed largest chain exit
+# rates); a chain path is drawn one jump at a time
+MAX_PATH_JUMPS = 10 ** 6
 # steps per trajectory, kinetic or limit.  A limit job takes several chunks
 # only while their increments fit in harness.LIMIT_JOB_INCREMENTS (2 MiB), so
 # at the cap a limit job is one 32-member chunk, and with 16 modes it holds
@@ -309,9 +317,20 @@ def parse_config(data: dict) -> ExperimentConfig:
         if n_steps > MAX_STEPS:
             raise ConfigError(f"experiment.epsilons: {n_steps} kinetic steps at eps={e} "
                               f"exceed the limit of {MAX_STEPS} per trajectory")
+    # the kinetic horizon is final_time / eps^2, longest at the smallest eps
+    jumps = final_time / epsilons[-1] ** 2 * sum(float(ch.exit_rates.max()) for ch in noise.chains)
+    if not jumps <= MAX_PATH_JUMPS:
+        raise ConfigError(f"noise: a path at eps={epsilons[-1]} expects {jumps:.3g} jumps "
+                          f"(final_time / eps^2 x the summed chain exit rates), more than "
+                          f"{MAX_PATH_JUMPS}")
     ensemble = _integer(exp["ensemble_size"], "experiment.ensemble_size")
-    if ensemble < 1:
-        raise ConfigError("experiment.ensemble_size must be positive")
+    if not 1 <= ensemble <= MAX_ENSEMBLE_SIZE:
+        raise ConfigError(f"experiment.ensemble_size must lie in [1, {MAX_ENSEMBLE_SIZE}]")
+    output_times = _parse_output_times(exp["output_times"], final_time)
+    if len(output_times) * grid.npoints > MAX_RECORD_VALUES:
+        raise ConfigError(f"experiment.output_times: {len(output_times)} output times x "
+                          f"{grid.npoints} grid points exceed {MAX_RECORD_VALUES} recorded "
+                          f"values per trajectory")
     spde_steps = _integer(solver.get("spde_steps", spde.DEFAULT_STEPS), "solver.spde_steps")
     if not 1 <= spde_steps <= MAX_STEPS:
         raise ConfigError(f"solver.spde_steps must lie in [1, {MAX_STEPS}]")
@@ -335,7 +354,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         epsilons=epsilons,
         ensemble_size=ensemble,
         final_time=final_time,
-        output_times=_parse_output_times(exp["output_times"], final_time),
+        output_times=output_times,
         base_seed=base_seed,
         output_dir=_string(exp.get("output_dir", "out"), "experiment.output_dir"),
         raw=data,

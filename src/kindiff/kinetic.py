@@ -18,6 +18,8 @@ and transport act per frequency, so each piece costs one irfft -> noise
 multiplier -> rfft pair, and the energy check uses Parseval.  The noise of a
 batch is one segment table, the members' `NoisePath.seg_states` stacked in
 batch order, whose chain values are read once through `NoiseModel.values`.
+Each member keeps a cursor, its current row, and a step splits only where a
+member's row closes at a jump inside it.
 `solve_trajectory` is its batch of one and raises that member's failure.
 """
 
@@ -150,9 +152,10 @@ class KineticStepper:
     bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
     which is what the `.real` after every complex ifft in `advance` applies.
     A step without a jump is one full piece whose phase is cached; members
-    with jumps take further pieces with their own phases.  `_schedule` lays
-    out those pieces for the whole batch at once, and each member's noise
-    state is its current row of the batch's segment table.
+    with jumps take further pieces with their own phases.  Each member keeps
+    a cursor into the batch's segment table, its current row, and a step's
+    pieces are read off the table by advancing the cursors of the members
+    whose row closes inside the step.
     """
 
     def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
@@ -239,66 +242,11 @@ class KineticStepper:
         d = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * self.grid.dim)
         return np.exp(m * (d * self.eps))[:, None]
 
-    def _schedule(self, paths):
-        """The pieces of every step that has jumps, as flat sorted columns.
-
-        Step k owns the jumps in (k beta, (k+1) beta]: its pieces end at each
-        of them and at (k+1) beta (a jump on that edge leaves a zero-length
-        last piece, which is dropped).  Round r is each member's r-th piece.
-        A row indexes the batch's segment table, the members' ``seg_states``
-        stacked in batch order: member b's segment s is row s + b + (the jumps
-        of the members before b).
-        Returns (pieces, tails, blocks): ``pieces`` holds member, length and
-        segment row sorted by (step, round, member); ``tails`` holds the
-        member and the row each jumping member ends its step in, sorted by
-        (step, member); ``blocks[k]`` is (one slice of ``pieces`` per round,
-        the slice of ``tails``).
-        """
-        edges = np.arange(self.n_steps + 1) * self.beta
-        jt = np.concatenate([p.seg_times[1:-1] for p in paths])
-        member = np.repeat(np.arange(len(paths)), [p.n_jumps for p in paths])
-        row = np.arange(jt.size) + member  # the segment that ends at the jump
-        ks = np.searchsorted(edges, jt, side="left") - 1
-        keep = ks < self.n_steps
-        jt, ks, member, row = jt[keep], ks[keep], member[keep], row[keep]
-        if jt.size == 0:
-            return None, None, {}
-        j = np.arange(jt.size)
-        new = (ks[1:] != ks[:-1]) | (member[1:] != member[:-1])
-        first, last = np.r_[True, new], np.r_[new, True]
-        start = np.where(first, edges[ks], np.r_[0.0, jt[:-1]])
-        rnd = j - np.maximum.accumulate(np.where(first, j, 0))
-        # the pieces ending at a jump, then the tail piece of each step, which
-        # starts at the step's last jump in the segment after it
-        t_step, t_member, t_row = ks[last], member[last], row[last] + 1
-        step = np.r_[ks, t_step]
-        rnd = np.r_[rnd, rnd[last] + 1]
-        member = np.r_[member, t_member]
-        delta = np.r_[jt - start, edges[t_step + 1] - jt[last]]
-        row = np.r_[row, t_row]
-        keep = np.flatnonzero(delta > 0.0)
-        order = keep[np.lexsort((member[keep], rnd[keep], step[keep]))]
-        pieces = {"member": member[order], "delta": delta[order], "row": row[order]}
-        step, rnd = step[order], rnd[order]
-        t_order = np.lexsort((t_member, t_step))
-        tails = {"member": t_member[t_order], "row": t_row[t_order]}
-        t_step = t_step[t_order]
-
-        rounds = {}
-        starts = np.flatnonzero(np.r_[True, (np.diff(step) != 0) | (np.diff(rnd) != 0)])
-        for lo, hi in zip(starts, np.r_[starts[1:], step.size]):
-            rounds.setdefault(int(step[lo]), []).append(slice(lo, hi))
-        starts = np.flatnonzero(np.r_[True, np.diff(t_step) != 0])
-        blocks = {int(t_step[lo]): (rounds[int(t_step[lo])], slice(lo, hi))
-                  for lo, hi in zip(starts, np.r_[starts[1:], t_step.size])}
-        return pieces, tails, blocks
-
     # ---- driver --------------------------------------------------------
 
     def run(self, f0, paths, out_steps, observer) -> BatchResult:
         grid, noise, eps = self.grid, self.noise, self.eps
         batch = len(paths)
-        pieces, tails, blocks = self._schedule(paths)  # before the records: lower peak memory
         x0 = np.moveaxis(f0, -1, 1)
         fhat = self.to_spectrum(np.ascontiguousarray(
             np.broadcast_to(x0, (batch,) + x0.shape[1:])))
@@ -317,8 +265,11 @@ class KineticStepper:
         for i, k in enumerate(out_steps):
             rec_for_step.setdefault(int(k), []).append(i)
 
-        # the batch's segment table (rows as in _schedule) and each member's current row
+        # the batch's segment table, the members' seg_states stacked in batch
+        # order; seg_end[row] is the jump that closes a row, inf on a member's
+        # last row, and cur is each member's current row
         seg_states = np.concatenate([p.seg_states for p in paths])
+        seg_end = np.concatenate([np.r_[p.seg_times[1:-1], np.inf] for p in paths])
         seg_values = noise.values(seg_states)
         cur = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
         dead = np.zeros(batch, dtype=bool)
@@ -352,16 +303,13 @@ class KineticStepper:
         record(0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(self.n_steps):
-                block = blocks.get(k)
-                if block is None:
+                jump = (seg_end[cur] <= (k + 1) * self.beta).nonzero()[0]
+                if jump.size == 0:
                     fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
                 else:
-                    fhat = self._jump_step(fhat, pieces, block[0], full_mult, seg_values)
-                    tl = block[1]
-                    members = tails["member"][tl]
-                    cur[members] = tails["row"][tl]
-                    full_mult[members] = self._multiplier(
-                        seg_values[cur[members]], np.full(members.size, self.beta))
+                    fhat = self._jump_step(fhat, k, jump, cur, seg_end, seg_values, full_mult)
+                    full_mult[jump] = self._multiplier(
+                        seg_values[cur[jump]], np.full(jump.size, self.beta))
                 nrm = self.norm2(fhat)
                 t_macro = (k + 1) * self.dt
                 for b in np.flatnonzero(~(nrm <= OVERFLOW_NORM ** 2)):
@@ -386,26 +334,40 @@ class KineticStepper:
             failures=failures,
         )
 
-    def _jump_step(self, fhat, pieces, rounds, full_mult, seg_values):
-        """A step in which some members jump; ``rounds`` slice ``pieces`` by round.
+    def _jump_step(self, fhat, k, sub, cur, seg_end, seg_values, full_mult):
+        """Step k, in which members ``sub`` jump; advances their rows ``cur``.
 
-        Round 0 covers the whole batch, members without a jump taking the
-        cached full piece; later rounds gather only the members that still
-        have pieces left.
+        Step k owns the jumps in (k beta, (k+1) beta].  Round 0 covers the
+        whole batch, members without a jump taking the cached full piece,
+        and ends each of ``sub`` at its next jump.  Each later round gathers
+        the members whose last piece ended at a jump, moves them to their
+        next row and takes the piece up to the next jump or (k+1) beta,
+        whichever comes first.  A zero-length piece (a tie between chains,
+        or a jump on the step's right edge) is dropped.
         """
-        member, delta, row = pieces["member"], pieces["delta"], pieces["row"]
-        sub, d0 = member[rounds[0]], delta[rounds[0]]
+        end = (k + 1) * self.beta
+        rows = cur[sub]
+        start = seg_end[rows]
+        d0 = start - k * self.beta
         phase = np.repeat(self._full_phase[None], fhat.shape[0], axis=0)
         phase[sub] = self.phase(d0)
         theta = np.full((fhat.shape[0], 1, 1), self._full_theta)
         theta[sub, 0, 0] = np.exp(-0.5 * d0)
         mult = full_mult.copy()
-        mult[sub] = self._multiplier(seg_values[row[rounds[0]]], d0)
+        mult[sub] = self._multiplier(seg_values[rows], d0)
         fhat = self.piece(fhat, phase, theta, mult)
-        for sl in rounds[1:]:
-            sub, d = member[sl], delta[sl]
-            fhat[sub] = self.piece(fhat[sub], self.phase(d), np.exp(-0.5 * d)[:, None, None],
-                                   self._multiplier(seg_values[row[sl]], d))
+        while sub.size:
+            rows += 1
+            cur[sub] = rows
+            stop = seg_end[rows]
+            d = np.minimum(stop, end) - start
+            live = (d > 0.0).nonzero()[0]
+            if live.size:
+                m, d = sub[live], d[live]
+                fhat[m] = self.piece(fhat[m], self.phase(d), np.exp(-0.5 * d)[:, None, None],
+                                     self._multiplier(seg_values[rows[live]], d))
+            more = (stop <= end).nonzero()[0]
+            sub, rows, start = sub[more], rows[more], stop[more]
         return fhat
 
 

@@ -212,6 +212,9 @@ def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("command,key,value", [
     ("simulate-kinetic", "experiment.epsilons", [1e-5]),   # 4.8e9 steps
     ("simulate-spde", "solver.spde_steps", 10 ** 12),
+    ("converge", "experiment.ensemble_size", 10 ** 12),
+    # 10^5 output times x 32 grid points > config.MAX_RECORD_VALUES per member
+    ("simulate-kinetic", "experiment.output_times", {"count": 10 ** 5}),
 ])
 def test_unrunnable_step_count_exits_before_simulating(tmp_path, capsys, monkeypatch,
                                                        command, key, value):
@@ -220,8 +223,26 @@ def test_unrunnable_step_count_exits_before_simulating(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(harness, "kinetic_batch", refuse)
     monkeypatch.setattr(harness, "limit_batch", refuse)
+    monkeypatch.setattr(harness, "run_ensemble", refuse)  # lists every chunk first
     assert main([command, "--config", write_config(tmp_path, **{key: value})]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_unfinishable_noise_path_exits_before_simulating(tmp_path, capsys, monkeypatch):
+    # one chain at rate 1e9 expects 3.2e10 jumps per path at eps = 0.05
+    def refuse(*args):
+        raise AssertionError("noise path simulation started")
+
+    monkeypatch.setattr(NoiseModel, "simulate_path", refuse)
+    with open(os.path.join(CONFIG_DIR, "standard.json")) as fh:
+        raw = json.load(fh)
+    raw["noise"]["modes"][0]["chain"]["rate"] = 1e9
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(raw))
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "a path at eps=0.05 expects 3.2e+10 jumps" in err
+    assert "Traceback" not in err
 
 
 def test_converge_refuses_an_off_grid_last_time_before_simulating(tmp_path, capsys,

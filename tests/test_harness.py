@@ -612,6 +612,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section,key,value", [
         ("solver", "dt_factor", 0),
         ("experiment", "ensemble_size", "abc"),
+        ("experiment", "ensemble_size", 10 ** 12),
         ("grid", "n", 4.7),
         ("experiment", "epsilons", [1e-5]),
         ("solver", "spde_steps", 10 ** 12),

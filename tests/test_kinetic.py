@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kindiff import kinetic
 from kindiff import noise as nz
@@ -250,63 +252,53 @@ def _scripted_path(noise, horizon, jump_times):
     return nz.NoisePath(horizon, np.zeros(n, dtype=int), times, states)
 
 
-def _schedule_by_member(pieces, tails, blocks):
-    """{(member, step): [[(length, row) per round], tail row]} from a stepper schedule."""
-    out = {}
-    for k, (rounds, tl) in blocks.items():
-        for sl in rounds:
-            assert np.all(np.diff(pieces["member"][sl]) > 0)
-            for m, d, r in zip(pieces["member"][sl], pieces["delta"][sl], pieces["row"][sl]):
-                out.setdefault((int(m), k), [[], None])[0].append((float(d), int(r)))
-        assert np.all(np.diff(tails["member"][tl]) > 0)
-        for m, r in zip(tails["member"][tl], tails["row"][tl]):
-            out[(int(m), k)][1] = int(r)
-    return out
+def _two_chains(grid):
+    modes = [nz.make_mode(grid, "cos:1"), nz.make_mode(grid, "sin:2")] if grid.dim == 1 else \
+        [nz.make_mode(grid, "cos:1,0"), nz.make_mode(grid, "sin:0,1", 0.7)]
+    return nz.NoiseModel(grid, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), np.stack(modes))
 
 
-class TestSchedule:
-    """The batch's piece schedule against the schedules of its members alone."""
+def _tie_path(horizon):
+    """Two telegraph chains that both flip at 0.35; chain 0 flips back on the
+    step edge 0.4, the second jump of that step."""
+    times = (np.array([0.35, 4 * 0.1]), np.array([0.35]))
+    return nz.NoisePath(horizon, np.zeros(2, dtype=int), times, (np.array([1, 0]), np.array([1])))
 
-    def test_batch_matches_member_schedules(self):
-        nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)),
-                           np.stack([nz.make_mode(GRID, "cos:1"), nz.make_mode(GRID, "sin:2")]))
-        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
-        stepper = kinetic.KineticStepper(VM, GRID, nm, cfg)
-        assert stepper.n_steps == 8
-        horizon = 0.8
-        two_flips = (np.array([0.35, 0.62]), np.array([0.35]))  # chains 0 and 1 tie at 0.35
-        paths = [
-            # past the horizon: the jump on the last edge stays, the later ones go
-            _scripted_path(nm, 2.0, [0.05, 0.3, 0.8, 1.2, 1.9]),
-            _scripted_path(nm, horizon, TestBatchStepper.JUMPS),
-            _scripted_path(nm, horizon, []),
-            nz.NoisePath(horizon, np.zeros(2, dtype=int), two_flips,
-                         (np.array([1, 0]), np.array([1]))),
-        ]
-        paths += [nm.simulate_path(horizon, make_stream(14, 0, 0, i)) for i in range(3)]
-        first = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
-        want = {}
-        for b, path in enumerate(paths):
-            for (_, k), (seq, tail) in _schedule_by_member(*stepper._schedule([path])).items():
-                want[(b, k)] = [[(d, r + first[b]) for d, r in seq], tail + first[b]]
-        pieces, tails, blocks = stepper._schedule(paths)
-        assert _schedule_by_member(pieces, tails, blocks) == want
-        # the round slices tile the sorted columns in step order
-        covered = [np.arange(pieces["member"].size)[sl]
-                   for k in sorted(blocks) for sl in blocks[k][0]]
-        assert np.array_equal(np.concatenate(covered), np.arange(pieces["member"].size))
-        # the scripted member alone, by hand: steps 1, 2, 4 (a jump on its right
-        # edge, so no tail piece) and 6; segment s ends at jump s
-        alone = _schedule_by_member(*stepper._schedule([paths[1]]))
-        assert sorted(alone) == [(0, 1), (0, 2), (0, 4), (0, 6)]
-        lengths = {k: [d for d, _ in alone[(0, k)][0]] for k in (1, 2, 4, 6)}
-        rows = {k: ([r for _, r in alone[(0, k)][0]], alone[(0, k)][1]) for k in (1, 2, 4, 6)}
-        assert lengths[1] == pytest.approx([0.03, 0.07])
-        assert lengths[2] == pytest.approx([0.01, 0.03, 0.03, 0.03])
-        assert lengths[4] == pytest.approx([0.1])
-        assert lengths[6] == pytest.approx([0.01, 0.09])
-        assert rows == {1: ([0, 1], 1), 2: ([1, 2, 3, 4], 4), 4: ([4], 5), 6: ([5, 6], 6)}
-        assert stepper._schedule([paths[2]]) == (None, None, {})
+
+@st.composite
+def _scripted_pair(draw):
+    """A 2-chain telegraph path on [0, 1.2]: jumps on the step grid k * 0.1 and
+    off it, ties between the chains, and jumps past an 8-step run's 0.8."""
+    on_grid = st.integers(1, 11).map(lambda k: k * 0.1)
+    off_grid = st.floats(1e-3, 1.19)
+    first = sorted(set(draw(st.lists(st.one_of(on_grid, off_grid), max_size=6))))
+    shared = [st.sampled_from(first)] if first else []
+    second = sorted(set(draw(st.lists(st.one_of(on_grid, off_grid, *shared), max_size=6))))
+    times = (np.array(first, dtype=float), np.array(second, dtype=float))
+    return nz.NoisePath(1.2, np.zeros(2, dtype=int), times,
+                        tuple(np.arange(1, t.size + 1) % 2 for t in times))
+
+
+def _check_rows(f0, cfg, vm, grid, nm, paths):
+    """Each row of the batch is bitwise its solo run and matches `advance` to 1e-12;
+    the state recorded at step k is the path's state at k beta, after a jump there."""
+    dt, n_steps, eps = cfg.dt, cfg.n_steps, cfg.epsilon
+    times = [k * dt for k in range(n_steps + 1)]
+    res = kinetic.solve_batch(f0, cfg, vm, grid, nm, None, times, paths=paths)
+    assert res.failures == {}
+    edges = np.arange(n_steps + 1) * cfg.dt_factor
+    for b, path in enumerate(paths):
+        rows = np.searchsorted(path.seg_times[1:-1], edges, side="right")
+        assert np.array_equal(res.state_indices[b], path.seg_states[rows])
+        f = f0[b]
+        for k in range(n_steps):
+            f = kinetic.advance(f, dt, eps, vm, grid, nm, path, t_start=k * dt)
+            assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, f))) <= 1e-12
+        assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
+        solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
+        assert np.array_equal(solo.rho[0], res.rho[b])
+        assert np.array_equal(solo.norm2[0], res.norm2[b])
+        assert np.array_equal(solo.state_indices[0], res.state_indices[b])
 
 
 class TestBatchStepper:
@@ -319,35 +311,56 @@ class TestBatchStepper:
     def _compare_with_advance(self, grid, vm, nm):
         eps = 0.2
         cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=8 * 0.1 * eps ** 2)
-        dt, n_steps = cfg.dt, cfg.n_steps
-        horizon = n_steps * 0.1
-        paths = [_scripted_path(nm, horizon, self.JUMPS)]
+        horizon = cfg.n_steps * 0.1
+        paths = [
+            _scripted_path(nm, horizon, self.JUMPS),
+            # past the run: the jump on its last edge stays, the later ones go
+            _scripted_path(nm, 2.0, [0.05, 0.3, 0.8, 1.2, 1.9]),
+            _scripted_path(nm, horizon, []),
+        ]
+        if nm.n_modes == 2:
+            paths.append(_tie_path(horizon))
         paths += [nm.simulate_path(horizon, make_stream(11, 0, 0, i)) for i in range(3)]
         rng = np.random.default_rng(12)
         # white noise, so the Nyquist bins carry content
         f0 = rng.standard_normal((len(paths),) + grid.shape + (vm.n_velocities,)) + 2.0
-        times = [k * dt for k in range(n_steps + 1)]
-        res = kinetic.solve_batch(f0, cfg, vm, grid, nm, None, times, paths=paths)
-        assert res.failures == {}
-        for b, path in enumerate(paths):
-            f = f0[b]
-            for k in range(n_steps):
-                f = kinetic.advance(f, dt, eps, vm, grid, nm, path, t_start=k * dt)
-                assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, f))) <= 1e-12
-            assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
-            solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
-            assert np.max(np.abs(solo.rho[0] - res.rho[b])) <= 1e-12
-            assert np.array_equal(solo.state_indices[0], res.state_indices[b])
+        _check_rows(f0, cfg, vm, grid, nm, paths)
 
     def test_matches_advance_dim1(self):
         nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0),), nz.make_mode(GRID, "cos:1")[None])
         self._compare_with_advance(GRID, VM, nm)
 
+    def test_matches_advance_dim1_two_chains(self):
+        self._compare_with_advance(GRID, VM, _two_chains(GRID))
+
     def test_matches_advance_dim2(self):
         grid = TorusGrid(2, 16)
-        modes = np.stack([nz.make_mode(grid, "cos:1,0"), nz.make_mode(grid, "sin:0,1", 0.7)])
-        nm = nz.NoiseModel(grid, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), modes)
-        self._compare_with_advance(grid, vel.ring(4), nm)
+        self._compare_with_advance(grid, vel.ring(4), _two_chains(grid))
+
+    def test_zero_length_pieces_are_dropped(self, monkeypatch):
+        # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
+        # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
+        # adds 1 and the jump on the edge 0.4 none
+        nm = _two_chains(GRID)
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        calls = []
+        piece = kinetic.KineticStepper.piece
+        monkeypatch.setattr(kinetic.KineticStepper, "piece",
+                            lambda self, *args: calls.append(1) or piece(self, *args))
+        f0 = vel.lift(VM, np.ones(64))
+        for path, pieces in ((_scripted_path(nm, 0.8, self.JUMPS), 13),
+                             (_tie_path(0.8), 9), (_scripted_path(nm, 0.8, []), 8)):
+            calls.clear()
+            kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time], path=path)
+            assert len(calls) == pieces
+
+    @given(st.lists(_scripted_pair(), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_solo_runs_on_scripted_paths(self, paths):
+        grid = TorusGrid(1, 16)
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        f0 = np.random.default_rng(15).standard_normal((len(paths), 16, 2)) + 2.0
+        _check_rows(f0, cfg, VM, grid, _two_chains(grid), paths)
 
     def test_recorded_times_are_the_step_grid(self):
         cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=0.08)
