@@ -16,9 +16,10 @@ arithmetic, and returns one part per chunk.  A kinetic member's records are
 independent of the batch it runs in, so a kinetic part is the same whatever
 job it came from.  A limit member's records depend on its batch width to
 rounding (about 2e-15 relative, see spde), so a limit part agrees with its
-chunk run alone to 1e-12.  The jobs are cut from the ensemble size and the
-job budgets alone, never from the worker count, so the outputs are bitwise
-the same for any number of workers.  With diagnostics on, one
+chunk run alone to 1e-12; with noise modes that are all constant in x the
+limit equation is solved in closed form, and then bitwise.  The jobs are cut
+from the ensemble size and the job budgets alone, never from the worker
+count, so the outputs are bitwise the same for any number of workers.  With diagnostics on, one
 `GeneratorInstrument` observes every functional of a kinetic job.
 `kinetic_batch` and `limit_batch` set up every simulated member, so member i
 of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory
@@ -185,7 +186,9 @@ def limit_batch(cfg: ExperimentConfig, indices):
     or is not finite to its LimitOverflowError, the kinetic overflow rule.
     Member i draws its increments from its own stream, so it is the same
     trajectory in any batch and as `simulate-spde --trajectory i`, up to the
-    rounding that depends on the batch width (records agree to 1e-12).
+    rounding that depends on the batch width (records agree to 1e-12).  When
+    every noise mode is constant in x, solve_spde_batch takes its closed form,
+    which mixes no members, and the records are bitwise equal instead.
     """
     coeffs = spde.LimitCoefficients.from_models(cfg.velocity, cfg.noise, cfg.grid)
     n_steps = cfg.spde_steps

@@ -20,16 +20,30 @@ The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carrie
 the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
 
-`solve_spde_batch` is the only stepper: a single trajectory is its batch of one
-and a single step a call with n_steps = 1.  The caller supplies the Gaussian
-increments; `harness.limit_batch` draws them from each member's stream.
+When every noise mode is constant in x (every row of the (points, J) factor
+table is the same, as on scalar_mode.json and martingale.json, and vacuously
+for J = 0) the noise commutes with the heat flow, and the solution is exact:
 
-Batch width: BLAS picks its column kernels by the batch width, so a member's
-record can round differently in batches of different widths, by up to about
-2e-15 relative.  Against the same members in a 300-member batch (OpenBLAS
-0.3.31), rows were bitwise equal for every width B with B % 8 = 0, and for
-B <= 244 also with B % 8 in {5, 6, 7}.  Bitwise reproducible outputs therefore
-need a fixed batch makeup, which `harness` derives from the ensemble size alone.
+    rho(k dt) = exp(k dt div K grad) rho0 * exp(sum_j sqrt(c_j) eta_j (dW_0 + ... + dW_{k-1})).
+
+`solve_spde_batch` then takes no step: it builds each record from rho0 under
+the half-spectrum multiplier exp(-4 pi^2 xi^T K xi k dt), one FFT pair per
+call, and a running sum of the increments.  The stepped scheme is exact there
+too, and the two agree to rounding: within 2.5e-13 relative, element by element,
+on the limit records of the shipped configs.
+
+`solve_spde_batch` is the only limit solver: a single trajectory is its batch
+of one and a single step a call with n_steps = 1.  The caller supplies the
+Gaussian increments; `harness.limit_batch` draws them from each member's stream.
+
+Batch width: in the step loop BLAS picks its column kernels by the batch width,
+so a member's record can round differently in batches of different widths, by
+up to about 2e-15 relative.  Against the same members in a 300-member batch
+(OpenBLAS 0.3.31), rows were bitwise equal for every width B with B % 8 = 0,
+and for B <= 244 also with B % 8 in {5, 6, 7}.  Bitwise reproducible outputs
+therefore need a fixed batch makeup, which `harness` derives from the ensemble
+size alone.  The closed form mixes no members, so there a member's record has
+the same bits in a batch of any width.
 """
 
 from dataclasses import dataclass
@@ -115,10 +129,13 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
                      increments, output_steps):
     """Evolve a batch of trajectories with the supplied Gaussian increments.
 
-    ``increments`` has shape (batch, n_steps, J); ``output_steps`` lists the
-    integer step indices in [0, n_steps] at which the batch is recorded (an
-    index may repeat).  Returns an array of shape (batch, n_out, *grid.shape);
-    a member that overflows records inf or nan, without a warning.
+    ``rho0`` is one field (*grid.shape) shared by the batch or one field per
+    member (batch, *grid.shape); ``increments`` has shape (batch, n_steps, J);
+    ``output_steps`` lists the integer step indices in [0, n_steps] at which
+    the batch is recorded (an index may repeat).  Returns an array of shape
+    (batch, n_out, *grid.shape); a member that overflows records inf or nan,
+    without a warning.  Noise modes that are all constant in x take the closed
+    form instead of the step loop (see the module docstring).
     """
     grid, n_modes = coeffs.grid, coeffs.n_modes
     dt = final_time / n_steps
@@ -135,10 +152,12 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     batch = increments.shape[0]
     # step-major (n_steps, J, batch): no copy when the caller drew them so
     steps = np.ascontiguousarray(increments.transpose(1, 2, 0))
+    factors = coeffs.root_factors.reshape(n_modes, grid.npoints).T
+    if np.all(factors == factors[:1]):
+        return _closed_form(rho0, dt, coeffs, steps, where)
     rho = np.moveaxis(np.broadcast_to(rho0, (batch,) + grid.shape), 0, -1).copy()
     # even in xi with the Nyquist bins zeroed: the rfft half spectrum is exact
     mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1] * dt)[..., None]
-    factors = coeffs.root_factors.reshape(n_modes, grid.npoints).T
     recorded = set(where.tolist())
     out = np.empty((batch, where.size) + grid.shape)
     out[:, where == 0] = np.moveaxis(rho, -1, 0)[:, None]
@@ -165,3 +184,41 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
             if k + 1 in recorded:
                 out[:, where == k + 1] = np.moveaxis(rho, -1, 0)[:, None]
     return out
+
+
+def _closed_form(rho0, dt, coeffs: LimitCoefficients, steps, where):
+    """The records of solve_spde_batch in closed form, for noise modes constant in x.
+
+    Such noise commutes with the heat flow, so the record at step k is
+    exp(k dt div K grad) rho0 * exp(sum_j sqrt(c_j) eta_j (dW_0 + ... + dW_{k-1})).
+    """
+    grid = coeffs.grid
+    n_modes, batch = steps.shape[1:]
+    amplitudes = coeffs.root_factors.reshape(n_modes, grid.npoints)[:, 0]
+    times, at = np.unique(where, return_inverse=True)
+    # the heat flow of rho0 to each distinct output step, points-major
+    # (*grid.shape, fields, times) with one field, or one per member
+    rho0 = np.asarray(rho0, dtype=float)
+    if rho0.shape != grid.shape:
+        rho0 = np.broadcast_to(rho0, (batch,) + grid.shape)
+    fields = np.moveaxis(rho0.reshape((-1,) + grid.shape), 0, -1)[..., None]
+    mult = np.exp(coeffs.heat_exponent[..., :grid.n // 2 + 1, None, None] * (times * dt))
+    heated = _heat(np.broadcast_to(fields, fields.shape[:-1] + times.shape), mult, grid)
+    heated[..., times == 0] = fields
+    # the noise exponent of each member at each distinct output step, from a
+    # running sum of its increments in step order and a product per mode, so
+    # a member's bits do not depend on the batch
+    total = np.zeros((n_modes, batch))
+    exponent = np.zeros((times.size, batch))
+    done = 0
+    for u, stop in enumerate(times):
+        for k in range(done, stop):
+            total += steps[k]
+        done = stop
+        for j in range(n_modes):
+            exponent[u] += amplitudes[j] * total[j]
+    # (fields, times, *grid.shape) records times (batch, times) multipliers
+    heated = np.moveaxis(heated, (-2, -1), (0, 1))[:, at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = np.exp(exponent.T[:, at])
+        return heated * noise[(...,) + (None,) * grid.dim]

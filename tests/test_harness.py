@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,8 +19,8 @@ from kindiff.stats import RunningStats
 
 
 def small_config(ensemble=8, epsilons=(0.4, 0.2), n=16, noise=True, seed=99,
-                 final_time=0.048, spde_steps=64):
-    modes = [{"label": "cos:1", "amplitude": 1.0,
+                 final_time=0.048, spde_steps=64, mode="cos:1"):
+    modes = [{"label": mode, "amplitude": 1.0,
               "chain": {"kind": "telegraph", "sigma": 1.0, "rate": 1.0}}] if noise else []
     return parse_config({
         "grid": {"dim": 1, "n": n},
@@ -118,8 +119,10 @@ class TestRunEnsemble:
         assert np.array_equal(np.asarray(r1.limit.rho_mean.mean),
                               np.asarray(r2.limit.rho_mean.mean))
 
-    def test_worker_count_invariance(self):
-        cfg = small_config(ensemble=70)  # forces multiple chunks
+    # a constant mode takes the closed form of the limit equation
+    @pytest.mark.parametrize("mode", ["cos:1", "const"], ids=["cos", "const"])
+    def test_worker_count_invariance(self, mode):
+        cfg = small_config(ensemble=70, mode=mode)  # forces multiple chunks
         r1 = harness.run_ensemble(cfg, workers=1)
         r2 = harness.run_ensemble(cfg, workers=2)
         for eps in r1.config.epsilons:
@@ -380,6 +383,15 @@ class TestLimitJobs:
             alone, = harness._chunk_job((cfg.raw, None, [chunk], False))
             assert part.attempted == len(chunk) and part.rho_mean.count == len(chunk)
             assert_parts_close(part, alone)
+
+    def test_constant_mode_members_are_their_solo_runs(self):
+        # scalar_mode.json's constant mode takes the closed form, which mixes
+        # no members, so each row has the bits of `simulate-spde --trajectory i`
+        cfg = parse_config(SHIPPED["scalar_mode.json"])
+        members = list(range(37))
+        _, series, _ = harness.limit_batch(cfg, members)
+        for row, i in enumerate(members):
+            assert np.array_equal(series[row], harness.limit_batch(cfg, [i])[1][0])
 
     def test_a_failure_stays_in_its_chunk(self, monkeypatch):
         # member 33 is row 33 of the job and row 1 of its second chunk
@@ -837,6 +849,50 @@ class TestLimitFailures:
         with pytest.raises(harness.TooManyFailuresError,
                            match="failures in the limit ensemble: 1/40"):
             harness.run_ensemble(cfg, workers=1)
+
+    @staticmethod
+    def _stepped_failures(args):
+        """Batch rows that fail the overflow rule when the limit equation
+        (1-d) is stepped literally: the complex FFT heat step, then the noise."""
+        rho0, final_time, n_steps, coeffs, increments, out_steps = args
+        grid = coeffs.grid
+        dt = final_time / n_steps
+        mult = np.exp(coeffs.heat_exponent * dt)
+        factors = coeffs.root_factors.reshape(coeffs.n_modes, -1)
+        rho = np.tile(rho0, (increments.shape[0], 1))
+        ok = np.ones(len(rho), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps + 1):
+                if k in out_steps:
+                    norm2 = np.sum(rho * rho, axis=1) * grid.cell_volume
+                    ok &= norm2 <= kinetic.OVERFLOW_NORM ** 2
+                if k < n_steps:
+                    rho = np.fft.ifft(np.fft.fft(rho, axis=1) * mult, axis=1).real
+                    rho = rho * np.exp(increments[:, k] @ factors)
+        return np.flatnonzero(~ok).tolist()
+
+    # (amplitude, failed members of 256, members with an infinite record)
+    @pytest.mark.parametrize("amplitude, n_failed, n_inf", [
+        (45.0, 44, 0), (100.0, 114, 0), (300.0, 169, 0), (1000.0, 186, 33)])
+    def test_constant_mode_fails_the_stepped_members(self, monkeypatch, amplitude, n_failed,
+                                                     n_inf):
+        # scalar_mode.json's constant mode takes the closed form; at 20 steps
+        # it must fail the members that stepping the equation fails, with no
+        # RuntimeWarning when the exponential overflows
+        raw = copy.deepcopy(SHIPPED["scalar_mode.json"])
+        raw["noise"]["modes"][0]["amplitude"] = amplitude
+        raw["solver"]["spde_steps"] = 20
+        cfg = parse_config(raw)
+        calls = []
+        solve = spde.solve_spde_batch
+        monkeypatch.setattr(spde, "solve_spde_batch",
+                            lambda *args: (calls.append(args), solve(*args))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, series, failures = harness.limit_batch(cfg, list(range(256)))
+        assert sorted(failures) == self._stepped_failures(calls[0])
+        assert len(failures) == n_failed
+        assert np.count_nonzero(np.isinf(series).any(axis=(1, 2))) == n_inf
 
     def test_limit_failures_reach_the_manifest(self, tmp_path):
         # at amplitude 45 and this seed one limit member of 100 overflows, within

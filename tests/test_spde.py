@@ -20,11 +20,16 @@ def _coeffs(labels_chains):
     return spde.LimitCoefficients.from_models(vel.two_speed(), nm, GRID), nm
 
 
+def _stepped(grid, K):
+    """Coefficients with one mode that is not constant in x, so solve_spde_batch
+    takes its step loop; with zero increments a step is the heat flow alone."""
+    modes = np.arange(grid.npoints, dtype=float).reshape((1,) + grid.shape)
+    return spde.LimitCoefficients(grid, np.atleast_2d(K), np.ones(1), modes)
+
+
 def _heat(rho, dt, K, grid=GRID):
-    """One noiseless step of solve_spde_batch: the exact heat flow of div(K grad rho)."""
-    coeffs = spde.LimitCoefficients(grid, np.atleast_2d(K), np.zeros(0),
-                                    np.zeros((0,) + grid.shape))
-    return spde.solve_spde_batch(rho, dt, 1, coeffs, np.zeros((1, 1, 0)), [1])[0, 0]
+    """One noiseless step of solve_spde_batch's loop: the exact heat flow of div(K grad rho)."""
+    return spde.solve_spde_batch(rho, dt, 1, _stepped(grid, K), np.zeros((1, 1, 1)), [1])[0, 0]
 
 
 class TestHeatStep:
@@ -59,6 +64,24 @@ class TestHeatStep:
         rate = 4 * np.pi ** 2 * xi @ K @ xi
         out = _heat(rho, 0.02, K, grid)
         assert out == pytest.approx(np.exp(-rate * 0.02) * rho, abs=1e-12)
+
+
+def _rejection_coeffs():
+    """One mode on a grid above DENSE_HEAT_MAX_N, where every step of the loop
+    calls _heat: a mode that is not constant in x, then a constant one, whose
+    closed form calls _heat once."""
+    n = 2 * spde.DENSE_HEAT_MAX_N
+    grid = TorusGrid(1, n)
+    return [_stepped(grid, 0.7),
+            spde.LimitCoefficients(grid, np.array([[0.7]]), np.ones(1), np.ones((1, n)))]
+
+
+def _count_heat(monkeypatch):
+    """Count the calls of spde._heat: the returned list grows by one per call."""
+    calls = []
+    heat = spde._heat
+    monkeypatch.setattr(spde, "_heat", lambda *a: (calls.append(1), heat(*a))[1])
+    return calls
 
 
 class TestSpdeStep:
@@ -118,17 +141,13 @@ class TestSpdeStep:
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_misshaped_increments_rejected_before_stepping(self, monkeypatch, shape):
         # 4 steps of one mode need increments shaped (batch, 4, 1); a short
-        # array used to fail with IndexError after some steps had run.  The
-        # grid is above DENSE_HEAT_MAX_N, so every step calls _heat
-        n = 2 * spde.DENSE_HEAT_MAX_N
-        coeffs = spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.ones(1),
-                                        np.ones((1, n)))
-        heat = spde._heat
-        steps = []
-        monkeypatch.setattr(spde, "_heat", lambda *a: (steps.append(1), heat(*a))[1])
-        with pytest.raises(ValueError, match=r"\(batch, n_steps, J\)"):
-            spde.solve_spde_batch(np.ones(n), 0.04, 4, coeffs, np.zeros(shape), [4])
-        assert steps == []
+        # array used to fail with IndexError after some steps had run
+        heat = _count_heat(monkeypatch)
+        for coeffs in _rejection_coeffs():
+            with pytest.raises(ValueError, match=r"\(batch, n_steps, J\)"):
+                spde.solve_spde_batch(np.ones(coeffs.grid.n), 0.04, 4, coeffs,
+                                      np.zeros(shape), [4])
+            assert heat == []
 
     @pytest.mark.parametrize("output_steps", [[0, 4, 7, -1], [5], [-1, 4], [0, 2.5]],
                              ids=["both-sides", "past-the-end", "negative", "fractional"])
@@ -136,16 +155,22 @@ class TestSpdeStep:
                                                                     output_steps):
         # a record at a step the run never reaches would come back as
         # uninitialised memory
-        n = 2 * spde.DENSE_HEAT_MAX_N
-        coeffs = spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.ones(1),
-                                        np.ones((1, n)))
-        heat = spde._heat
-        steps = []
-        monkeypatch.setattr(spde, "_heat", lambda *a: (steps.append(1), heat(*a))[1])
-        with pytest.raises(ValueError, match=r"output_steps must be integers in \[0, 4\]"):
-            spde.solve_spde_batch(np.ones(n), 0.04, 4, coeffs, np.zeros((2, 4, 1)),
-                                  output_steps)
-        assert steps == []
+        heat = _count_heat(monkeypatch)
+        for coeffs in _rejection_coeffs():
+            with pytest.raises(ValueError, match=r"output_steps must be integers in \[0, 4\]"):
+                spde.solve_spde_batch(np.ones(coeffs.grid.n), 0.04, 4, coeffs,
+                                      np.zeros((2, 4, 1)), output_steps)
+            assert heat == []
+
+    def test_each_rejection_path_calls_heat(self, monkeypatch):
+        # the probe of the two tests above: a valid call does call _heat,
+        # once per step in the loop and once in the closed form
+        heat = _count_heat(monkeypatch)
+        for coeffs, calls in zip(_rejection_coeffs(), (4, 1)):
+            spde.solve_spde_batch(np.ones(coeffs.grid.n), 0.04, 4, coeffs,
+                                  np.zeros((2, 4, 1)), [0, 4])
+            assert len(heat) == calls
+            heat.clear()
 
     def test_no_modes_reduces_to_heat(self):
         coeffs, _ = _coeffs([])
@@ -171,15 +196,18 @@ class TestSpdeStep:
 
 
 def _literal_batch(rho0, final_time, n_steps, coeffs, dw, output_steps):
-    """Per-member, per-step composition with the complex FFT: the reference."""
+    """Per-member, per-step composition with the complex FFT: the reference.
+
+    ``rho0`` is one field or one per member."""
     grid = coeffs.grid
     dt = final_time / n_steps
     expo = sum(grid.freqs_odd[p] * grid.freqs_odd[q] * coeffs.K[p, q]
                for p in range(grid.dim) for q in range(grid.dim))
     mult = np.exp(-4.0 * np.pi ** 2 * expo * dt)
+    rho0 = np.broadcast_to(rho0, (dw.shape[0],) + grid.shape)
     out = []
     for b in range(dw.shape[0]):
-        rho = np.array(rho0, dtype=float)
+        rho = np.array(rho0[b], dtype=float)
         states = [rho]
         for k in range(n_steps):
             rho = np.fft.ifftn(np.fft.fftn(rho) * mult).real
@@ -232,16 +260,49 @@ class TestBatchOracle:
                                          self.output_steps)
             assert np.max(np.abs(batch[b] - solo[0])) <= 1e-12 * np.max(np.abs(solo))
 
+    def _constant_problem(self, dim, n_modes):
+        """Modes constant in x, at unequal amplitudes, and one rho0 per member."""
+        _, T, coeffs, dw = self._problem(dim, n_modes)
+        grid = coeffs.grid
+        amplitudes = np.array([1.3, -0.4])[:n_modes]
+        modes = amplitudes[(slice(None),) + (None,) * grid.dim] * np.ones(grid.shape)
+        coeffs = spde.LimitCoefficients(grid, coeffs.K, coeffs.c, modes)
+        rho0 = 1.0 + 0.3 * np.random.default_rng(dim).standard_normal(
+            (dw.shape[0],) + grid.shape)
+        return rho0, T, coeffs, dw
 
-def _no_noise(n):
-    return spde.LimitCoefficients(TorusGrid(1, n), np.array([[0.7]]), np.zeros(0),
-                                  np.zeros((0, n)))
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", ORACLE_GRIDS)
+    def test_constant_modes_match_literal_composition(self, dim, n_modes):
+        # the closed form: no step loop, one heat flow per output step
+        rho0, T, coeffs, dw = self._constant_problem(dim, n_modes)
+        got = spde.solve_spde_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
+        ref = _literal_batch(rho0, T, self.n_steps, coeffs, dw, self.output_steps)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the record at step 0 is rho0 itself
+        assert np.array_equal(got[:, 0], rho0) and np.array_equal(got[:, 1], rho0)
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 2])
+    @pytest.mark.parametrize("dim", ORACLE_GRIDS)
+    def test_constant_modes_member_is_its_solo_run(self, dim, n_modes):
+        # the closed form takes no product across members, so a member's
+        # records have the same bits in any batch, with one rho0 or one each
+        rho0, T, coeffs, dw = self._constant_problem(dim, n_modes)
+        for start in (rho0, rho0[0]):
+            batch = spde.solve_spde_batch(start, T, self.n_steps, coeffs, dw,
+                                          self.output_steps)
+            for b in range(dw.shape[0]):
+                alone = start[b:b + 1] if start.ndim > coeffs.grid.dim else start
+                solo = spde.solve_spde_batch(alone, T, self.n_steps, coeffs, dw[b:b + 1],
+                                             self.output_steps)
+                assert np.array_equal(batch[b], solo[0])
 
 
 def _dense_heat_matrix(coeffs, dt):
-    """The heat matrix as solve_spde_batch applies it: one step of the identity rows."""
+    """The heat matrix as solve_spde_batch's loop applies it: one step of the identity rows."""
     n = coeffs.grid.n
-    return spde.solve_spde_batch(np.eye(n), dt, 1, coeffs, np.zeros((n, 1, 0)), [1])[:, 0]
+    return spde.solve_spde_batch(np.eye(n), dt, 1, coeffs, np.zeros((n, 1, 1)), [1])[:, 0]
 
 
 DENSE_SIZES = [2 ** p for p in range(1, spde.DENSE_HEAT_MAX_N.bit_length())]
@@ -254,13 +315,13 @@ class TestDenseHeat:
 
     @pytest.mark.parametrize("n", DENSE_SIZES)
     def test_symmetric_and_mass_preserving(self, n):
-        heat = _dense_heat_matrix(_no_noise(n), self.dt)
+        heat = _dense_heat_matrix(_stepped(TorusGrid(1, n), 0.7), self.dt)
         assert np.max(np.abs(heat - heat.T)) <= 1e-14
         assert np.max(np.abs(heat.sum(axis=1) - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("n", DENSE_SIZES)
     def test_product_equals_fft_step(self, n):
-        coeffs = _no_noise(n)
+        coeffs = _stepped(TorusGrid(1, n), 0.7)
         heat = _dense_heat_matrix(coeffs, self.dt)
         mult = np.exp(coeffs.heat_exponent[:n // 2 + 1] * self.dt)
         rho = 1.0 + np.random.default_rng(n).standard_normal((3, n))
@@ -271,10 +332,9 @@ class TestDenseHeat:
     @pytest.mark.parametrize("n, fft_calls", [(spde.DENSE_HEAT_MAX_N, 1),
                                                (2 * spde.DENSE_HEAT_MAX_N, 5)])
     def test_fft_pairs_per_call(self, monkeypatch, n, fft_calls):
-        calls = []
-        heat = spde._heat
-        monkeypatch.setattr(spde, "_heat", lambda *a: (calls.append(1), heat(*a))[1])
-        spde.solve_spde_batch(np.ones(n), 0.01, 5, _no_noise(n), np.zeros((2, 5, 0)), [5])
+        calls = _count_heat(monkeypatch)
+        spde.solve_spde_batch(np.ones(n), 0.01, 5, _stepped(TorusGrid(1, n), 0.7),
+                              np.zeros((2, 5, 1)), [5])
         assert len(calls) == fft_calls
 
 
