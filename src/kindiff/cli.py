@@ -38,6 +38,9 @@ RESIDUAL_FLOOR = 1e-12
 # config.MAX_PATH_JUMPS jumps
 MAX_NOISE_PATHS = 10 ** 6
 MAX_STATE_VALUES = 10 ** 7
+# a converge pool forks min(--workers, jobs) processes at its first submit,
+# and a large ensemble has tens of thousands of jobs
+MAX_WORKERS = 64
 
 
 def _fmt(x) -> str:
@@ -329,8 +332,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ConfigError(f"--workers must lie in [1, {MAX_WORKERS}]")
         cfg = load_config(args.config, base_seed=args.seed)
         args.out = args.out or cfg.output_dir
         try:

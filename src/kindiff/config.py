@@ -99,12 +99,18 @@ def _mode(raw, context, grid: TorusGrid, allowed=MODE_KEYS) -> np.ndarray:
         raise ConfigError(f"{context}: give exactly one of 'label' or 'fourier'")
     amplitude = _number(raw.get("amplitude", 1.0), context + ".amplitude")
     try:
-        if "fourier" in raw:
-            terms = _list(raw["fourier"], context + ".fourier")
-            return amplitude * nz.mode_from_fourier(grid, terms)
-        return nz.make_mode(grid, _string(raw["label"], context + ".label"), amplitude)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "fourier" in raw:
+                terms = _list(raw["fourier"], context + ".fourier")
+                mode = amplitude * nz.mode_from_fourier(grid, terms)
+            else:
+                mode = nz.make_mode(grid, _string(raw["label"], context + ".label"), amplitude)
     except (ValueError, TypeError, IndexError, OverflowError) as exc:  # malformed Fourier rows
         raise ConfigError(str(exc)) from exc
+    if not np.all(np.isfinite(mode)):
+        raise ConfigError(f"{context}: the mode overflows on the grid; rescale its "
+                          f"amplitude or Fourier coefficients")
+    return mode
 
 
 def _parse_chain(raw, context) -> ChainSpec:
@@ -186,6 +192,11 @@ def _noise(raw, grid: TorusGrid) -> NoiseModel:
         raise ConfigError(f"noise: {exc}") from exc
     if not (np.all(np.isfinite(nm.coefficients)) and np.isfinite(nm.bound)):
         raise ConfigError("noise: chain statistics overflow; rescale states or rates")
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = nm.trace_field()
+    if not np.all(np.isfinite(trace)):
+        raise ConfigError("noise.modes: F = sum_j c_j eta_j^2 overflows; rescale the mode "
+                          "amplitudes or the chain states")
     return nm
 
 

@@ -76,14 +76,3 @@ class TorusGrid:
         gh = self.fft(g)
         return [self.ifft(2j * np.pi * k * gh) for k in self.freqs_odd]
 
-    def shift_phase(self, shifts):
-        """Translation multipliers for f(x) -> f(x - shift_i) per trailing column.
-
-        ``shifts`` has shape (m, dim); the result has shape shape + (m,) and uses
-        the full frequency set so that grid-multiple shifts reproduce np.roll.
-        """
-        shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
-        expo = np.zeros(self.shape + (shifts.shape[0],), dtype=complex)
-        for d in range(self.dim):
-            expo += -2j * np.pi * self.freqs[d][..., None] * shifts[:, d]
-        return np.exp(expo)

@@ -11,23 +11,22 @@ Strang-style, relaxation - transport - multiplier - transport - relaxation
 with half steps, and every noise jump inside the step partitions it exactly,
 so the only scheme error is the splitting commutator.
 
-`advance` composes the three sub-flows literally and is the reference oracle.
-Production runs go through `KineticStepper`, which advances a batch of
-trajectories together with the state held as an rfft over space: relaxation
-and transport act per frequency, so each piece costs one irfft -> noise
-multiplier -> rfft pair, and the energy check uses Parseval.  The noise of a
-batch is one segment table, the members' `NoisePath.seg_states` stacked in
-batch order, whose chain values are read once through `NoiseModel.values`.
-Each member keeps a cursor, its current row, and a step splits only where a
-member's row closes at a jump inside it.
+`KineticStepper` advances a batch of trajectories together with the state
+held as an rfft over space: relaxation and transport act per frequency, so
+each piece costs one irfft -> noise multiplier -> rfft pair, and the energy
+check uses Parseval.  The noise of a batch is one segment table, the members'
+`NoisePath.seg_states` stacked in batch order, whose chain values are read
+once through `NoiseModel.values`.  Each member keeps a cursor, its current
+row, and a step splits only where a member's row closes at a jump inside it.
 `solve_trajectory` is its batch of one and raises that member's failure.
+The tests check the stepper against a literal composition of the three
+sub-flows, `advance` in tests/oracles.py.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import velocity
 from .grid import TorusGrid
 from .noise import NoiseModel, NoisePath
 from .velocity import VelocityModel
@@ -73,48 +72,6 @@ class SolverConfig:
         self.dt, self.n_steps = dt, int(round(steps))
 
 
-def step_transport(f, tau, eps, model: VelocityModel, grid: TorusGrid):
-    """Exact free transport over macroscopic time tau: f(x,v) -> f(x - a(v) tau/eps, v)."""
-    if tau == 0.0:
-        return np.array(f, dtype=float, copy=True)
-    shifts = model.velocities * (tau / eps)
-    phase = grid.shift_phase(shifts)
-    return grid.ifft(grid.fft(np.asarray(f, dtype=float)) * phase)
-
-
-def step_collision(f, tau, eps, model: VelocityModel):
-    """Exact relaxation flow over macroscopic tau: f -> rho + e^{-tau/eps^2}(f - rho)."""
-    f = np.asarray(f, dtype=float)
-    rho = velocity.average(model, f)[..., None]
-    theta = np.exp(-tau / (eps * eps))
-    return rho + theta * (f - rho)
-
-
-def step_noise_multiplication(f, interval, eps, m_field):
-    """Exact multiplier over a window where m is frozen: f -> f exp(m |interval| / eps)."""
-    f = np.asarray(f, dtype=float)
-    return f * np.exp(np.asarray(m_field) * (abs(interval) / eps))[..., None]
-
-
-def advance(f, dt, eps, model: VelocityModel, grid: TorusGrid,
-            noise: NoiseModel, path: NoisePath, t_start: float = 0.0):
-    """One macroscopic step over [t_start, t_start + dt], sub-stepped at noise jumps."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a_micro = t_start / (eps * eps)
-    b_micro = (t_start + dt) / (eps * eps)
-    out = np.asarray(f, dtype=float)
-    for ta, tb, seg in path.segments_between(a_micro, b_micro):
-        h = (tb - ta) * eps * eps
-        m_field = noise.field(path.seg_states[seg])
-        out = step_collision(out, 0.5 * h, eps, model)
-        out = step_transport(out, 0.5 * h, eps, model, grid)
-        out = step_noise_multiplication(out, h, eps, m_field)
-        out = step_transport(out, 0.5 * h, eps, model, grid)
-        out = step_collision(out, 0.5 * h, eps, model)
-    return out
-
-
 @dataclass
 class BatchResult:
     """Per-member records of one batch; failed members keep their exception."""
@@ -126,11 +83,6 @@ class BatchResult:
     gronwall_margin: np.ndarray  # (B,) max of log||f||^2 - bound (negative = satisfied)
     state_indices: np.ndarray    # (B, n_times, J)
     failures: dict               # member -> TrajectoryOverflowError | GronwallViolationError
-
-    @property
-    def finished(self) -> list:
-        """Members that ran to the final time, in batch order."""
-        return [b for b in range(self.sup_norm2.shape[0]) if b not in self.failures]
 
 
 def snap_steps(times, dt, n_steps):
@@ -150,7 +102,8 @@ class KineticStepper:
     step, T the transport half-step phase and M = exp(m(x) delta eps).  C is
     x-local and T is diagonal per frequency, so both act on the spectrum.  At
     bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
-    which is what the `.real` after every complex ifft in `advance` applies.
+    which is what the `.real` after every complex ifft of the literal oracle
+    `advance` applies.
     A step without a jump is one full piece whose phase is cached; members
     with jumps take further pieces with their own phases.  Each member keeps
     a cursor into the batch's segment table, its current row, and a step's

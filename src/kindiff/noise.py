@@ -19,6 +19,10 @@ chain values for any array of state indices, and the generator's
 `NoiseModel.combine` maps chain values to fields.  A `NoisePath` holds the
 jumps of every chain and merges them into segments on which all states are
 frozen.
+
+The package builds only F (`NoiseModel.trace_field`); the kernel k, the
+covariance operator Q and the Poisson field M^{-1}I(n) are test oracles, in
+tests/oracles.py.
 """
 
 import functools
@@ -81,7 +85,7 @@ class ChainSpec:
 
     states: np.ndarray
     rates: np.ndarray
-    stationary: np.ndarray = field(default=None)
+    stationary: np.ndarray = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -99,12 +103,7 @@ class ChainSpec:
             raise ValueError("rate matrix rows must sum to zero")
         if not _strongly_connected(g):
             raise ReducibleChainError("chain is not irreducible")
-        if self.stationary is None:
-            pi = stationary_law(g)
-        else:
-            pi = np.asarray(self.stationary, dtype=float)
-            if np.max(np.abs(pi @ g)) > 1e-9 * max(1.0, np.max(np.abs(g))):
-                raise ValueError("supplied stationary law is not invariant")
+        pi = stationary_law(g)
         mean = float(pi @ s)
         if abs(mean) > CENTERING_TOL * max(1.0, np.max(np.abs(s))):
             raise ValueError("chain is not centered under its stationary law")
@@ -134,11 +133,6 @@ def telegraph(sigma: float, rate: float) -> ChainSpec:
     """Two-state chain on {-sigma, +sigma} flipping at the given rate."""
     g = np.array([[-rate, rate], [rate, -rate]], dtype=float)
     return ChainSpec(np.array([-sigma, sigma]), g)
-
-
-def zero_chain() -> ChainSpec:
-    """Degenerate single-state chain frozen at 0."""
-    return ChainSpec(np.array([0.0]), np.array([[0.0]]))
 
 
 def _centered_poisson(rates, pi, theta) -> np.ndarray:
@@ -380,39 +374,9 @@ class NoiseModel:
         """Chain values (..., J) of the chain state indices (..., J)."""
         return self._state_values[self.state_offsets + np.asarray(state_indices, dtype=np.int64)]
 
-    def field(self, state_indices) -> np.ndarray:
-        """m(x) for the given chain states."""
-        return self.combine(self.values(state_indices))
-
-    def m_inverse_field(self, state_indices) -> np.ndarray:
-        """M^{-1}I(n)(x) = sum_j phi_j(n_j) eta_j(x)."""
-        vals = [p[i] for p, i in zip(self.poisson_identity, state_indices)]
-        return self.combine(vals)
-
-    def kernel_and_trace(self):
-        """Covariance kernel k(x,y) (flattened grid x grid) and its trace F(x).
-
-        Assembled from the square-root factors sqrt(c_j) eta_j, which makes
-        the symmetry k(x,y) = k(y,x) exact in floating point.
-        """
-        if self.n_modes == 0:
-            return np.zeros((self.grid.npoints, self.grid.npoints)), self.trace_field()
-        scaled = (np.sqrt(np.clip(self.coefficients, 0.0, None))[:, None]
-                  * self.modes.reshape(self.n_modes, -1))
-        k = np.einsum("jx,jy->xy", scaled, scaled)
-        return k, self.trace_field()
-
     def trace_field(self) -> np.ndarray:
         """F(x) = k(x,x) = sum_j c_j eta_j(x)^2."""
         return np.einsum("j,j...,j...->...", self.coefficients, self.modes, self.modes)
-
-    def apply_Q(self, f) -> np.ndarray:
-        """Covariance operator (Qf)(x) = sum_j c_j eta_j(x) (eta_j, f)."""
-        f = np.asarray(f, dtype=float)
-        if f.shape != self.grid.shape:
-            raise ValueError("field does not live on the model grid")
-        proj = np.array([self.grid.inner(m, f) for m in self.modes])
-        return self.combine(self.coefficients * proj)
 
     # ---- sampling ---------------------------------------------------
 
@@ -471,32 +435,6 @@ class NoisePath:
     @property
     def n_jumps(self) -> int:
         return self.seg_states.shape[0] - 1
-
-    def segments_between(self, a: float, b: float):
-        """Yield (t0, t1, segment_index) covering [a, b] with constant states."""
-        if b < a or a < -1e-12 or b > self.horizon * (1 + 1e-12) + 1e-12:
-            raise ValueError("window not covered by the path")
-        idx = int(np.searchsorted(self.seg_times, a, side="right")) - 1
-        idx = min(max(idx, 0), self.seg_states.shape[0] - 1)
-        t0 = a
-        while t0 < b:
-            t1 = min(float(self.seg_times[idx + 1]), b)
-            if t1 > t0:
-                yield t0, t1, idx
-            t0 = t1
-            if t0 < b:
-                idx += 1
-
-    def sup_bounds(self, model: NoiseModel):
-        """Pathwise sup of |m| and |M^{-1}I(m)| over all segments (for the bound C_*)."""
-        sup_m, sup_inv = 0.0, 0.0
-        for row in self.seg_states:
-            sup_m = max(sup_m, float(np.max(np.abs(model.field(row)))) if model.n_modes else 0.0)
-            sup_inv = max(
-                sup_inv,
-                float(np.max(np.abs(model.m_inverse_field(row)))) if model.n_modes else 0.0,
-            )
-        return sup_m, sup_inv
 
 
 def empirical_autocovariance(chain: ChainSpec, horizon: float, n_paths: int, rng):

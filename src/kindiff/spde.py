@@ -10,14 +10,15 @@ members on the contiguous axis; a step of length dt is
 the exact heat flow over the grid axes (its half-spectrum multiplier built once
 per call) and then the geometric noise multiplier, whose (points, batch)
 exponent is one (points, J) @ (J, batch) product per step into a preallocated
-buffer, or for J = 1 a broadcast multiply with the same bits.  On a 1-d grid of
-at most DENSE_HEAT_MAX_N points the heat flow is instead one (n, n) @ (n, batch)
-product with its matrix, the same rfft map applied to the identity once per
-call; it is a symmetric circulant whose rows sum to 1.  Above that size the FFT
-pair is cheaper, and 2-d grids always take it.  Step k reads the increments of
-every member as one contiguous (J, batch) block of a step-major array.
+buffer.  On a 1-d grid of at most DENSE_HEAT_MAX_N points the heat flow is
+instead one (n, n) @ (n, batch) product with its matrix, the same rfft map
+applied to the identity once per call; it is a symmetric circulant whose rows
+sum to 1.  Above that size the FFT pair is cheaper, and 2-d grids always take
+it.  Step k reads the increments of every member as one contiguous (J, batch)
+block of a step-major array.
 The multiplier's mean is exp(F dt / 2) since sum_j c_j eta_j^2 = F, so it carries
-the Ito drift, is exact in law at frozen x, and preserves positivity.  Q^{1/2} is
+the Ito drift, is exact in law at frozen x, and preserves positivity; the tests
+check that identity with `drift_consistency` in tests/oracles.py.  Q^{1/2} is
 never formed: beta -> sum_j sqrt(c_j) eta_j beta_j has covariance Q by construction.
 
 When every noise mode is constant in x (every row of the (points, J) factor
@@ -99,12 +100,6 @@ class LimitCoefficients:
     def from_models(cls, vm: VelocityModel, nm: NoiseModel, grid: TorusGrid):
         return cls(grid=grid, K=vel.diffusion_matrix(vm), c=nm.coefficients, modes=nm.modes)
 
-    def trace_field(self) -> np.ndarray:
-        """F(x) = sum_j c_j eta_j(x)^2, recomputed from the factor form."""
-        if self.n_modes == 0:
-            return np.zeros(self.grid.shape)
-        return np.einsum("j...,j...->...", self.root_factors, self.root_factors)
-
 
 def _heat(rho, mult, grid: TorusGrid):
     """irfft(rfft(rho) * mult) over the grid axes of real fields (*grid.shape, batch)."""
@@ -112,17 +107,6 @@ def _heat(rho, mult, grid: TorusGrid):
     if grid.dim == 1:
         return np.fft.irfft(np.fft.rfft(rho, axis=0) * mult, n=grid.n, axis=0)
     return np.fft.irfftn(np.fft.rfftn(rho, axes=(0, 1)) * mult, s=grid.shape, axes=(0, 1))
-
-
-def drift_consistency(coeffs: LimitCoefficients, trace_field) -> float:
-    """Max-norm gap between (1/2) sum_j c_j eta_j^2 and (1/2) F.
-
-    Both sides are built from the same coefficients, so this is a regression
-    guard for the Ito-Stratonovich bookkeeping: it must vanish to rounding.
-    """
-    lhs = 0.5 * coeffs.trace_field()
-    rhs = 0.5 * np.asarray(trace_field, dtype=float)
-    return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
 
 def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
@@ -165,10 +149,6 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     if dense:
         heat = _heat(np.eye(grid.n), mult, grid)
         spare = np.empty_like(rho)
-    # a one-term product has the same bits as a multiply, and OpenBLAS's K = 1
-    # product costs about 2.4 ns per output against 1.5 ns for the multiply and
-    # 0.4 ns for a K = 2 product (64 x 128 outputs, one thread)
-    mix = np.multiply if n_modes == 1 else np.matmul
     noise = np.empty((grid.npoints, batch))
     # a member that overflows carries inf or nan into its record, which the
     # caller counts as a failure (harness.limit_batch)
@@ -179,7 +159,7 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
             else:
                 rho = _heat(rho, mult, grid)
             if n_modes:
-                mix(factors, steps[k], out=noise)
+                np.matmul(factors, steps[k], out=noise)
                 rho *= np.exp(noise, out=noise).reshape(rho.shape)
             if k + 1 in recorded:
                 out[:, where == k + 1] = np.moveaxis(rho, -1, 0)[:, None]

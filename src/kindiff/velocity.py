@@ -1,4 +1,4 @@
-"""Finite velocity measure space (V, mu), its moment structure, and the relaxation operator."""
+"""Finite velocity measure space (V, mu), its moment structure, and velocity averages."""
 
 from dataclasses import dataclass
 
@@ -107,16 +107,7 @@ def lift(model: VelocityModel, rho) -> np.ndarray:
     return np.repeat(rho[..., None], model.n_velocities, axis=-1)
 
 
-def relax(model: VelocityModel, f) -> np.ndarray:
-    """Relaxation (BGK) operator L f = rho - f."""
-    f = np.asarray(f)
-    return average(model, f)[..., None] - f
-
-
 def inner_xv(model: VelocityModel, grid, f, g) -> float:
     """Inner product on the product space, mu-weighted in v, Riemann sum in x."""
     return float(np.sum((f * g) @ model.weights) * grid.cell_volume)
 
-
-def norm_xv(model: VelocityModel, grid, f) -> float:
-    return float(np.sqrt(max(inner_xv(model, grid, f, f), 0.0)))

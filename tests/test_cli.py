@@ -193,6 +193,8 @@ def test_failed_run_exit_code(tmp_path, capsys, command, shipped, size, message)
     ("velocity.model", "ring: 4"),
     ("experiment.epsilons", [1e-5]),
     ("solver.spde_steps", 10 ** 12),
+    # finite modes whose trace F = sum_j c_j eta_j^2 overflows
+    ("noise.modes", [{"label": "cos:1", "amplitude": 1e200, "chain": {"kind": "telegraph"}}]),
 ])
 def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
     section, _, name = key.partition(".")
@@ -278,6 +280,9 @@ def test_converge_refuses_an_off_grid_last_time_before_simulating(tmp_path, caps
     ["converge", "--eta", "nan"],
     ["converge", "--workers", "0"],
     ["coeffs", "--workers", "-1"],
+    # above cli.MAX_WORKERS: refused before any pool forks a process
+    ["converge", "--workers", "65"],
+    ["converge", "--workers", str(10 ** 9)],
 ], ids=" ".join)
 def test_malformed_flag_exit_code(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, **{"experiment.ensemble_size": 128})

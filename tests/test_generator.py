@@ -11,6 +11,8 @@ from kindiff.generator import (GeneratorInstrument, PerturbedTestFunction,
 from kindiff.grid import TorusGrid
 from kindiff.harness import _functional_values, make_stream
 
+import oracles
+
 GRID = TorusGrid(1, 32)
 VM = vel.two_speed()
 X = GRID.coords()[0]
@@ -79,7 +81,7 @@ class TestCorrector1:
         # transport part vanishes, noise part is -(rho M^-1 I, w)
         st = b.state(f[None], [[0]])
         v1 = b.phi1_value(st)[0]
-        expected = -GRID.inner(st.rho[0] * nm.m_inverse_field([0]), W_SMOOTH)
+        expected = -GRID.inner(st.rho[0] * oracles.m_inverse_field(nm, [0]), W_SMOOTH)
         assert v1 == pytest.approx(expected, rel=1e-12)
 
     def test_unit_weight_reduction(self):
@@ -89,7 +91,7 @@ class TestCorrector1:
                                   VM, nm, GRID)
         rng = np.random.default_rng(1)
         f, n = rand_state(nm, rng)
-        direct = -vel.inner_xv(VM, GRID, f, vel.lift(VM, nm.m_inverse_field(n)))
+        direct = -vel.inner_xv(VM, GRID, f, vel.lift(VM, oracles.m_inverse_field(nm, n)))
         assert b.phi1_value(b.state(f[None], n[None]))[0] == pytest.approx(direct, rel=1e-10)
 
     def test_linear_scaling(self):
@@ -491,7 +493,7 @@ class TestMartingale:
                                   paths=paths)
         assert list(res.failures) == [1]
         assert isinstance(res.failures[1], kinetic.TrajectoryOverflowError)
-        for m in res.finished:
+        for m in oracles.finished(res):
             solo = GeneratorInstrument(bundles_, eps, len(times))
             kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, observer=solo,
                                      path=paths[m])

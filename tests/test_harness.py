@@ -628,6 +628,12 @@ class TestConfigValidation:
         ("grid", "n", 4.7),
         ("experiment", "epsilons", [1e-5]),
         ("solver", "spde_steps", 10 ** 12),
+        # a weight whose Fourier sum is finite but overflows at the amplitude
+        ("functionals", 0, {"name": "first_mode", "kind": "linear",
+                            "weight": {"fourier": [[1, 1e308, 1e308]], "amplitude": 10}}),
+        # finite modes whose trace F = sum_j c_j eta_j^2 overflows
+        ("noise", "modes", [{"label": "cos:1", "amplitude": 1e200,
+                             "chain": {"kind": "telegraph"}}]),
     ])
     def test_malformed_scalars_raise_config_error(self, section, key, value):
         raw = copy.deepcopy(SHIPPED["standard.json"])
