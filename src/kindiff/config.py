@@ -16,7 +16,7 @@ from . import spde
 from . import velocity as vel
 from .generator import TestFunctional
 from .grid import TorusGrid
-from .kinetic import SolverConfig
+from .kinetic import OVERFLOW_NORM, SolverConfig
 from .noise import ChainSpec, NoiseModel
 from .velocity import VelocityModel
 
@@ -203,8 +203,15 @@ def _noise(raw, grid: TorusGrid) -> NoiseModel:
 def _initial_density(raw, grid: TorusGrid) -> np.ndarray:
     _take(raw, {"mean": False, "modes": False}, "initial")
     rho = np.full(grid.shape, _number(raw.get("mean", 0.0), "initial.mean"))
-    for i, m in enumerate(_list(raw.get("modes", []), "initial.modes")):
-        rho = rho + _mode(m, f"initial.modes[{i}]", grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, m in enumerate(_list(raw.get("modes", []), "initial.modes")):
+            rho = rho + _mode(m, f"initial.modes[{i}]", grid)
+        norm = grid.norm(rho)
+    # both solvers fail a member whose L2 norm passes OVERFLOW_NORM; a start
+    # beyond it (or not finite) would fail every member
+    if not norm <= OVERFLOW_NORM:
+        raise ConfigError(f"initial: the density's L2 norm {norm:.3g} is not finite or exceeds "
+                          f"{OVERFLOW_NORM:g} (kinetic.OVERFLOW_NORM); rescale its mean or modes")
     rho.flags.writeable = False  # shared by every consumer of the config
     return rho
 
@@ -217,6 +224,12 @@ def _functionals(items, grid: TorusGrid) -> list:
         if raw["kind"] not in ("linear", "quadratic"):
             raise ConfigError(f"{ctx}: kind must be linear or quadratic")
         weight = _mode(raw["weight"], ctx + ".weight", grid)
+        # |(rho, w)| <= ||rho|| ||w||, and a member stops at ||rho|| = OVERFLOW_NORM
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = 0.5 * np.square(OVERFLOW_NORM * np.float64(grid.norm(weight)))
+        if not np.isfinite(top):
+            raise ConfigError(f"{ctx}.weight: (1/2)(rho, w)^2 overflows at ||rho|| = "
+                              f"{OVERFLOW_NORM:g} (kinetic.OVERFLOW_NORM); rescale the weight")
         name = _string(raw.get("name", f"{raw['kind']}_{i}"), ctx + ".name")
         out.append(TestFunctional(raw["kind"], weight, name))
     names = [t.name for t in out]

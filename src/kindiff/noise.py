@@ -25,6 +25,7 @@ covariance operator Q and the Poisson field M^{-1}I(n) are test oracles, in
 tests/oracles.py.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -116,13 +117,20 @@ class ChainSpec:
             row = off[i] / exit_rates[i]
             last = np.nonzero(row > 0.0)[0][-1]
             jump_cdf[i, :last] = np.cumsum(row[:last])
-        for a in (s, g, pi, exit_rates, jump_cdf):
+        # the CDF that Generator.choice(p=pi) builds on every call, built once
+        stationary_cdf = np.cumsum(pi)
+        stationary_cdf /= stationary_cdf[-1]
+        for a in (s, g, pi, exit_rates, jump_cdf, stationary_cdf):
             a.flags.writeable = False
         self.states = s
         self.rates = g
         self.stationary = pi
+        self.stationary_cdf = stationary_cdf
         self.exit_rates = exit_rates
         self.jump_cdf = jump_cdf
+        # simulate_chain's loop reads Python floats, not array elements
+        self._exit_list = exit_rates.tolist()
+        self._jump_rows = [row.tolist() for row in jump_cdf]
 
     @property
     def n_states(self) -> int:
@@ -231,20 +239,23 @@ def mode_from_fourier(grid: TorusGrid, terms) -> np.ndarray:
 def simulate_chain(chain: ChainSpec, start: int, horizon: float, rng):
     """One exact chain path: exponential holding times, embedded jump draws.
 
-    Returns (jump_times, new_states) strictly inside (0, horizon).
+    Returns (jump_times, new_states) strictly inside (0, horizon).  Each jump
+    draws rng.exponential once and rng.random once; the loop runs on Python
+    floats and lists, and bisect_right on a row of ``jump_cdf`` is the
+    searchsorted(side="right") of the array.
     """
+    rates, rows = chain._exit_list, chain._jump_rows
     t_list, s_list = [], []
-    i = start
+    i = int(start)
     t = 0.0
     while True:
-        rate = chain.exit_rates[i]
+        rate = rates[i]
         if rate <= 0.0:
             break
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        # the method form: np.searchsorted's dispatch costs more than the search
-        i = int(chain.jump_cdf[i].searchsorted(rng.random(), side="right"))
+        i = bisect.bisect_right(rows[i], rng.random())
         t_list.append(t)
         s_list.append(i)
     return np.asarray(t_list, dtype=float), np.asarray(s_list, dtype=np.int64)
@@ -353,6 +364,11 @@ class NoiseModel:
     def n_modes(self) -> int:
         return len(self.chains)
 
+    @property
+    def constant_in_space(self) -> bool:
+        """Whether every mode equals its value at the first grid point (True with no modes)."""
+        return bool(np.all(self._modes_flat == self._modes_flat[:, :1]))
+
     @functools.cached_property
     def chain_tables(self) -> ChainTables:
         """The generator's chain tables, built at the first use and then kept."""
@@ -381,10 +397,13 @@ class NoiseModel:
     # ---- sampling ---------------------------------------------------
 
     def sample_stationary(self, rng) -> np.ndarray:
-        """One stationary state index per chain, independent across chains."""
-        return np.array(
-            [rng.choice(ch.n_states, p=ch.stationary) for ch in self.chains], dtype=np.int64
-        )
+        """One stationary state index per chain, independent across chains.
+
+        One rng.random() per chain through its stationary CDF: the draw and
+        the search of rng.choice(n_states, p=stationary), without its checks.
+        """
+        return np.array([ch.stationary_cdf.searchsorted(rng.random(), side="right")
+                         for ch in self.chains], dtype=np.int64)
 
     def simulate_path(self, horizon: float, rng) -> "NoisePath":
         """Exact event-driven simulation of all chains over [0, horizon]."""
@@ -448,7 +467,7 @@ def empirical_autocovariance(chain: ChainSpec, horizon: float, n_paths: int, rng
         raise ValueError("horizon must be positive and finite")
     samples = np.empty(n_paths)
     for i in range(n_paths):
-        start = int(rng.choice(chain.n_states, p=chain.stationary))
+        start = int(chain.stationary_cdf.searchsorted(rng.random(), side="right"))
         times, states = simulate_chain(chain, start, horizon, rng)
         samples[i] = chain_integral(chain, start, times, states, horizon) ** 2 / horizon
     mean = float(samples.mean())

@@ -10,6 +10,8 @@ and the multiplier by a pointwise exponential while the noise state is
 frozen.  `advance` splits a macroscopic step Strang-style at every noise jump
 inside it, and `kinetic.KineticStepper` is tested against it to 1e-12.
 
+The noise-path helpers are the sampler the package used before its
+Python-float loop, kept as the reference that loop must match bitwise.
 The other helpers are the covariance kernel and operator of the noise, the
 Poisson field M^{-1}I, pathwise sup bounds, the BGK operator, the L2_{x,v}
 norm and the drift identity of the limit equation: the tests state their
@@ -32,6 +34,38 @@ from kindiff.velocity import VelocityModel
 def zero_chain() -> ChainSpec:
     """Degenerate single-state chain frozen at 0."""
     return ChainSpec(np.array([0.0]), np.array([[0.0]]))
+
+
+def sample_stationary_by_choice(model: NoiseModel, rng) -> np.ndarray:
+    """Stationary state indices drawn by rng.choice, one call per chain."""
+    return np.array([rng.choice(ch.n_states, p=ch.stationary) for ch in model.chains],
+                    dtype=np.int64)
+
+
+def simulate_chain_by_search(chain: ChainSpec, start: int, horizon: float, rng):
+    """One chain path on numpy scalars: an array search of the jump CDF per jump."""
+    t_list, s_list = [], []
+    i = start
+    t = 0.0
+    while True:
+        rate = chain.exit_rates[i]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        i = int(chain.jump_cdf[i].searchsorted(rng.random(), side="right"))
+        t_list.append(t)
+        s_list.append(i)
+    return np.asarray(t_list, dtype=float), np.asarray(s_list, dtype=np.int64)
+
+
+def simulate_path_by_search(model: NoiseModel, horizon: float, rng) -> NoisePath:
+    """`NoiseModel.simulate_path` drawn through the two helpers above."""
+    initial = sample_stationary_by_choice(model, rng)
+    runs = [simulate_chain_by_search(ch, int(i0), horizon, rng)
+            for ch, i0 in zip(model.chains, initial)]
+    return NoisePath(horizon, initial, tuple(t for t, _ in runs), tuple(s for _, s in runs))
 
 
 def field(model: NoiseModel, state_indices) -> np.ndarray:

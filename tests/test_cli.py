@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,33 @@ def test_malformed_scalar_exit_code(tmp_path, capsys, key, value):
     # fail later, on the 1-d grid of this config
     err = capsys.readouterr().err
     assert key in err or repr(value) in err
+
+
+@pytest.mark.parametrize("argv,path,value,where", [
+    # the mean plus the mode overflows to inf in the initial density
+    (["simulate-spde"], ("initial",),
+     {"mean": 1e308, "modes": [{"label": "const", "amplitude": 1e308}]}, "initial:"),
+    # a finite weight whose quadratic value (1/2)(rho, w)^2 overflows
+    (["simulate-kinetic", "--functionals-only"], ("functionals", 1, "weight"),
+     {"label": "cos:1", "amplitude": 1e200}, "functionals[1].weight:"),
+])
+def test_overflowing_shipped_config_exits_2_without_warning(tmp_path, capsys, argv, path,
+                                                            value, where):
+    with open(os.path.join(CONFIG_DIR, "standard.json")) as fh:
+        raw = json.load(fh)
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg = tmp_path / "loud.json"
+    cfg.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,key,value", [

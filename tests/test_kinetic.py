@@ -260,6 +260,13 @@ def _two_chains(grid):
     return nz.NoiseModel(grid, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), np.stack(modes))
 
 
+def _const_chains(grid, n_chains):
+    """Telegraph chains at different rates on modes constant in x."""
+    chains = (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0))[:n_chains]
+    modes = [nz.make_mode(grid, "const"), nz.make_mode(grid, "const", 0.7)][:n_chains]
+    return nz.NoiseModel(grid, chains, np.stack(modes))
+
+
 def _tie_path(horizon):
     """Two telegraph chains that both flip at 0.35; chain 0 flips back on the
     step edge 0.4, the second jump of that step."""
@@ -339,22 +346,62 @@ class TestBatchStepper:
         grid = TorusGrid(2, 16)
         self._compare_with_advance(grid, vel.ring(4), _two_chains(grid))
 
+    # noise constant in x: the multiplier is one number per member, applied
+    # to the half-spectrum
+
+    def test_matches_advance_dim1_const(self):
+        self._compare_with_advance(GRID, VM, _const_chains(GRID, 1))
+
+    def test_matches_advance_dim1_two_const_chains(self):
+        self._compare_with_advance(GRID, VM, _const_chains(GRID, 2))
+
+    def test_matches_advance_dim2_const(self):
+        grid = TorusGrid(2, 16)
+        self._compare_with_advance(grid, vel.ring(4), _const_chains(grid, 2))
+
     def test_zero_length_pieces_are_dropped(self, monkeypatch):
+        self._check_piece_counts(monkeypatch, _two_chains(GRID))
+
+    def test_zero_length_pieces_are_dropped_const(self, monkeypatch):
+        self._check_piece_counts(monkeypatch, _const_chains(GRID, 2))
+
+    def _check_piece_counts(self, monkeypatch, nm):
         # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
         # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
-        # adds 1 and the jump on the edge 0.4 none
-        nm = _two_chains(GRID)
+        # adds 1 and the jump on the edge 0.4 none.  Only the steps with a
+        # jump (1, 2, 4 and 6 of JUMPS, 3 of the tie) take `_jump_step`
         cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
         calls = []
-        piece = kinetic.KineticStepper.piece
-        monkeypatch.setattr(kinetic.KineticStepper, "piece",
-                            lambda self, *args: calls.append(1) or piece(self, *args))
+        for name in ("piece", "_jump_step"):
+            method = getattr(kinetic.KineticStepper, name)
+            monkeypatch.setattr(kinetic.KineticStepper, name,
+                                lambda self, *args, name=name, method=method:
+                                calls.append(name) or method(self, *args))
         f0 = vel.lift(VM, np.ones(64))
-        for path, pieces in ((_scripted_path(nm, 0.8, self.JUMPS), 13),
-                             (_tie_path(0.8), 9), (_scripted_path(nm, 0.8, []), 8)):
+        for path, pieces, jump_steps in ((_scripted_path(nm, 0.8, self.JUMPS), 13, 4),
+                                         (_tie_path(0.8), 9, 1),
+                                         (_scripted_path(nm, 0.8, []), 8, 0)):
             calls.clear()
             kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time], path=path)
-            assert len(calls) == pieces
+            assert calls.count("piece") == pieces
+            assert calls.count("_jump_step") == jump_steps
+
+    @pytest.mark.parametrize("label", ["const", "cos:1"])
+    def test_fft_pairs_only_where_the_noise_varies_in_x(self, monkeypatch, label):
+        # set-up transforms f0 once and each of the two output steps once; a
+        # cos:1 mode adds an irfft -> rfft pair to each of the 13 pieces
+        nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0),), nz.make_mode(GRID, label)[None])
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        calls = {"to_fields": 0, "to_spectrum": 0}
+        for name in calls:
+            method = getattr(kinetic.KineticStepper, name)
+            monkeypatch.setattr(kinetic.KineticStepper, name,
+                                lambda self, x, name=name, method=method:
+                                calls.__setitem__(name, calls[name] + 1) or method(self, x))
+        kinetic.solve_trajectory(vel.lift(VM, np.ones(64)), cfg, VM, GRID, nm, None,
+                                 [0.0, cfg.final_time], path=_scripted_path(nm, 0.8, self.JUMPS))
+        pairs = 0 if label == "const" else 13
+        assert calls == {"to_fields": 2 + pairs, "to_spectrum": 1 + pairs}
 
     @given(st.lists(_scripted_pair(), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -397,3 +444,12 @@ class TestBatchStepper:
             assert solo.gronwall_margin[0] == res.gronwall_margin[b]
         with pytest.raises(kinetic.TrajectoryOverflowError):
             kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[1])
+
+
+def test_constant_in_space_predicate():
+    assert _no_noise().constant_in_space
+    assert _const_chains(GRID, 2).constant_in_space
+    modes = np.stack([nz.make_mode(GRID, "const"), nz.make_mode(GRID, "const", 0.7)])
+    modes[1, 40] = np.nextafter(0.7, 1.0)
+    nm = nz.NoiseModel(GRID, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), modes)
+    assert not nm.constant_in_space

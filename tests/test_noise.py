@@ -198,6 +198,24 @@ class TestSamplingAndPaths:
         assert np.array_equal(p1.seg_times, p2.seg_times)
         assert np.array_equal(p1.seg_states, p2.seg_states)
 
+    @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
+    def test_paths_are_bitwise_the_array_search_sampler(self, n_states):
+        # the stationary CDF and the Python-float loop take the same draws as
+        # rng.choice and the array searches, and land on the same states
+        rng = np.random.default_rng(20 + n_states)
+        chains = (random_chain(rng, n_states), nz.telegraph(0.5, 3.0),
+                  random_chain(rng, int(rng.integers(2, 6))), oracles.zero_chain())
+        model = nz.NoiseModel(TorusGrid(1, 8), chains, np.ones((4, 8)))
+        for stream in range(50):
+            got_rng, want_rng = make_stream(17, 2, n_states, stream), \
+                make_stream(17, 2, n_states, stream)
+            got = model.simulate_path(30.0, got_rng)
+            want = oracles.simulate_path_by_search(model, 30.0, want_rng)
+            assert np.array_equal(got.initial, want.initial)
+            for a, b in zip(got.jump_times + got.jump_states, want.jump_times + want.jump_states):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got_rng.random() == want_rng.random()
+
     def test_path_boundedness(self):
         grid = TorusGrid(1, 32)
         modes = np.stack([nz.make_mode(grid, "const"),
