@@ -131,7 +131,7 @@ class KineticStepper:
         self.mu = model.weights
         # constant in x: the modes' values at the first grid point, (J, 1)
         self._mode_values = None
-        if noise.n_modes and noise.constant_in_space:
+        if noise.constant_in_space:
             self._mode_values = noise.modes.reshape(noise.n_modes, grid.npoints)[:, :1]
         self.axes = tuple(range(-grid.dim, 0))
         half = grid.n // 2 + 1
