@@ -2,12 +2,12 @@
 
 The observables are functionals of the density rho = int f dmu,
 
-    linear:     phi(rho) = (rho, w)
-    quadratic:  phi(rho) = (rho, w)^2 / 2
+    phi(rho) = a (rho, w) + q (rho, w)^2 / 2,   (a, q) = (1, 0) linear, (0, 1) quadratic,
 
-for a smooth grid weight w.  Both have closed-form first and second Frechet
-derivatives and vanishing third derivative, which makes every generator
-action below exact finite-dimensional algebra.
+for a smooth grid weight w.  phi has closed-form first and second Frechet
+derivatives, Dphi = alpha w with alpha = a + q (rho, w), and vanishing third
+derivative, which makes every generator action below exact finite-dimensional
+algebra; a term of the quadratic part alone enters multiplied by q.
 
 For the pair process (f, n) the generator splits into a fast relaxation part
 and a transport/multiplication part,
@@ -46,7 +46,7 @@ rounding and the third equal to the limit generator
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,13 +57,19 @@ from .velocity import VelocityModel
 
 @dataclass
 class TestFunctional:
-    """Linear or quadratic functional of the density with grid weight w."""
+    """phi(rho) = a (rho, w) + q (rho, w)^2 / 2 with grid weight w, (a, q) set by ``kind``.
+
+    A coefficient 0 adds exact zeros to a finite sum and 1 multiplies exactly,
+    so each kind's values have the bits of its own formula.
+    """
 
     __test__ = False  # domain object, not a pytest suite
 
     kind: str
     weight: np.ndarray
     name: str = ""
+    a: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
@@ -71,6 +77,11 @@ class TestFunctional:
         self.weight = np.asarray(self.weight, dtype=float)
         if not self.name:
             self.name = self.kind
+        self.a, self.q = (1.0, 0.0) if self.kind == "linear" else (0.0, 1.0)
+
+    def value(self, m):
+        """phi for pairings m = (rho, w)."""
+        return self.a * m + 0.5 * self.q * m * m
 
 
 class _DirData:
@@ -121,10 +132,8 @@ class PerturbedTestFunction:
         self.vm = vm
         self.nm = nm
         self.grid = grid
-        self.quad = functional.kind == "quadratic"
         self.J = J = nm.n_modes
         self._fshape = grid.shape + (vm.n_velocities,)
-        self._axes = tuple(range(1, grid.dim + 1))
         self.tables = nm.chain_tables
 
         mu = vm.weights
@@ -165,10 +174,6 @@ class PerturbedTestFunction:
 
     # ---- evaluation record ---------------------------------------------
 
-    def _dalpha(self, st, d: _DirData):
-        # derivative of alpha(rho): 0 for linear phi, (bar h, w) for quadratic
-        return d.w if self.quad else np.zeros_like(d.w)
-
     def record(self, f, n) -> _EvalState:
         """The fields of the evaluation record that no functional enters.
 
@@ -187,8 +192,7 @@ class PerturbedTestFunction:
         rec.chain, rec.psiq = self.tables.at(n)  # (5, B, J) and (B, J, J)
         rec.sv, rec.pv, rec.Bv, rec.Nv, rec.Gv = rec.chain
         rec.rho = f @ self.vm.weights
-        spec = np.fft.rfftn(f, axes=self._axes) * self._m1_half
-        rec.Af = np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+        rec.Af = self.grid.irfft(self.grid.rfft(f, 1) * self._m1_half, 1)
         rec.nf = self.nm.combine(rec.sv)
         rec.h_L = rec.rho[..., None] - f  # the direction of L_L
         rec.h_A = f * rec.nf[..., None]   # the direction of L_A, f n.eta - A f
@@ -200,7 +204,7 @@ class PerturbedTestFunction:
         st = copy.copy(rec)
         pf = _DirData(self, st.f)
         st.mw = pf.w
-        st.alpha = st.mw if self.quad else np.ones(st.f.shape[0])
+        st.alpha = self.phi.a + self.phi.q * st.mw  # phi'((rho, w))
         st.r = pf.eta
         st.rP = pf.pairs
         st.fmAw = pf.mAw
@@ -219,7 +223,7 @@ class PerturbedTestFunction:
     # ---- phi ----------------------------------------------------------
 
     def phi_value(self, st: _EvalState):
-        return 0.5 * st.mw * st.mw if self.quad else st.mw
+        return self.phi.value(st.mw)
 
     def d_phi(self, st, d: _DirData):
         return st.alpha * d.w
@@ -230,8 +234,9 @@ class PerturbedTestFunction:
         return -st.alpha * (st.S_A + st.S_b)
 
     def d_phi1(self, st, d: _DirData):
+        # the derivative of alpha along h is q (bar h, w)
         base = d.bAw + np.sum(st.pv * d.eta, axis=1)
-        return -st.alpha * base - self._dalpha(st, d) * (st.S_A + st.S_b)
+        return -st.alpha * base - self.phi.q * d.w * (st.S_A + st.S_b)
 
     def m_phi1(self, st: _EvalState):
         return -st.alpha * st.S_n
@@ -239,34 +244,26 @@ class PerturbedTestFunction:
     # ---- phi2: explicit part --------------------------------------------
 
     def phi2_sharp(self, st: _EvalState):
-        out = st.alpha * (st.S_A2 - st.S_cA)
-        if self.quad:
-            out = out + 0.5 * st.S_A * st.S_A
-        return out
+        return st.alpha * (st.S_A2 - st.S_cA) + 0.5 * self.phi.q * st.S_A * st.S_A
 
     def d_phi2_sharp(self, st, d: _DirData):
-        out = st.alpha * (d.A2w - d.cAw) + self._dalpha(st, d) * (st.S_A2 - st.S_cA)
-        if self.quad:
-            out = out + d.bAw * st.S_A
-        return out
+        q = self.phi.q
+        return (st.alpha * (d.A2w - d.cAw) + q * d.w * (st.S_A2 - st.S_cA)
+                + q * d.bAw * st.S_A)
 
     # ---- phi2: noise-quadratic part ---------------------------------------
 
     def _beta(self, st):
-        out = -st.alpha[:, None, None] * st.rP
-        if self.quad:
-            out = out - st.r[:, :, None] * st.r[:, None, :]
-        return out
+        return -st.alpha[:, None, None] * st.rP - self.phi.q * st.r[:, :, None] * st.r[:, None, :]
 
     def phi2_star(self, st: _EvalState):
         return np.sum(self._beta(st) * st.psiq, axis=(1, 2))
 
     def d_phi2_star(self, st, d: _DirData):
-        dbeta = (-self._dalpha(st, d)[:, None, None] * st.rP
-                 - st.alpha[:, None, None] * d.pairs)
-        if self.quad:
-            dbeta = dbeta - d.eta[:, :, None] * st.r[:, None, :] \
-                - st.r[:, :, None] * d.eta[:, None, :]
+        q = self.phi.q
+        dbeta = (-q * d.w[:, None, None] * st.rP - st.alpha[:, None, None] * d.pairs
+                 - q * d.eta[:, :, None] * st.r[:, None, :]
+                 - q * st.r[:, :, None] * d.eta[:, None, :])
         return np.sum(dbeta * st.psiq, axis=(1, 2))
 
     def m_phi2_star(self, st: _EvalState):
@@ -278,9 +275,7 @@ class PerturbedTestFunction:
     def _phi2_dagger_terms(self, st, Bv, Nv, S_B, S_N):
         t1 = st.alpha * np.sum(Bv * st.aw, axis=1)
         t2 = st.alpha * np.sum(Nv * st.fmAw, axis=1)  # (f Nf, Aw), Nf = Nv . eta
-        if self.quad:
-            return t1 + t2 + (S_B - S_N) * st.S_A
-        return t1 + t2
+        return t1 + t2 + self.phi.q * (S_B - S_N) * st.S_A
 
     def phi2_dagger(self, st: _EvalState):
         return self._phi2_dagger_terms(st, st.Bv, st.Nv, st.S_B, st.S_N)
@@ -290,15 +285,15 @@ class PerturbedTestFunction:
                                        st.S_B - st.S_b, st.S_N - st.S_n)
 
     def d_phi2_dagger(self, st, d: _DirData):
-        da = self._dalpha(st, d)
+        q = self.phi.q
+        da = q * d.w
         # (bar(Ah), Bf w) = -(h, A(Bf w)) by skew-adjointness
         t1 = -st.alpha * np.sum(st.Bv * d.Aeta, axis=1) + da * np.sum(st.Bv * st.aw, axis=1)
         t2 = (st.alpha * np.sum(st.Nv * d.mAw, axis=1)
               + da * np.sum(st.Nv * st.fmAw, axis=1))
-        if self.quad:
-            hBN = np.sum((st.Bv - st.Nv) * d.eta, axis=1)
-            return t1 + t2 + hBN * st.S_A + (st.S_B - st.S_N) * d.bAw
-        return t1 + t2
+        hBN = np.sum((st.Bv - st.Nv) * d.eta, axis=1)
+        # one term per addition, so that q = 0 adds exact zeros to t1 + t2
+        return t1 + t2 + q * hBN * st.S_A + q * (st.S_B - st.S_N) * d.bAw
 
     # ---- assembled correctors and generators --------------------------------
 
@@ -342,11 +337,9 @@ class PerturbedTestFunction:
         rho = np.asarray(rho, dtype=float)
         p = rho.reshape(rho.shape[:rho.ndim - self.grid.dim] + (-1,)) @ self._dens
         mw, s_ca, s_f, r = p[..., 0], p[..., 1], p[..., 2], p[..., 3:]
-        alpha = mw if self.quad else 1.0
-        out = alpha * s_ca + 0.5 * alpha * s_f
-        if self.quad:
-            out = out + 0.5 * ((r * r) @ self.nm.coefficients)
-        return out
+        alpha = self.phi.a + self.phi.q * mw
+        return (alpha * s_ca + 0.5 * alpha * s_f
+                + 0.5 * self.phi.q * ((r * r) @ self.nm.coefficients))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,20 @@ class TorusGrid:
             return np.fft.ifft(fhat, axis=0).real
         return np.fft.ifftn(fhat, axes=self._axes).real
 
+    def rfft(self, f, axis):
+        """Real FFT over the grid axes axis .. axis + dim - 1, halving the last of them."""
+        # in 1-d, rfftn over one axis gives the same bits as rfft but costs
+        # about 11/3 us more per call at n = 64, and a job makes thousands
+        if self.dim == 1:
+            return np.fft.rfft(f, axis=axis)
+        return np.fft.rfftn(f, axes=(axis, axis + 1))
+
+    def irfft(self, fhat, axis):
+        """Inverse of `rfft`: real fields over the grid axes axis .. axis + dim - 1."""
+        if self.dim == 1:
+            return np.fft.irfft(fhat, n=self.n, axis=axis)
+        return np.fft.irfftn(fhat, s=self.shape, axes=(axis, axis + 1))
+
     def grad(self, g):
         """Spectral gradient of a real grid function; returns list of dim arrays."""
         gh = self.fft(g)

@@ -12,15 +12,17 @@ merged in chunk order, which makes outputs bitwise reproducible.  A job, the
 unit of work one pool runs, steps up to `job_chunks(cfg)` consecutive kinetic
 chunks of one epsilon, or up to `limit_job_chunks(cfg)` consecutive limit
 chunks, as one batch, since a step costs NumPy dispatch rather than
-arithmetic, and returns one part per chunk.  A kinetic member's records are
+arithmetic, and returns one part per chunk; `_job` runs both kinds, cutting
+the batch into its chunks in one loop.  A kinetic member's records are
 independent of the batch it runs in, so a kinetic part is the same whatever
 job it came from.  A limit member's records depend on its batch width to
 rounding (about 2e-15 relative, see spde), so a limit part agrees with its
 chunk run alone to 1e-12; with noise modes that are all constant in x the
 limit equation is solved in closed form, and then bitwise.  The jobs are cut
 from the ensemble size and the job budgets alone, never from the worker
-count, so the outputs are bitwise the same for any number of workers.  With diagnostics on, one
-`GeneratorInstrument` observes every functional of a kinetic job.
+count, so the outputs are bitwise the same for any number of workers.  With
+diagnostics on, one `GeneratorInstrument` observes every functional of a
+kinetic job.  A functional's value at a density is `TestFunctional.value`.
 `kinetic_batch` and `limit_batch` set up every simulated member, so member i
 of an ensemble is also what `simulate-kinetic` / `simulate-spde --trajectory
 i` write (the limit member to 1e-12); both return each failed member's
@@ -90,8 +92,7 @@ def _functional_values(functionals, grid, rho_series):
     flat = rho_series.reshape(rho_series.shape[:rho_series.ndim - grid.dim] + (-1,))
     out = np.empty(flat.shape[:-2] + (len(functionals), flat.shape[-2]))
     for k, tf in enumerate(functionals):
-        mw = flat @ tf.weight.reshape(-1) * grid.cell_volume
-        out[..., k, :] = mw if tf.kind == "linear" else 0.5 * mw * mw
+        out[..., k, :] = tf.value(flat @ tf.weight.reshape(-1) * grid.cell_volume)
     return out
 
 
@@ -154,16 +155,6 @@ def _empty_eps_ensemble(times, functionals, kinetic_side, diag_names):
     return out
 
 
-def _reduce(acc, functionals, grid, rho):
-    """Fold a stacked chunk of density series (B, n_times, *shape) into acc."""
-    vals = _functional_values(functionals, grid, rho)
-    for k, st in enumerate(acc.functional_stats):
-        st.update_batch(vals[:, k])
-    acc.rho_mean.update_batch(rho)
-    for k, tf in enumerate(functionals):
-        acc.samples[tf.name] = vals[:, k, -1].copy()
-
-
 def kinetic_batch(cfg: ExperimentConfig, eps_index: int, indices, observer=None):
     """Kinetic ensemble members ``indices`` at epsilon index eps_index, as one batch.
 
@@ -210,43 +201,49 @@ def limit_batch(cfg: ExperimentConfig, indices):
     return np.asarray(out_steps) * dt, series, failures
 
 
-def _fill(acc, cfg: ExperimentConfig, indices, failures, lo: int, hi: int, rho):
-    """Record the failures and reduce the series of batch rows lo..hi-1 into acc.
-
-    Returns the rows of the finished members, or None if every member failed.
-    """
-    acc.attempted = hi - lo
-    failed = [b for b in range(lo, hi) if b in failures]
-    acc.failures = [(indices[b], f"{type(failures[b]).__name__}: {failures[b]}") for b in failed]
-    if len(failed) == hi - lo:
-        return None
-    # a slice takes no copy
-    rows = [b for b in range(lo, hi) if b not in failures] if failed else slice(lo, hi)
-    _reduce(acc, cfg.functionals, cfg.grid, rho[rows])
-    return rows
-
-
-def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool):
+def _job(cfg: ExperimentConfig, eps_index, chunks, with_diag: bool):
     """Step the members of ``chunks`` as one batch; one EpsEnsemble per chunk, in order.
 
-    The parts are not merged here: merge is not bitwise associative, so they
-    are folded into the ensemble one chunk at a time, like any other part.
+    The members are kinetic at epsilon index ``eps_index``, or limit members
+    when it is None; ``with_diag`` observes every functional of a kinetic
+    batch with one `GeneratorInstrument`.  A chunk's failed members are left
+    out of its statistics.  The parts are not merged here: merge is not
+    bitwise associative, so they are folded into the ensemble one chunk at a
+    time, like any other part.
     """
     grid, functionals = cfg.grid, cfg.functionals
-    eps = cfg.epsilons[eps_index]
     indices = [i for chunk in chunks for i in chunk]
-    diag_names = [t.name for t in functionals] if with_diag else []
-    if with_diag:
-        ins = GeneratorInstrument([PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid)
-                                   for t in functionals], eps, len(cfg.output_times), len(indices))
-    res = kinetic_batch(cfg, eps_index, indices, ins if with_diag else None)
+    ins = None
+    if eps_index is None:
+        times, rho, failures = limit_batch(cfg, indices)
+    else:
+        if with_diag:
+            ins = GeneratorInstrument(
+                [PerturbedTestFunction(t, cfg.velocity, cfg.noise, grid) for t in functionals],
+                cfg.epsilons[eps_index], len(cfg.output_times), len(indices))
+        res = kinetic_batch(cfg, eps_index, indices, ins)
+        times, rho, failures = res.times, res.rho, res.failures
+    diag_names = [t.name for t in functionals] if ins is not None else []
     parts, hi = [], 0
     for chunk in chunks:
         lo, hi = hi, hi + len(chunk)
-        acc = _empty_eps_ensemble(res.times, functionals, True, diag_names)
+        acc = _empty_eps_ensemble(times, functionals, eps_index is not None, diag_names)
         parts.append(acc)
-        rows = _fill(acc, cfg, indices, res.failures, lo, hi, res.rho)
-        if rows is None:
+        acc.attempted = len(chunk)
+        failed = [b for b in range(lo, hi) if b in failures]
+        acc.failures = [(indices[b], f"{type(failures[b]).__name__}: {failures[b]}")
+                        for b in failed]
+        if len(failed) == len(chunk):
+            continue
+        # a slice takes no copy
+        rows = [b for b in range(lo, hi) if b not in failures] if failed else slice(lo, hi)
+        series = rho[rows]
+        vals = _functional_values(functionals, grid, series)
+        for k, tf in enumerate(functionals):
+            acc.functional_stats[k].update_batch(vals[:, k])
+            acc.samples[tf.name] = vals[:, k, -1].copy()
+        acc.rho_mean.update_batch(series)
+        if eps_index is None:
             continue
         acc.norm2.update_batch(res.norm2[rows])
         acc.norm4.update_batch(res.norm2[rows] ** 2)
@@ -254,22 +251,6 @@ def _kinetic_job(cfg: ExperimentConfig, eps_index: int, chunks, with_diag: bool)
         for k, name in enumerate(diag_names):
             acc.diagnostics[name] = {"values": ins.values[k][rows], "gens": ins.gens[k][rows],
                                      "brackets": ins.brackets[k][rows]}
-    return parts
-
-
-def _limit_job(cfg: ExperimentConfig, chunks):
-    """Step the limit members of ``chunks`` as one batch; one EpsEnsemble per chunk, in order.
-
-    A chunk's failed members are left out of its statistics.
-    """
-    indices = [i for chunk in chunks for i in chunk]
-    times, series, failures = limit_batch(cfg, indices)
-    parts, hi = [], 0
-    for chunk in chunks:
-        lo, hi = hi, hi + len(chunk)
-        acc = _empty_eps_ensemble(times, cfg.functionals, False, [])
-        _fill(acc, cfg, indices, failures, lo, hi, series)
-        parts.append(acc)
     return parts
 
 
@@ -281,10 +262,7 @@ def _chunk_job(args):
     when eps_index is None.
     """
     raw, eps_index, chunks, with_diag = args
-    cfg = parse_config(raw)
-    if eps_index is None:
-        return _limit_job(cfg, chunks)
-    return _kinetic_job(cfg, eps_index, chunks, with_diag)
+    return _job(parse_config(raw), eps_index, chunks, with_diag)
 
 
 @dataclass

@@ -12,7 +12,8 @@ with half steps, and every noise jump inside the step partitions it exactly,
 so the only scheme error is the splitting commutator.
 
 `KineticStepper` advances a batch of trajectories together with the state
-held as an rfft over space: relaxation and transport act per frequency, so
+held as an rfft over space (`TorusGrid.rfft`/`irfft`, over axis 2 of the
+(B, V, *grid.shape) fields): relaxation and transport act per frequency, so
 each piece costs one irfft -> noise multiplier -> rfft pair, and the energy
 check uses Parseval.  When every noise mode is constant in x
 (`NoiseModel.constant_in_space`), exp(delta eps m) is one number per member.
@@ -133,7 +134,6 @@ class KineticStepper:
         self._mode_values = None
         if noise.constant_in_space:
             self._mode_values = noise.modes.reshape(noise.n_modes, grid.npoints)[:, :1]
-        self.axes = tuple(range(-grid.dim, 0))
         half = grid.n // 2 + 1
         self.rshape = grid.shape[:-1] + (half,)
         # phase per unit delta: exp part off the Nyquist planes, cos part on them
@@ -170,17 +170,11 @@ class KineticStepper:
 
     def to_spectrum(self, f):
         """(B, V, *shape) real fields -> (B, V, R) half-spectra."""
-        # in 1-d, rfftn/irfftn over one axis give the same bits as rfft/irfft but
-        # cost about 11/3 us more per call at n = 64, and a job makes thousands
-        out = np.fft.rfftn(f, axes=self.axes) if self.grid.dim > 1 else np.fft.rfft(f)
-        return out.reshape(f.shape[:2] + (-1,))
+        return self.grid.rfft(f, 2).reshape(f.shape[:2] + (-1,))
 
     def to_fields(self, fhat):
         """(B, V, R) half-spectra -> (B, V, *shape) real fields."""
-        spec = fhat.reshape(fhat.shape[:2] + self.rshape)
-        if self.grid.dim > 1:
-            return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
-        return np.fft.irfft(spec, n=self.grid.n)
+        return self.grid.irfft(fhat.reshape(fhat.shape[:2] + self.rshape), 2)
 
     def norm2(self, fhat):
         """||f||^2_{L2_{x,v}} per member, by Parseval, each member its own product."""
@@ -252,9 +246,6 @@ class KineticStepper:
         seg_values = noise.values(seg_states)
         cur = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
         dead = np.zeros(batch, dtype=bool)
-        full_mult = None
-        if noise.n_modes:
-            full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
 
         def record(step):
             outs = rec_for_step.get(step)
@@ -284,6 +275,10 @@ class KineticStepper:
         next_jump = float(seg_end[cur].min())
         record(0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # an overflowing multiplier fails its member under the guards below
+            full_mult = None
+            if noise.n_modes:
+                full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
             for k in range(self.n_steps):
                 if next_jump > (k + 1) * self.beta:
                     fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)

@@ -7,10 +7,10 @@ members on the contiguous axis; a step of length dt is
 
     rho <- irfft(rfft(rho) * exp(-4 pi^2 xi^T K xi dt)) * exp(sum_j sqrt(c_j) eta_j dbeta_j),
 
-the exact heat flow over the grid axes (its half-spectrum multiplier built once
-per call) and then the geometric noise multiplier, whose (points, batch)
-exponent is one (points, J) @ (J, batch) product per step into a preallocated
-buffer.  On a 1-d grid of at most DENSE_HEAT_MAX_N points the heat flow is
+the exact heat flow over the grid axes (`TorusGrid.rfft`/`irfft` from axis 0,
+its half-spectrum multiplier built once per call) and then the geometric
+noise multiplier, whose (points, batch) exponent is one (points, J) @
+(J, batch) product per step into a preallocated buffer.  On a 1-d grid of at most DENSE_HEAT_MAX_N points the heat flow is
 instead one (n, n) @ (n, batch) product with its matrix, the same rfft map
 applied to the identity once per call; it is a symmetric circulant whose rows
 sum to 1.  Above that size the FFT pair is cheaper, and 2-d grids always take
@@ -103,10 +103,7 @@ class LimitCoefficients:
 
 def _heat(rho, mult, grid: TorusGrid):
     """irfft(rfft(rho) * mult) over the grid axes of real fields (*grid.shape, batch)."""
-    # rfftn/irfftn over one axis give the same bits but cost about 11/3 us more
-    if grid.dim == 1:
-        return np.fft.irfft(np.fft.rfft(rho, axis=0) * mult, n=grid.n, axis=0)
-    return np.fft.irfftn(np.fft.rfftn(rho, axes=(0, 1)) * mult, s=grid.shape, axes=(0, 1))
+    return grid.irfft(grid.rfft(rho, 0) * mult, 0)
 
 
 def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,

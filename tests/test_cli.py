@@ -163,24 +163,31 @@ def test_config_error_exit_code(tmp_path):
     assert main(["coeffs", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("command,shipped,size,message", [
-    ("simulate-kinetic", "scalar_mode.json", None,
+# at mode amplitude 300 every kinetic trajectory overflows; at 1e6 the first
+# step's noise multiplier overflows too, and no RuntimeWarning may escape
+FAILED_RUNS = [
+    ("simulate-kinetic", "scalar_mode.json", 300.0, None,
      r"run failed: TrajectoryOverflowError: \|\|f\|\|_L2 exceeded"),
-    ("converge", "standard.json", 100,
+    ("converge", "standard.json", 300.0, 100,
      r"run failed: TooManyFailuresError: too many trajectory failures at epsilon=0\.2: 100/100"),
-])
-def test_failed_run_exit_code(tmp_path, capsys, command, shipped, size, message):
-    # at mode amplitude 300 every kinetic trajectory overflows
+    ("simulate-kinetic", "standard.json", 1e6, None,
+     r"run failed: TrajectoryOverflowError: \|\|f\|\|_L2 exceeded"),
+]
+
+
+# a row's id leaves out its amplitude
+@pytest.mark.parametrize("command,shipped,amplitude,size,message", FAILED_RUNS,
+                         ids=[f"{c}-{s}-{n}-{m}" for c, s, _, n, m in FAILED_RUNS])
+def test_failed_run_exit_code(tmp_path, capsys, command, shipped, amplitude, size, message):
     with open(os.path.join(CONFIG_DIR, shipped)) as fh:
         raw = json.load(fh)
     for mode in raw["noise"]["modes"]:
-        mode["amplitude"] = 300.0
+        mode["amplitude"] = amplitude
     if size is not None:
         raw["experiment"]["ensemble_size"] = size
     path = tmp_path / "loud.json"
     path.write_text(json.dumps(raw))
-    with np.errstate(all="ignore"):  # the limit ensemble of converge overflows too
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert re.search(message, err)
     assert "Traceback" not in err
@@ -237,6 +244,47 @@ def test_overflowing_shipped_config_exits_2_without_warning(tmp_path, capsys, ar
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+# config leaves set in turn to extreme values by the execution fuzz below
+FUZZ_LEAVES = {
+    "noise_amplitude": ("noise", "modes", 0, "amplitude"),
+    "chain_sigma": ("noise", "modes", 0, "chain", "sigma"),
+    "chain_rate": ("noise", "modes", 0, "chain", "rate"),
+    "initial_mean": ("initial", "mean"),
+    "initial_mode_amplitude": ("initial", "modes", 0, "amplitude"),
+    "weight_amplitude": ("functionals", 0, "weight", "amplitude"),
+}
+
+
+@pytest.mark.parametrize("value", [1e308, 1e200, 1e6, 1e-308, 0, -1])
+@pytest.mark.parametrize("leaf", list(FUZZ_LEAVES))
+@pytest.mark.parametrize("shipped", ["standard.json", "scalar_mode.json"])
+def test_extreme_leaf_exits_cleanly(tmp_path, shipped, leaf, value):
+    """Every command exits 0, 2 or 3 without a RuntimeWarning; exit 0 writes finite cells."""
+    with open(os.path.join(CONFIG_DIR, shipped)) as fh:
+        raw = json.load(fh)
+    raw["experiment"]["ensemble_size"] = 2
+    *path, last = FUZZ_LEAVES[leaf]
+    section = raw
+    for key in path:
+        section = section[key]
+    section[last] = value
+    cfg = tmp_path / "mutant.json"
+    cfg.write_text(json.dumps(raw))
+    for argv in (["coeffs"], ["simulate-kinetic", "--functionals-only"],
+                 ["simulate-spde", "--functionals-only"]):
+        out = tmp_path / argv[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 2, 3), argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if rc == 0:
+            for table in out.glob("*.csv"):
+                _, rows = read_csv(table)
+                cells = [float(c) for row in rows for c in row]
+                assert np.all(np.isfinite(cells)), (argv, table.name)
 
 
 @pytest.mark.parametrize("command,key,value", [

@@ -67,6 +67,23 @@ class TestFunctionalBasics:
         with pytest.raises(ValueError):
             TestFunctional("cubic", W_SMOOTH)
 
+    @pytest.mark.parametrize("kind,formula", [("linear", lambda m: m),
+                                              ("quadratic", lambda m: 0.5 * m * m)])
+    def test_value_is_each_kind_formula_bitwise(self, kind, formula):
+        # the ensemble statistics and the corrector bundle both take phi from value
+        rng = np.random.default_rng(8)
+        tf = TestFunctional(kind, W_SMOOTH)
+        scale = 10.0 ** rng.integers(-100, 100, (6, 4, 1))
+        rho = rng.standard_normal((6, 4) + GRID.shape) * scale
+        m = rho @ W_SMOOTH * GRID.cell_volume
+        assert tf.value(m).tobytes() == formula(m).tobytes()
+        assert _functional_values([tf], GRID, rho)[:, 0].tobytes() == formula(m).tobytes()
+        nm = two_mode_model()
+        bundle = PerturbedTestFunction(tf, VM, nm, GRID)
+        f = np.stack([rand_state(nm, rng)[0] for _ in range(5)])
+        st = bundle.state(f, np.zeros((5, 2), dtype=int))
+        assert bundle.phi_value(st).tobytes() == formula(st.mw).tobytes()
+
 
 class TestCorrector1:
     def test_vanishes_at_flat_state(self):

@@ -768,7 +768,7 @@ class TestChainTables:
         harness.run_ensemble(cfg, kinetic_only=True)
         assert calls == {}
         for _ in range(2):  # two jobs' worth of bundles on one noise model
-            harness._kinetic_job(cfg, 0, [[0, 1], [2, 3]], True)
+            harness._job(cfg, 0, [[0, 1], [2, 3]], True)
         assert calls == once
         calls.clear()
         harness._chunk_job((cfg.raw, 0, [[0, 1]], True))  # a job parses its own model
@@ -785,7 +785,7 @@ class TestChainTables:
         res = harness.run_ensemble(cfg, workers=1)
         assert res.failure_counts == {0.4: 0, 0.2: 0, "limit": 0} and res.limit.attempted == 8
         with pytest.raises(ValueError, match=r"mode pair \(0, 1\)"):
-            harness._kinetic_job(cfg, 0, [[0]], True)
+            harness._job(cfg, 0, [[0]], True)
 
 
 def shipped_with_amplitude(name, amplitude):
@@ -817,7 +817,7 @@ class TestLimitFailures:
 
     def test_an_overflowing_chunk_fails_every_member(self):
         cfg = shipped_with_amplitude("standard.json", 300.0)
-        acc, = harness._limit_job(cfg, [list(range(8))])
+        acc, = harness._job(cfg, None, [list(range(8))], False)
         assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
         assert acc.attempted == 8 and acc.rho_mean.count == 0
         assert all(st.count == 0 for st in acc.functional_stats)
@@ -829,18 +829,19 @@ class TestLimitFailures:
         _, series, failures = harness.limit_batch(cfg, list(range(8)))
         assert np.all(np.isfinite(series)) and np.max(np.abs(series)) > 1e100
         assert sorted(failures) == list(range(8))
-        acc, = harness._limit_job(cfg, [list(range(8))])
+        acc, = harness._job(cfg, None, [list(range(8))], False)
         assert acc.failures == [(i, self.MESSAGE) for i in range(8)]
         assert all(st.count == 0 for st in acc.functional_stats + [acc.rho_mean])
-        clean, = harness._limit_job(parse_config(SHIPPED["standard.json"]), [list(range(8))])
+        clean, = harness._job(parse_config(SHIPPED["standard.json"]), None,
+                              [list(range(8))], False)
         for st in clean.merge(acc).functional_stats:
             assert st.count == 8 and np.all(np.isfinite(st.m2))
 
     def test_only_the_member_that_is_not_finite_is_dropped(self, monkeypatch):
         cfg = small_config(ensemble=8)
-        clean, = harness._limit_job(cfg, [list(range(8))])
+        clean, = harness._job(cfg, None, [list(range(8))], False)
         self._poison(monkeypatch, 8, 3, np.nan)
-        acc, = harness._limit_job(cfg, [list(range(8))])
+        acc, = harness._job(cfg, None, [list(range(8))], False)
         assert acc.failures == [(3, self.MESSAGE)]
         assert acc.rho_mean.count == 7
         assert np.all(np.isfinite(acc.rho_mean.mean))
