@@ -54,6 +54,9 @@ from .grid import TorusGrid
 from .noise import NoiseModel
 from .velocity import VelocityModel
 
+# field values a GeneratorInstrument queues before it evaluates the queue
+OBSERVE_BUDGET = 2 ** 15
+
 
 @dataclass
 class TestFunctional:
@@ -142,7 +145,8 @@ class PerturbedTestFunction:
         m1 = np.zeros(self._fshape, dtype=complex)
         for d in range(grid.dim):
             m1 = m1 + 2j * np.pi * grid.freqs_odd[d][..., None] * a[:, d]
-        self._m1_half = m1[..., :grid.n // 2 + 1, :]  # the rfft half of the last axis
+        # the rfft half of the last axis, velocity-major like `record`'s transform
+        self._m1_half = np.ascontiguousarray(np.moveaxis(m1[..., :grid.n // 2 + 1, :], -1, 0))
         multA2bar = ((m1 * m1) @ mu).real  # Fourier symbol of div(K grad .)
 
         def apply_A(g):
@@ -192,7 +196,11 @@ class PerturbedTestFunction:
         rec.chain, rec.psiq = self.tables.at(n)  # (5, B, J) and (B, J, J)
         rec.sv, rec.pv, rec.Bv, rec.Nv, rec.Gv = rec.chain
         rec.rho = f @ self.vm.weights
-        rec.Af = self.grid.irfft(self.grid.rfft(f, 1) * self._m1_half, 1)
+        # velocity-major and contiguous, so each transform runs along contiguous
+        # memory; the values are those of the transform along axis 1 of f
+        fv = np.ascontiguousarray(np.moveaxis(f, -1, 1))
+        af = self.grid.irfft(self.grid.rfft(fv, 2) * self._m1_half, 2)
+        rec.Af = np.ascontiguousarray(np.moveaxis(af, 1, -1))
         rec.nf = self.nm.combine(rec.sv)
         rec.h_L = rec.rho[..., None] - f  # the direction of L_L
         rec.h_A = f * rec.nf[..., None]   # the direction of L_A, f n.eta - A f
@@ -390,28 +398,66 @@ class GeneratorInstrument:
     """Batch observer recording phi_eps, L_eps phi_eps and the bracket rate.
 
     ``bundles`` is a sequence of F PerturbedTestFunctions on one velocity
-    model, noise model and grid, which share one record per output.
+    model, noise model and grid, which share one record per evaluation.
     ``values``, ``gens`` and ``brackets`` are lists of F (batch, n_times)
     arrays, one per bundle: row b is member b, column i output i.
+    `observe` queues its output; the queue is evaluated as one batch of
+    (outputs x members) rows once it holds OBSERVE_BUDGET field values, and
+    whenever ``values``, ``gens`` or ``brackets`` is read.  Every row is
+    computed on its own, so the values do not depend on how the outputs
+    were grouped.
     """
 
     def __init__(self, bundles, eps: float, n_times: int, batch: int = 1):
         self.bundles = list(bundles)
         self.eps = eps
-        self.values, self.gens, self.brackets = (
+        self._values, self._gens, self._brackets = (
             [np.zeros((batch, n_times)) for _ in self.bundles] for _ in range(3))
+        self._queue = []
+        self._queued = 0
 
     def observe(self, i, f, state_indices):
-        """Record output i of the batch (f, state_indices) for every bundle."""
-        rec = self.bundles[0].record(f, state_indices)
+        """Queue output i of the batch (f, state_indices) for every bundle."""
+        f = np.array(f, dtype=float)
+        self._queue.append((i, f, np.array(state_indices, dtype=np.int64)))
+        self._queued += f.size
+        if self._queued >= OBSERVE_BUDGET:
+            self._evaluate()
+
+    def _evaluate(self):
+        if not self._queue:
+            return
+        outs, f, n = zip(*self._queue)
+        self._queue, self._queued = [], 0
+        outs = list(outs)
+        rec = self.bundles[0].record(np.concatenate(f), np.concatenate(n))
         e = self.eps
-        for bundle, values, gens, brackets in zip(self.bundles, self.values, self.gens,
-                                                  self.brackets):
+
+        def cols(x):  # (outputs x members,) -> (members, outputs)
+            return x.reshape(len(outs), -1).T
+
+        for bundle, values, gens, brackets in zip(self.bundles, self._values, self._gens,
+                                                  self._brackets):
             st = bundle.pair(rec)
-            values[:, i] = bundle.value_eps(st, e)
+            values[:, outs] = cols(bundle.value_eps(st, e))
             b0, b1, b2, b3 = bundle.generator_parts(st)
-            gens[:, i] = b0 / (e * e) + b1 / e + b2 + e * b3
-            brackets[:, i] = bundle.bracket(st)
+            gens[:, outs] = cols(b0 / (e * e) + b1 / e + b2 + e * b3)
+            brackets[:, outs] = cols(bundle.bracket(st))
+
+    @property
+    def values(self):
+        self._evaluate()
+        return self._values
+
+    @property
+    def gens(self):
+        self._evaluate()
+        return self._gens
+
+    @property
+    def brackets(self):
+        self._evaluate()
+        return self._brackets
 
 
 def _cumtrapz(times, samples):

@@ -18,19 +18,25 @@ each piece costs one irfft -> noise multiplier -> rfft pair, and the energy
 check uses Parseval.  When every noise mode is constant in x
 (`NoiseModel.constant_in_space`), exp(delta eps m) is one number per member.
 A number commutes with transport and relaxation and scales every frequency
-alike, so the piece multiplies the half-spectrum by it, exactly, and takes
-no FFT pair.  The piece is still C T M T C, and jumps still partition the
-step: C and T do not commute, so the splitting error depends on where the
-pieces end.  Against the FFT round trip this moves records by rounding
-only: at most 1.5e-14 relative, elementwise, on 64 members of
-martingale.json and scalar_mode.json.
+alike, so a piece is that number times C T T C, a V x V matrix per
+frequency that depends on the piece's length alone.  A step is then one
+propagator per frequency times one number per member: the full-step
+propagator, built once, or, for a member with jumps in the step, the
+product of its pieces' propagators, built ahead of the loop a block of
+steps at a time.  Jumps still partition the step into the same pieces:
+C and T do not commute, so the splitting error depends on where the pieces
+end.  Against applying the pieces one at a time this moves records by
+rounding only: at most 7.3e-14 relative, elementwise, on 100 members of
+martingale.json and 64 of scalar_mode.json.
 
 The noise of a batch is one segment table, the members' `NoisePath.seg_states`
 stacked in batch order, whose chain values are read once through
 `NoiseModel.values`.  Each member keeps a cursor, its current row, and a step
-splits only where a member's row closes at a jump inside it; the earliest
-jump ahead of any member is kept as one number, so a step before it reads no
-cursor.  `solve_trajectory` is its batch of one and raises that member's failure.
+splits only where a member's row closes at a jump inside it.  Stepping noise
+that varies in x, the earliest jump ahead of any member is kept as one
+number, so a step before it reads no cursor; with noise constant in x, each
+closing row is assigned its step up front.  A member that fails is zeroed
+and stays zero, so no later guard sees it.  `solve_trajectory` is its batch of one and raises that member's failure.
 The tests check the stepper against a literal composition of the three
 sub-flows, `advance` in tests/oracles.py.
 """
@@ -45,6 +51,11 @@ from .velocity import VelocityModel
 
 OVERFLOW_NORM = 1e12
 GRONWALL_SLACK = 1e-8
+# with noise constant in x, one block of planned steps holds at most
+# PLAN_BUDGET complex values (256 KiB) in its per-piece phases and again in
+# its per-(member, step) propagators; 2^15 was 2 % faster on martingale.json
+# and took 0.6 MiB more peak memory
+PLAN_BUDGET = 2 ** 14
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -112,16 +123,28 @@ class KineticStepper:
 
     with C = exp(-delta/2) I + (1 - exp(-delta/2)) 1 mu^T the relaxation half
     step, T the transport half-step phase and M = exp(m(x) delta eps).  C is
-    x-local and T is diagonal per frequency, so both act on the spectrum; so
-    does M when the noise is constant in x, as one number per member.  At
+    x-local and T is diagonal per frequency, so both act on the spectrum.  At
     bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
     which is what the `.real` after every complex ifft of the literal oracle
-    `advance` applies.
-    A step without a jump is one full piece whose phase is cached; members
-    with jumps take further pieces with their own phases.  Each member keeps
-    a cursor into the batch's segment table, its current row, and a step's
-    pieces are read off the table by advancing the cursors of the members
-    whose row closes inside the step.
+    `advance` applies.  Each member keeps a cursor into the batch's segment
+    table, its current row; a step splits where a member's row closes at a
+    jump inside it.
+
+    Noise varying in x (`_piece_steps`): a step without a jump is one full
+    piece whose phase is cached; members with jumps take further pieces with
+    their own phases, one round at a time.
+
+    Noise constant in x (`_plan_steps`): M is one number per member, so a
+    piece is that number times the per-frequency V x V propagator C T T C,
+    which depends on the piece's length alone.  The full-step propagator is
+    built once.  For each (member, step) with a jump, `_plan` builds the
+    product Q of the step's pieces, with the partition and lengths of the
+    rounds above and zero-length pieces dropped, and the product of their
+    numbers; it does so for a block of steps at a time, within PLAN_BUDGET
+    complex values.  A step applies the full propagator to the batch, Q to
+    the rows of the members that jump, and multiplies each member by its
+    number.  Every product is elementwise, so a member's records do not
+    depend on its batch.
     """
 
     def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
@@ -182,23 +205,35 @@ class KineticStepper:
         return np.matmul(sq * sq, self._parseval[:, None])[:, 0, 0]
 
     def piece(self, fhat, phase, theta, mult):
-        """One Strang piece; theta/mult broadcast against the batch, mult None skips M."""
-        rho = (self.mu @ fhat)[:, None]
+        """One Strang piece on (..., V, R) spectra; theta/mult broadcast, mult None skips M.
+
+        ``mult`` is a multiplier field (B, 1, *shape), applied in x-space.
+        """
+        rho = (self.mu @ fhat)[..., None, :]
         g = theta * fhat
         g += (1.0 - theta) * rho
         g *= phase
         if mult is not None:
-            if self._mode_values is not None:
-                g *= mult
-            else:
-                x = self.to_fields(g)
-                x *= mult
-                g = self.to_spectrum(x)
+            x = self.to_fields(g)
+            x *= mult
+            g = self.to_spectrum(x)
         g *= phase
-        rho = (self.mu @ g)[:, None]
+        rho = (self.mu @ g)[..., None, :]
         g *= theta
         g += (1.0 - theta) * rho
         return g
+
+    def propagate(self, prop, fhat):
+        """Apply per-frequency V x V propagators to spectra (B, V, R).
+
+        ``prop[..., w, :, :]`` is the image of velocity w, (V, V, R) for the
+        whole batch or (B, V, V, R) one per member.  Elementwise multiply-adds,
+        so a member's result does not depend on its batch.
+        """
+        out = prop[..., 0, :, :] * fhat[:, 0, None]
+        for w in range(1, fhat.shape[1]):
+            out += prop[..., w, :, :] * fhat[:, w, None]
+        return out
 
     # ---- noise ---------------------------------------------------------
 
@@ -270,24 +305,14 @@ class KineticStepper:
             dead[b] = True
             fhat[b] = 0.0
 
-        # the earliest jump of any member still ahead; a step that ends
-        # before it is one full piece, with no look at the cursors
-        next_jump = float(seg_end[cur].min())
         record(0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # an overflowing multiplier fails its member under the guards below
-            full_mult = None
-            if noise.n_modes:
-                full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
-            for k in range(self.n_steps):
-                if next_jump > (k + 1) * self.beta:
-                    fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
-                else:
-                    jump = (seg_end[cur] <= (k + 1) * self.beta).nonzero()[0]
-                    fhat = self._jump_step(fhat, k, jump, cur, seg_end, seg_values, full_mult)
-                    full_mult[jump] = self._multiplier(
-                        seg_values[cur[jump]], np.full(jump.size, self.beta))
-                    next_jump = float(seg_end[cur].min())
+            steps = self._plan_steps if self._mode_values is not None else self._piece_steps
+            for k, fhat in enumerate(steps(fhat, seg_end, seg_values, cur)):
+                if failures:
+                    # a failed member stays zero: 0 x inf would fail it again
+                    fhat[dead] = 0.0
                 nrm = self.norm2(fhat)
                 t_macro = (k + 1) * self.dt
                 # one test per guard and step; a nan max enters the exact loop too
@@ -314,6 +339,26 @@ class KineticStepper:
             state_indices=state_rec,
             failures=failures,
         )
+
+    # ---- noise varying in x: pieces, one round at a time ----------------
+
+    def _piece_steps(self, fhat, seg_end, seg_values, cur):
+        """Yield the batch after each step; a step with jumps takes `_jump_step`."""
+        batch = fhat.shape[0]
+        # the earliest jump of any member still ahead; a step that ends
+        # before it is one full piece, with no look at the cursors
+        next_jump = float(seg_end[cur].min())
+        full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
+        for k in range(self.n_steps):
+            if next_jump > (k + 1) * self.beta:
+                fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
+            else:
+                jump = (seg_end[cur] <= (k + 1) * self.beta).nonzero()[0]
+                fhat = self._jump_step(fhat, k, jump, cur, seg_end, seg_values, full_mult)
+                full_mult[jump] = self._multiplier(
+                    seg_values[cur[jump]], np.full(jump.size, self.beta))
+                next_jump = float(seg_end[cur].min())
+            yield fhat
 
     def _jump_step(self, fhat, k, sub, cur, seg_end, seg_values, full_mult):
         """Step k, in which members ``sub`` jump; advances their rows ``cur``.
@@ -350,6 +395,97 @@ class KineticStepper:
             more = (stop <= end).nonzero()[0]
             sub, rows, start = sub[more], rows[more], stop[more]
         return fhat
+
+    # ---- noise constant in x: propagators, planned in blocks ------------
+
+    def _plan_steps(self, fhat, seg_end, seg_values, cur):
+        """Yield the batch after each step, each step one propagator and one number.
+
+        Every row of the segment table that closes inside the run is owned
+        by the step k with k beta < seg_end <= (k+1) beta, and a (member,
+        step) pair with such rows is one run of consecutive rows.  The
+        pairs, sorted by step, are planned by `_plan` a block of steps at a time.
+        """
+        n_steps, beta = self.n_steps, self.beta
+        V, R = self._expo.shape
+        eye = np.zeros((V, V, R), dtype=complex)
+        eye[np.arange(V), np.arange(V)] = 1.0
+        full = self.piece(eye, self._full_phase, self._full_theta, None)
+        full_num = self._multiplier(seg_values[cur], np.full(fhat.shape[0], beta))
+        owner = np.searchsorted(np.arange(1, n_steps + 1) * beta, seg_end)
+        closing = (owner < n_steps).nonzero()[0]
+        # a member's last row never closes, so rows of one run are consecutive
+        opens = np.ones(closing.size, dtype=bool)
+        opens[1:] = (np.diff(closing) != 1) | (np.diff(owner[closing]) != 0)
+        first = closing[opens]
+        last = closing[np.roll(opens, -1)]
+        order = np.argsort(owner[first], kind="stable")
+        first, last = first[order], last[order]
+        step = owner[first]
+        member = np.searchsorted(cur, first, side="right") - 1
+        step_ptr = np.searchsorted(step, np.arange(n_steps + 1))
+        # pieces per pair, at most one per closing row plus the tail
+        pieces = np.r_[0, np.cumsum(last - first + 2)][step_ptr]
+        k1 = 0
+        for k in range(n_steps):
+            if k == k1:
+                # the next block: as many steps as both budgets allow, at least one
+                lo = step_ptr[k]
+                by_pairs = np.searchsorted(step_ptr, lo + PLAN_BUDGET // (V * V * R),
+                                           side="right") - 1
+                by_pieces = np.searchsorted(pieces, pieces[k] + PLAN_BUDGET // (V * R),
+                                            side="right") - 1
+                k1 = min(n_steps, max(k + 1, min(by_pairs, by_pieces)))
+                hi = step_ptr[k1]
+                props, nums = self._plan(first[lo:hi], last[lo:hi], step[lo:hi],
+                                         seg_end, seg_values, eye)
+                after = self._multiplier(seg_values[last[lo:hi] + 1], np.full(hi - lo, beta))
+            g = self.propagate(full, fhat)
+            a, b = step_ptr[k], step_ptr[k + 1]
+            mult = full_num
+            if b > a:
+                m, s = member[a:b], slice(a - lo, b - lo)
+                g[m] = self.propagate(props[s], fhat[m])
+                mult = full_num.copy()
+                mult[m] = nums[s]
+                full_num[m] = after[s]
+                cur[m] = last[a:b] + 1
+            if self.noise.n_modes:
+                g *= mult
+            fhat = g
+            yield fhat
+
+    def _plan(self, first, last, step, seg_end, seg_values, eye):
+        """Propagators (P, V, V, R) and numbers (P, 1, 1) of P (member, step) pairs.
+
+        Pair p owns rows first[p] .. last[p] in step step[p]: its pieces end
+        at each of their jumps and at the step's right edge, with the lengths
+        and chain values of `_jump_step`, and its zero-length pieces are
+        dropped.  The pieces' phases come from one `phase` call, and round j
+        composes the j-th piece of every pair that has one.
+        """
+        count = last - first + 2
+        pair = np.repeat(np.arange(first.size), count)
+        pos = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+        rows = first[pair] + pos
+        k = step[pair]
+        start = np.where(pos == 0, k * self.beta, seg_end[rows - 1])
+        d = np.minimum(seg_end[rows], (k + 1) * self.beta) - start
+        live = (d > 0.0).nonzero()[0]
+        pair, rows, d = pair[live], rows[live], d[live]
+        pos = np.arange(pair.size) - np.searchsorted(pair, pair)
+        phase = self.phase(d)[:, None]
+        theta = np.exp(-0.5 * d)[:, None, None, None]
+        mult = self._multiplier(seg_values[rows], d)
+        at = (pos == 0).nonzero()[0]  # every pair, in order
+        props = self.piece(eye, phase[at], theta[at], None)
+        nums = mult[at]
+        for j in range(1, int(pos.max(initial=0)) + 1):
+            at = (pos == j).nonzero()[0]
+            p = pair[at]
+            props[p] = self.piece(props[p], phase[at], theta[at], None)
+            nums[p] *= mult[at]
+        return props, nums
 
 
 def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,

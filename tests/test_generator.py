@@ -526,6 +526,86 @@ class TestMartingale:
                                 np.zeros((5, 2)), np.zeros((5, 2)))
 
 
+class TestBlocks:
+    """The kinetic plan's blocks and the instrument's queue change no bits."""
+
+    EPS = 0.2
+
+    @staticmethod
+    def _setup(dim):
+        grid = TorusGrid(dim, 64 if dim == 1 else 16)
+        vm = vel.two_speed() if dim == 1 else vel.ring(4)
+        modes = np.stack([nz.make_mode(grid, "const"), nz.make_mode(grid, "const", 0.7)])
+        nm = nz.NoiseModel(grid, (nz.telegraph(1.0, 3.0), nz.telegraph(0.8, 2.0)), modes)
+        weight = 1.0 + 0.3 * np.cos(2 * np.pi * grid.coords()[0])
+        bundles_ = [PerturbedTestFunction(TestFunctional(kind, weight), vm, nm, grid)
+                    for kind in ("linear", "quadratic")]
+        return grid, vm, nm, bundles_
+
+    def _run(self, dim, batch=5, n_steps=40, observe=None):
+        grid, vm, nm, bundles_ = self._setup(dim)
+        cfg = kinetic.SolverConfig(self.EPS, 0.1, n_steps * 0.1 * self.EPS ** 2)
+        times = np.linspace(0.0, cfg.final_time, 9)
+        f0 = np.random.default_rng(60).standard_normal(
+            (batch,) + grid.shape + (vm.n_velocities,)) + 3.0
+        ins = GeneratorInstrument(bundles_, self.EPS, len(times), batch)
+        if observe is not None:
+            ins.observe = observe(ins)
+        rngs = [make_stream(61, 0, 0, i) for i in range(batch)]
+        res = kinetic.solve_batch(f0, cfg, vm, grid, nm, rngs, times, observer=ins)
+        assert res.failures == {}
+        return res, ins
+
+    @staticmethod
+    def _assert_same(a, b):
+        (ra, ia), (rb, ib) = a, b
+        for name in ("rho", "norm2", "state_indices", "sup_norm2", "gronwall_margin"):
+            assert np.array_equal(getattr(ra, name), getattr(rb, name)), name
+        for name in ("values", "gens", "brackets"):
+            assert np.array_equal(getattr(ia, name), getattr(ib, name)), name
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_step_and_one_output_per_block(self, monkeypatch, dim):
+        default = self._run(dim)
+        monkeypatch.setattr(kinetic, "PLAN_BUDGET", 1)
+        monkeypatch.setattr(gen, "OBSERVE_BUDGET", 1)
+        self._assert_same(default, self._run(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plan_blocks_stay_within_budget(self, monkeypatch, dim):
+        grid, vm, _, _ = self._setup(dim)
+        # 16 propagators or 16 V pieces per block
+        budget = 16 * vm.n_velocities ** 2 * (grid.npoints // grid.n) * (grid.n // 2 + 1)
+        monkeypatch.setattr(kinetic, "PLAN_BUDGET", budget)
+        sizes = []
+        phase, plan = kinetic.KineticStepper.phase, kinetic.KineticStepper._plan
+
+        def sized_phase(self, delta):
+            out = phase(self, delta)
+            if np.ndim(delta):
+                sizes.append(("phases", out.size))
+            return out
+
+        def sized_plan(self, *args):
+            props, nums = plan(self, *args)
+            sizes.append(("propagators", props.size))
+            return props, nums
+        monkeypatch.setattr(kinetic.KineticStepper, "phase", sized_phase)
+        monkeypatch.setattr(kinetic.KineticStepper, "_plan", sized_plan)
+        self._run(dim)
+        assert sum(name == "propagators" for name, _ in sizes) > 1
+        assert all(0 < size <= budget for _, size in sizes)
+
+    def test_reading_values_before_the_run_ends(self):
+        def reading(ins):
+            def observe(i, f, n):
+                GeneratorInstrument.observe(ins, i, f, n)
+                if i % 2:
+                    assert ins.values[0].shape == (5, 9)
+            return observe
+        self._assert_same(self._run(1), self._run(1, observe=reading))
+
+
 def test_residual_scaling_shapes():
     nm = const_mode_model()
     b = bundles(nm)[0]

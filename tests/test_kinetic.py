@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +9,16 @@ from hypothesis import strategies as st
 from kindiff import kinetic
 from kindiff import noise as nz
 from kindiff import velocity as vel
+from kindiff.config import parse_config
 from kindiff.grid import TorusGrid
-from kindiff.harness import make_stream
+from kindiff.harness import kinetic_batch, make_stream
 
 import oracles
 
 GRID = TorusGrid(1, 64)
 VM = vel.two_speed()
 X = GRID.coords()[0]
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _no_noise():
@@ -360,31 +365,57 @@ class TestBatchStepper:
         self._compare_with_advance(grid, vel.ring(4), _const_chains(grid, 2))
 
     def test_zero_length_pieces_are_dropped(self, monkeypatch):
-        self._check_piece_counts(monkeypatch, _two_chains(GRID))
-
-    def test_zero_length_pieces_are_dropped_const(self, monkeypatch):
-        self._check_piece_counts(monkeypatch, _const_chains(GRID, 2))
-
-    def _check_piece_counts(self, monkeypatch, nm):
-        # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
-        # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
-        # adds 1 and the jump on the edge 0.4 none.  Only the steps with a
-        # jump (1, 2, 4 and 6 of JUMPS, 3 of the tie) take `_jump_step`
-        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
         calls = []
         for name in ("piece", "_jump_step"):
             method = getattr(kinetic.KineticStepper, name)
             monkeypatch.setattr(kinetic.KineticStepper, name,
                                 lambda self, *args, name=name, method=method:
                                 calls.append(name) or method(self, *args))
+
+        def counts(run):
+            calls.clear()
+            run()
+            return calls.count("piece"), calls.count("_jump_step")
+        self._check_piece_counts(_two_chains(GRID), counts)
+
+    def test_zero_length_pieces_are_dropped_const(self, monkeypatch):
+        # the plan takes one phase per piece it composes, in one array call
+        # per block, and one propagator per (member, step) with a jump; each
+        # step without a jump is one full piece
+        seen = {"pieces": 0, "pairs": 0}
+        phase, plan = kinetic.KineticStepper.phase, kinetic.KineticStepper._plan
+
+        def counted_phase(self, delta):
+            seen["pieces"] += np.size(delta) if np.ndim(delta) else 0
+            return phase(self, delta)
+
+        def counted_plan(self, first, *args):
+            seen["pairs"] += first.size
+            return plan(self, first, *args)
+        monkeypatch.setattr(kinetic.KineticStepper, "phase", counted_phase)
+        monkeypatch.setattr(kinetic.KineticStepper, "_plan", counted_plan)
+
+        def counts(run):
+            seen.update(pieces=0, pairs=0)
+            n_steps = run().n_steps
+            return n_steps - seen["pairs"] + seen["pieces"], seen["pairs"]
+        self._check_piece_counts(_const_chains(GRID, 2), counts)
+
+    def _check_piece_counts(self, nm, counts):
+        # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
+        # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
+        # adds 1 and the jump on the edge 0.4 none.  Only the steps with a
+        # jump (1, 2, 4 and 6 of JUMPS, 3 of the tie) take more than one piece
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
         f0 = vel.lift(VM, np.ones(64))
         for path, pieces, jump_steps in ((_scripted_path(nm, 0.8, self.JUMPS), 13, 4),
                                          (_tie_path(0.8), 9, 1),
                                          (_scripted_path(nm, 0.8, []), 8, 0)):
-            calls.clear()
-            kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time], path=path)
-            assert calls.count("piece") == pieces
-            assert calls.count("_jump_step") == jump_steps
+            def run():
+                kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time],
+                                         path=path)
+                return cfg
+            assert counts(run) == (pieces, jump_steps)
 
     @pytest.mark.parametrize("label", ["const", "cos:1"])
     def test_fft_pairs_only_where_the_noise_varies_in_x(self, monkeypatch, label):
@@ -444,6 +475,27 @@ class TestBatchStepper:
             assert solo.gronwall_margin[0] == res.gronwall_margin[b]
         with pytest.raises(kinetic.TrajectoryOverflowError):
             kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[1])
+
+
+@pytest.mark.parametrize("shipped,t_fail", [("standard.json", "0.004"),
+                                             ("scalar_mode.json", "0.00125")])
+def test_a_failed_member_is_not_failed_again(shipped, t_fail):
+    # at amplitude 1e6 a member's multiplier is inf once its chain state is
+    # positive, and its norm nan; the zeroed member must keep that failure,
+    # not be failed again by 0 x inf at every later step
+    with open(os.path.join(CONFIG_DIR, shipped)) as fh:
+        raw = json.load(fh)
+    raw["noise"]["modes"][0]["amplitude"] = 1e6
+    cfg = parse_config(raw)
+    res = kinetic_batch(cfg, 0, [0, 1])
+    assert sorted(res.failures) == [0, 1]
+    assert all(isinstance(exc, kinetic.TrajectoryOverflowError)
+               for exc in res.failures.values())
+    # member 0 is `simulate-kinetic`'s trajectory 0; the final time is 0.08 or 0.25
+    assert str(res.failures[0]).endswith(f"at t={t_fail}")
+    # the values up to the failure: a member that fails at step 1 has margin -inf
+    assert not np.any(np.isnan(res.sup_norm2)) and not np.any(np.isnan(res.gronwall_margin))
+    assert not np.any(res.norm2[:, 1:]) and not np.any(res.rho[:, 1:])
 
 
 def test_constant_in_space_predicate():
