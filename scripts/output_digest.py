@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the CLI on the shipped configs and print a sha256 of every output file.
 
-    PYTHONPATH=src python3 scripts/output_digest.py --out DIR
+    PYTHONPATH=src python3 scripts/output_digest.py --out DIR [--no-converge]
 
 Runs `coeffs`, `simulate-kinetic` and `simulate-spde` (each in full and
 with --functionals-only) on every config in configs/, then `converge`,
-`noise-stats` and `diagnose-generator` on configs/standard.json.  Each run
+`noise-stats` and `diagnose-generator` on configs/standard.json.
+--no-converge leaves out `converge`, the one run at full ensemble size
+(2,000 members per epsilon, most of the script's time).  Each run
 writes into its own directory under DIR, next to its stdout, stderr and
 exit code, and the script prints one `sha256  path` line per file, path
 relative to DIR, sorted.  Two runs of one tree must print the same lines
@@ -28,15 +30,15 @@ from kindiff import cli  # noqa: E402
 CONFIGS = ("standard.json", "scalar_mode.json", "martingale.json", "deterministic.json")
 
 
-def runs():
-    """(name, argv) of every CLI run, argv without --config and --out."""
+def runs(converge=True):
+    """(name, config, argv) of every CLI run, argv without --config and --out."""
     for config in CONFIGS:
         stem = config[:-len(".json")]
         yield f"coeffs-{stem}", config, ["coeffs"]
         for command in ("simulate-kinetic", "simulate-spde"):
             yield f"{command}-{stem}", config, [command]
             yield f"{command}-{stem}-functionals", config, [command, "--functionals-only"]
-    for command in ("converge", "noise-stats", "diagnose-generator"):
+    for command in ("converge",) * converge + ("noise-stats", "diagnose-generator"):
         yield f"{command}-standard", "standard.json", [command]
 
 
@@ -44,8 +46,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out", required=True, help="directory for the outputs (created)")
+    p.add_argument("--no-converge", action="store_true", help="leave out `converge`")
     args = p.parse_args(argv)
-    for name, config, argv in runs():
+    for name, config, argv in runs(converge=not args.no_converge):
         out = os.path.join(args.out, name)
         os.makedirs(out, exist_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()

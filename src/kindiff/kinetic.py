@@ -18,25 +18,29 @@ each piece costs one irfft -> noise multiplier -> rfft pair, and the energy
 check uses Parseval.  When every noise mode is constant in x
 (`NoiseModel.constant_in_space`), exp(delta eps m) is one number per member.
 A number commutes with transport and relaxation and scales every frequency
-alike, so a piece is that number times C T T C, a V x V matrix per
-frequency that depends on the piece's length alone.  A step is then one
-propagator per frequency times one number per member: the full-step
-propagator, built once, or, for a member with jumps in the step, the
-product of its pieces' propagators, built ahead of the loop a block of
-steps at a time.  Jumps still partition the step into the same pieces:
-C and T do not commute, so the splitting error depends on where the pieces
-end.  Against applying the pieces one at a time this moves records by
-rounding only: at most 7.3e-14 relative, elementwise, on 100 members of
-martingale.json and 64 of scalar_mode.json.
+alike, so a piece multiplies the half-spectrum by it and takes no FFT
+pair; it is that number times C T T C, a V x V matrix per frequency that
+depends on the piece's length alone.  With few velocities and rare jumps
+(PLAN_MAX_VELOCITIES, PLAN_MAX_JUMPS) a step is then one propagator per
+frequency times one number per member: the full-step propagator, built
+once, or, for a member with jumps in the step, the product of its pieces'
+propagators, built ahead of the loop a block of (member, step) pairs at a
+time.  A propagator costs V times the pieces it composes, so otherwise the
+pieces are applied one at a time.  Jumps partition the step into the same
+pieces either way: C and T do not commute, so the splitting error depends
+on where the pieces end.  Against applying the pieces one at a time the
+propagators move records by rounding only: at most 7.3e-14 relative,
+elementwise, on 100 members of martingale.json and 64 of scalar_mode.json.
 
 The noise of a batch is one segment table, the members' `NoisePath.seg_states`
 stacked in batch order, whose chain values are read once through
 `NoiseModel.values`.  Each member keeps a cursor, its current row, and a step
-splits only where a member's row closes at a jump inside it.  Stepping noise
-that varies in x, the earliest jump ahead of any member is kept as one
-number, so a step before it reads no cursor; with noise constant in x, each
-closing row is assigned its step up front.  A member that fails is zeroed
-and stays zero, so no later guard sees it.  `solve_trajectory` is its batch of one and raises that member's failure.
+splits only where a member's row closes at a jump inside it.  Stepping by
+pieces, the earliest jump ahead of any member is kept as one number, so a
+step before it reads no cursor; stepping by propagators, each closing row
+is assigned its step up front.  A member that fails is zeroed and stays
+zero, so no later guard sees it.  `solve_trajectory` is its batch of one
+and raises that member's failure.
 The tests check the stepper against a literal composition of the three
 sub-flows, `advance` in tests/oracles.py.
 """
@@ -51,11 +55,16 @@ from .velocity import VelocityModel
 
 OVERFLOW_NORM = 1e12
 GRONWALL_SLACK = 1e-8
-# with noise constant in x, one block of planned steps holds at most
-# PLAN_BUDGET complex values (256 KiB) in its per-piece phases and again in
-# its per-(member, step) propagators; 2^15 was 2 % faster on martingale.json
-# and took 0.6 MiB more peak memory
+# with noise constant in x, one block of planned (member, step) propagators
+# holds at most PLAN_BUDGET complex values (256 KiB), or one propagator if
+# that is larger
 PLAN_BUDGET = 2 ** 14
+# a planned propagator composes V x V per frequency where a piece acts on V
+# spectra, so the plan is used only for at most PLAN_MAX_VELOCITIES
+# velocities and at most PLAN_MAX_JUMPS expected jumps per member and step
+# (the measured break-even, README "How a job is stepped")
+PLAN_MAX_VELOCITIES = 2
+PLAN_MAX_JUMPS = 0.125
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -130,21 +139,25 @@ class KineticStepper:
     table, its current row; a step splits where a member's row closes at a
     jump inside it.
 
-    Noise varying in x (`_piece_steps`): a step without a jump is one full
-    piece whose phase is cached; members with jumps take further pieces with
-    their own phases, one round at a time.
+    Pieces (`_piece_steps`): a step without a jump is one full piece whose
+    phase is cached; members with jumps take further pieces with their own
+    phases, one round at a time.  With noise constant in x, M is one number
+    per member and scales the half-spectrum.
 
-    Noise constant in x (`_plan_steps`): M is one number per member, so a
-    piece is that number times the per-frequency V x V propagator C T T C,
-    which depends on the piece's length alone.  The full-step propagator is
-    built once.  For each (member, step) with a jump, `_plan` builds the
-    product Q of the step's pieces, with the partition and lengths of the
-    rounds above and zero-length pieces dropped, and the product of their
-    numbers; it does so for a block of steps at a time, within PLAN_BUDGET
-    complex values.  A step applies the full propagator to the batch, Q to
-    the rows of the members that jump, and multiplies each member by its
-    number.  Every product is elementwise, so a member's records do not
-    depend on its batch.
+    Propagators (`_plan_steps`, noise constant in x, when `planned`): a
+    piece is the member's number times the per-frequency V x V propagator
+    C T T C, which depends on the piece's length alone.  The full-step
+    propagator is built once.  For each (member, step) with a jump, `_plan`
+    builds the product Q of the step's pieces, with the partition and
+    lengths of the rounds above and zero-length pieces dropped, and the
+    product of their numbers; it does so a block of pairs at a time, within
+    PLAN_BUDGET complex values.  A step applies the full propagator to the
+    batch, Q to the rows of the members that jump, and multiplies each
+    member by its number.  Building Q costs V times the pieces it composes,
+    so `planned` needs at most PLAN_MAX_VELOCITIES velocities and at most
+    PLAN_MAX_JUMPS stationary jumps per member and step; it depends on the
+    model, noise and config alone.  Every product is elementwise, so a
+    member's records do not depend on its batch.
     """
 
     def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
@@ -157,6 +170,10 @@ class KineticStepper:
         self._mode_values = None
         if noise.constant_in_space:
             self._mode_values = noise.modes.reshape(noise.n_modes, grid.npoints)[:, :1]
+        # stationary jumps per member and step, summed over the chains
+        jumps = self.beta * sum(float(ch.stationary @ ch.exit_rates) for ch in noise.chains)
+        self.planned = (self._mode_values is not None and jumps <= PLAN_MAX_JUMPS
+                        and model.n_velocities <= PLAN_MAX_VELOCITIES)
         half = grid.n // 2 + 1
         self.rshape = grid.shape[:-1] + (half,)
         # phase per unit delta: exp part off the Nyquist planes, cos part on them
@@ -207,16 +224,20 @@ class KineticStepper:
     def piece(self, fhat, phase, theta, mult):
         """One Strang piece on (..., V, R) spectra; theta/mult broadcast, mult None skips M.
 
-        ``mult`` is a multiplier field (B, 1, *shape), applied in x-space.
+        ``mult`` is as `_multiplier` returns it: (B, 1, 1) numbers, which
+        scale the half-spectrum, or a (B, 1, *shape) field, applied in x-space.
         """
         rho = (self.mu @ fhat)[..., None, :]
         g = theta * fhat
         g += (1.0 - theta) * rho
         g *= phase
         if mult is not None:
-            x = self.to_fields(g)
-            x *= mult
-            g = self.to_spectrum(x)
+            if self._mode_values is not None:
+                g *= mult
+            else:
+                x = self.to_fields(g)
+                x *= mult
+                g = self.to_spectrum(x)
         g *= phase
         rho = (self.mu @ g)[..., None, :]
         g *= theta
@@ -308,7 +329,7 @@ class KineticStepper:
         record(0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # an overflowing multiplier fails its member under the guards below
-            steps = self._plan_steps if self._mode_values is not None else self._piece_steps
+            steps = self._plan_steps if self.planned else self._piece_steps
             for k, fhat in enumerate(steps(fhat, seg_end, seg_values, cur)):
                 if failures:
                     # a failed member stays zero: 0 x inf would fail it again
@@ -340,7 +361,7 @@ class KineticStepper:
             failures=failures,
         )
 
-    # ---- noise varying in x: pieces, one round at a time ----------------
+    # ---- pieces, one round at a time ------------------------------------
 
     def _piece_steps(self, fhat, seg_end, seg_values, cur):
         """Yield the batch after each step; a step with jumps takes `_jump_step`."""
@@ -348,7 +369,9 @@ class KineticStepper:
         # the earliest jump of any member still ahead; a step that ends
         # before it is one full piece, with no look at the cursors
         next_jump = float(seg_end[cur].min())
-        full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
+        full_mult = None
+        if self.noise.n_modes:
+            full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
         for k in range(self.n_steps):
             if next_jump > (k + 1) * self.beta:
                 fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
@@ -404,7 +427,8 @@ class KineticStepper:
         Every row of the segment table that closes inside the run is owned
         by the step k with k beta < seg_end <= (k+1) beta, and a (member,
         step) pair with such rows is one run of consecutive rows.  The
-        pairs, sorted by step, are planned by `_plan` a block of steps at a time.
+        pairs, sorted by step, are planned by `_plan` in blocks of at most
+        PLAN_BUDGET // (V V R) pairs, at least one.
         """
         n_steps, beta = self.n_steps, self.beta
         V, R = self._expo.shape
@@ -424,32 +448,26 @@ class KineticStepper:
         step = owner[first]
         member = np.searchsorted(cur, first, side="right") - 1
         step_ptr = np.searchsorted(step, np.arange(n_steps + 1))
-        # pieces per pair, at most one per closing row plus the tail
-        pieces = np.r_[0, np.cumsum(last - first + 2)][step_ptr]
-        k1 = 0
+        per_block = max(1, PLAN_BUDGET // (V * V * R))
+        lo = hi = 0  # the pairs of the current block
         for k in range(n_steps):
-            if k == k1:
-                # the next block: as many steps as both budgets allow, at least one
-                lo = step_ptr[k]
-                by_pairs = np.searchsorted(step_ptr, lo + PLAN_BUDGET // (V * V * R),
-                                           side="right") - 1
-                by_pieces = np.searchsorted(pieces, pieces[k] + PLAN_BUDGET // (V * R),
-                                            side="right") - 1
-                k1 = min(n_steps, max(k + 1, min(by_pairs, by_pieces)))
-                hi = step_ptr[k1]
-                props, nums = self._plan(first[lo:hi], last[lo:hi], step[lo:hi],
-                                         seg_end, seg_values, eye)
-                after = self._multiplier(seg_values[last[lo:hi] + 1], np.full(hi - lo, beta))
             g = self.propagate(full, fhat)
             a, b = step_ptr[k], step_ptr[k + 1]
-            mult = full_num
-            if b > a:
-                m, s = member[a:b], slice(a - lo, b - lo)
+            mult = full_num.copy() if b > a else full_num
+            while a < b:
+                if a == hi:
+                    lo, hi = hi, min(first.size, hi + per_block)
+                    props, nums = self._plan(first[lo:hi], last[lo:hi], step[lo:hi],
+                                             seg_end, seg_values, eye)
+                    after = self._multiplier(seg_values[last[lo:hi] + 1],
+                                             np.full(hi - lo, beta))
+                c = min(b, hi)
+                m, s = member[a:c], slice(a - lo, c - lo)
                 g[m] = self.propagate(props[s], fhat[m])
-                mult = full_num.copy()
                 mult[m] = nums[s]
                 full_num[m] = after[s]
-                cur[m] = last[a:b] + 1
+                cur[m] = last[a:c] + 1
+                a = c
             if self.noise.n_modes:
                 g *= mult
             fhat = g
@@ -461,8 +479,8 @@ class KineticStepper:
         Pair p owns rows first[p] .. last[p] in step step[p]: its pieces end
         at each of their jumps and at the step's right edge, with the lengths
         and chain values of `_jump_step`, and its zero-length pieces are
-        dropped.  The pieces' phases come from one `phase` call, and round j
-        composes the j-th piece of every pair that has one.
+        dropped.  Round j composes the j-th piece of every pair that has one,
+        with the phases of that round.
         """
         count = last - first + 2
         pair = np.repeat(np.arange(first.size), count)
@@ -474,16 +492,15 @@ class KineticStepper:
         live = (d > 0.0).nonzero()[0]
         pair, rows, d = pair[live], rows[live], d[live]
         pos = np.arange(pair.size) - np.searchsorted(pair, pair)
-        phase = self.phase(d)[:, None]
         theta = np.exp(-0.5 * d)[:, None, None, None]
         mult = self._multiplier(seg_values[rows], d)
         at = (pos == 0).nonzero()[0]  # every pair, in order
-        props = self.piece(eye, phase[at], theta[at], None)
+        props = self.piece(eye, self.phase(d[at])[:, None], theta[at], None)
         nums = mult[at]
         for j in range(1, int(pos.max(initial=0)) + 1):
             at = (pos == j).nonzero()[0]
             p = pair[at]
-            props[p] = self.piece(props[p], phase[at], theta[at], None)
+            props[p] = self.piece(props[p], self.phase(d[at])[:, None], theta[at], None)
             nums[p] *= mult[at]
         return props, nums
 

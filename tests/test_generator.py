@@ -531,6 +531,12 @@ class TestBlocks:
 
     EPS = 0.2
 
+    @pytest.fixture(autouse=True)
+    def _plan_always(self, monkeypatch):
+        # the default selection plans neither ring:4 nor these jump rates
+        monkeypatch.setattr(kinetic, "PLAN_MAX_VELOCITIES", np.inf)
+        monkeypatch.setattr(kinetic, "PLAN_MAX_JUMPS", np.inf)
+
     @staticmethod
     def _setup(dim):
         grid = TorusGrid(dim, 64 if dim == 1 else 16)
@@ -574,7 +580,7 @@ class TestBlocks:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_plan_blocks_stay_within_budget(self, monkeypatch, dim):
         grid, vm, _, _ = self._setup(dim)
-        # 16 propagators or 16 V pieces per block
+        # 16 propagators per block, so at most 16 V phases per round
         budget = 16 * vm.n_velocities ** 2 * (grid.npoints // grid.n) * (grid.n // 2 + 1)
         monkeypatch.setattr(kinetic, "PLAN_BUDGET", budget)
         sizes = []

@@ -272,6 +272,12 @@ def _const_chains(grid, n_chains):
     return nz.NoiseModel(grid, chains, np.stack(modes))
 
 
+def _plan_always(monkeypatch):
+    """Step noise constant in x with planned propagators whatever V and the jump rate."""
+    monkeypatch.setattr(kinetic, "PLAN_MAX_VELOCITIES", np.inf)
+    monkeypatch.setattr(kinetic, "PLAN_MAX_JUMPS", np.inf)
+
+
 def _tie_path(horizon):
     """Two telegraph chains that both flip at 0.35; chain 0 flips back on the
     step edge 0.4, the second jump of that step."""
@@ -364,6 +370,29 @@ class TestBatchStepper:
         grid = TorusGrid(2, 16)
         self._compare_with_advance(grid, vel.ring(4), _const_chains(grid, 2))
 
+    # the same paths stepped with planned propagators, which the default
+    # selection takes only for two velocities and rare jumps
+
+    @pytest.mark.parametrize("dim,n_chains", [(1, 1), (1, 2), (2, 2)])
+    def test_matches_advance_planned(self, monkeypatch, dim, n_chains):
+        _plan_always(monkeypatch)
+        grid, vm = (GRID, VM) if dim == 1 else (TorusGrid(2, 16), vel.ring(4))
+        self._compare_with_advance(grid, vm, _const_chains(grid, n_chains))
+
+    def test_many_velocities_step_by_pieces(self, monkeypatch):
+        # ring:32 with noise constant in x: a planned propagator would be
+        # 32 x 32 per frequency, so the pieces step it, scaling the spectrum
+        # of every velocity by the member's number
+        grid = TorusGrid(2, 8)
+        nm = _const_chains(grid, 2)
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        assert not kinetic.KineticStepper(vel.ring(32), grid, nm, cfg).planned
+
+        def no_plan(*args):
+            raise AssertionError("planned a many-velocity model")
+        monkeypatch.setattr(kinetic.KineticStepper, "_plan_steps", no_plan)
+        self._compare_with_advance(grid, vel.ring(32), nm)
+
     def test_zero_length_pieces_are_dropped(self, monkeypatch):
         calls = []
         for name in ("piece", "_jump_step"):
@@ -380,8 +409,9 @@ class TestBatchStepper:
 
     def test_zero_length_pieces_are_dropped_const(self, monkeypatch):
         # the plan takes one phase per piece it composes, in one array call
-        # per block, and one propagator per (member, step) with a jump; each
+        # per round, and one propagator per (member, step) with a jump; each
         # step without a jump is one full piece
+        _plan_always(monkeypatch)
         seen = {"pieces": 0, "pairs": 0}
         phase, plan = kinetic.KineticStepper.phase, kinetic.KineticStepper._plan
 
@@ -496,6 +526,27 @@ def test_a_failed_member_is_not_failed_again(shipped, t_fail):
     # the values up to the failure: a member that fails at step 1 has margin -inf
     assert not np.any(np.isnan(res.sup_norm2)) and not np.any(np.isnan(res.gronwall_margin))
     assert not np.any(res.norm2[:, 1:]) and not np.any(res.rho[:, 1:])
+
+
+def test_plan_selection():
+    # planned: noise constant in x, at most two velocities, and at most
+    # PLAN_MAX_JUMPS stationary jumps per member and step (a telegraph chain
+    # at rate r jumps r beta times a step)
+    cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+    grid = TorusGrid(2, 8)
+
+    def planned(vm, grid, rates, label="const"):
+        nm = nz.NoiseModel(grid, tuple(nz.telegraph(1.0, r) for r in rates),
+                           np.stack([nz.make_mode(grid, label) for _ in rates]))
+        return kinetic.KineticStepper(vm, grid, nm, cfg).planned
+    assert planned(VM, GRID, [1.0])
+    assert planned(VM, GRID, [0.5, 0.5])
+    assert kinetic.KineticStepper(VM, GRID, _no_noise(), cfg).planned
+    assert not planned(VM, GRID, [1.0, 0.5])
+    assert not planned(VM, GRID, [3.0])
+    assert not planned(VM, GRID, [1.0], "cos:1")
+    assert not planned(vel.ring(4), grid, [1.0])
+    assert not planned(vel.ring(256), grid, [1.0])
 
 
 def test_constant_in_space_predicate():
