@@ -15,34 +15,31 @@ so the only scheme error is the splitting commutator.
 held as an rfft over space (`TorusGrid.rfft`/`irfft`, over axis 2 of the
 (B, V, *grid.shape) fields): relaxation and transport act per frequency, so
 each piece costs one irfft -> noise multiplier -> rfft pair, and the energy
-check uses Parseval.  When every noise mode is constant in x
-(`NoiseModel.constant_in_space`), exp(delta eps m) is one number per member.
-A number commutes with transport and relaxation and scales every frequency
-alike, so a piece multiplies the half-spectrum by it and takes no FFT
-pair; it is that number times C T T C, a V x V matrix per frequency that
-depends on the piece's length alone.  With few velocities and rare jumps
-(PLAN_MAX_VELOCITIES, PLAN_MAX_JUMPS) a step is then one propagator per
-frequency times one number per member: the full-step propagator, built
-once, or, for a member with jumps in the step, the product of its pieces'
-propagators, built ahead of the loop a block of (member, step) pairs at a
-time.  A propagator costs V times the pieces it composes, so otherwise the
-pieces are applied one at a time.  Jumps partition the step into the same
-pieces either way: C and T do not commute, so the splitting error depends
-on where the pieces end.  Against applying the pieces one at a time the
-propagators move records by rounding only: at most 7.3e-14 relative,
-elementwise, on 100 members of martingale.json and 64 of scalar_mode.json.
+check uses Parseval.
 
-The noise of a batch is one segment table, the members' `NoisePath.seg_states`
-stacked in batch order, whose chain values are read once through
-`NoiseModel.values`.  Each member keeps a cursor, its current row, and a step
-splits only where a member's row closes at a jump inside it.  Stepping by
-pieces, the earliest jump ahead of any member is kept as one number, so a
-step before it reads no cursor; stepping by propagators, each closing row
-is assigned its step up front.  A member that fails is zeroed and stays
-zero, so no later guard sees it.  `solve_trajectory` is its batch of one
-and raises that member's failure.
+When every noise mode is constant in x (`NoiseModel.constant_in_space`),
+the multiplier commutes with transport and relaxation, and member b's
+solution is exactly exp(eps I_b(t)) f_det(t): I_b is the integral of m along
+the member's path (`NoiseModel.edge_integrals`) and f_det the noise-free
+solution.  The stepper then steps f_det alone, one row per distinct initial
+field and one full piece per step, and each member costs one number per
+step.
+
+Otherwise the noise of a batch is one segment table, the members'
+`NoisePath.seg_states` stacked in batch order, whose chain values are read
+once through `NoiseModel.values`.  Each member keeps a cursor, its current
+row, and a step splits only where a member's row closes at a jump inside
+it; the earliest jump ahead of any member is kept as one number, so a step
+before it reads no cursor.
+
+Either way the stepper keeps every step's squared norms, and the overflow
+and Gronwall guards check them a block of steps at a time, at each output
+step and the last.  A member keeps its first failure: its later steps are
+masked, so 0 x inf cannot fail it again, and its records are zero.
+`solve_trajectory` is its batch of one and raises that member's failure.
 The tests check the stepper against a literal composition of the three
-sub-flows, `advance` in tests/oracles.py.
+sub-flows, `advance` in tests/oracles.py, and the closed form against
+`closed_form` there.
 """
 
 from dataclasses import dataclass, field
@@ -55,16 +52,6 @@ from .velocity import VelocityModel
 
 OVERFLOW_NORM = 1e12
 GRONWALL_SLACK = 1e-8
-# with noise constant in x, one block of planned (member, step) propagators
-# holds at most PLAN_BUDGET complex values (256 KiB), or one propagator if
-# that is larger
-PLAN_BUDGET = 2 ** 14
-# a planned propagator composes V x V per frequency where a piece acts on V
-# spectra, so the plan is used only for at most PLAN_MAX_VELOCITIES
-# velocities and at most PLAN_MAX_JUMPS expected jumps per member and step
-# (the measured break-even, README "How a job is stepped")
-PLAN_MAX_VELOCITIES = 2
-PLAN_MAX_JUMPS = 0.125
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -135,29 +122,22 @@ class KineticStepper:
     x-local and T is diagonal per frequency, so both act on the spectrum.  At
     bins on a Nyquist plane T is the Hermitian-symmetrised phase (cos in 1-d),
     which is what the `.real` after every complex ifft of the literal oracle
-    `advance` applies.  Each member keeps a cursor into the batch's segment
-    table, its current row; a step splits where a member's row closes at a
-    jump inside it.
+    `advance` applies.
 
-    Pieces (`_piece_steps`): a step without a jump is one full piece whose
-    phase is cached; members with jumps take further pieces with their own
-    phases, one round at a time.  With noise constant in x, M is one number
-    per member and scales the half-spectrum.
+    Two ways to step, each yielding at the output steps and the last the
+    members' squared norms of every step since its last yield, which `run`
+    guards, and their spectra and chain states at that step:
 
-    Propagators (`_plan_steps`, noise constant in x, when `planned`): a
-    piece is the member's number times the per-frequency V x V propagator
-    C T T C, which depends on the piece's length alone.  The full-step
-    propagator is built once.  For each (member, step) with a jump, `_plan`
-    builds the product Q of the step's pieces, with the partition and
-    lengths of the rounds above and zero-length pieces dropped, and the
-    product of their numbers; it does so a block of pairs at a time, within
-    PLAN_BUDGET complex values.  A step applies the full propagator to the
-    batch, Q to the rows of the members that jump, and multiplies each
-    member by its number.  Building Q costs V times the pieces it composes,
-    so `planned` needs at most PLAN_MAX_VELOCITIES velocities and at most
-    PLAN_MAX_JUMPS stationary jumps per member and step; it depends on the
-    model, noise and config alone.  Every product is elementwise, so a
-    member's records do not depend on its batch.
+    - `_field_steps` (noise that varies in x): each member keeps a cursor
+      into the batch's segment table, its current row.  A step without a
+      jump is one full piece whose phase is cached; members with jumps take
+      further pieces with their own phases, one round at a time.
+    - `_closed_steps` (noise constant in x): f_det takes one full piece per
+      step without M, and member b is exp(eps I_b) f_det, formed as spectra
+      at output steps only.
+
+    Every product is per member, so a member's records do not depend on its
+    batch.
     """
 
     def __init__(self, model: VelocityModel, grid: TorusGrid, noise: NoiseModel,
@@ -166,14 +146,6 @@ class KineticStepper:
         self.eps, self.beta = config.epsilon, config.dt_factor
         self.dt, self.n_steps = config.dt, config.n_steps
         self.mu = model.weights
-        # constant in x: the modes' values at the first grid point, (J, 1)
-        self._mode_values = None
-        if noise.constant_in_space:
-            self._mode_values = noise.modes.reshape(noise.n_modes, grid.npoints)[:, :1]
-        # stationary jumps per member and step, summed over the chains
-        jumps = self.beta * sum(float(ch.stationary @ ch.exit_rates) for ch in noise.chains)
-        self.planned = (self._mode_values is not None and jumps <= PLAN_MAX_JUMPS
-                        and model.n_velocities <= PLAN_MAX_VELOCITIES)
         half = grid.n // 2 + 1
         self.rshape = grid.shape[:-1] + (half,)
         # phase per unit delta: exp part off the Nyquist planes, cos part on them
@@ -222,51 +194,28 @@ class KineticStepper:
         return np.matmul(sq * sq, self._parseval[:, None])[:, 0, 0]
 
     def piece(self, fhat, phase, theta, mult):
-        """One Strang piece on (..., V, R) spectra; theta/mult broadcast, mult None skips M.
+        """One Strang piece on (B, V, R) spectra; theta/mult broadcast, mult None skips M.
 
-        ``mult`` is as `_multiplier` returns it: (B, 1, 1) numbers, which
-        scale the half-spectrum, or a (B, 1, *shape) field, applied in x-space.
+        ``mult`` is a (B, 1, *shape) field from `_multiplier`, applied in x-space.
         """
         rho = (self.mu @ fhat)[..., None, :]
         g = theta * fhat
         g += (1.0 - theta) * rho
         g *= phase
         if mult is not None:
-            if self._mode_values is not None:
-                g *= mult
-            else:
-                x = self.to_fields(g)
-                x *= mult
-                g = self.to_spectrum(x)
+            x = self.to_fields(g)
+            x *= mult
+            g = self.to_spectrum(x)
         g *= phase
         rho = (self.mu @ g)[..., None, :]
         g *= theta
         g += (1.0 - theta) * rho
         return g
 
-    def propagate(self, prop, fhat):
-        """Apply per-frequency V x V propagators to spectra (B, V, R).
-
-        ``prop[..., w, :, :]`` is the image of velocity w, (V, V, R) for the
-        whole batch or (B, V, V, R) one per member.  Elementwise multiply-adds,
-        so a member's result does not depend on its batch.
-        """
-        out = prop[..., 0, :, :] * fhat[:, 0, None]
-        for w in range(1, fhat.shape[1]):
-            out += prop[..., w, :, :] * fhat[:, w, None]
-        return out
-
     # ---- noise ---------------------------------------------------------
 
     def _multiplier(self, values, delta):
-        """exp(m delta eps) for chain values (A, J) and lengths (A,).
-
-        (A, 1, 1) numbers when the noise is constant in x, each member its own
-        (1, J) product as in `NoiseModel.combine`; (A, 1, *shape) fields otherwise.
-        """
-        if self._mode_values is not None:
-            m = np.matmul(np.asarray(values, dtype=float)[:, None], self._mode_values)
-            return np.exp(m * (np.asarray(delta, dtype=float)[:, None, None] * self.eps))
+        """exp(m delta eps) fields (A, 1, *shape) for chain values (A, J) and lengths (A,)."""
         m = self.noise.combine(values)
         d = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * self.grid.dim)
         return np.exp(m * (d * self.eps))[:, None]
@@ -274,14 +223,21 @@ class KineticStepper:
     # ---- driver --------------------------------------------------------
 
     def run(self, f0, paths, out_steps, observer) -> BatchResult:
-        grid, noise, eps = self.grid, self.noise, self.eps
+        grid, noise = self.grid, self.noise
         batch = len(paths)
+        closed = noise.constant_in_space
         x0 = np.moveaxis(f0, -1, 1)
-        fhat = self.to_spectrum(np.ascontiguousarray(
-            np.broadcast_to(x0, (batch,) + x0.shape[1:])))
-        nrm = self.norm2(fhat)
+        if not closed:
+            x0 = np.broadcast_to(x0, (batch,) + x0.shape[1:])
+        fhat = self.to_spectrum(np.ascontiguousarray(x0))
+        # the row of each member's initial field: the closed form steps one
+        # row per distinct f0
+        rows = np.arange(batch) if fhat.shape[0] == batch else np.zeros(batch, dtype=np.int64)
+        nrm = self.norm2(fhat)[rows]
         log_norm0 = np.log(np.maximum(nrm, np.finfo(float).tiny))
-        c_star = noise.bound
+        # the energy bound's exponent 2 C_* t / eps at each step time t = k dt
+        with np.errstate(over="ignore"):
+            growth = 2.0 * noise.bound * (np.arange(self.n_steps + 1) * self.dt) / self.eps
 
         n_out = len(out_steps)
         rho_rec = np.zeros((batch, n_out) + grid.shape)
@@ -290,26 +246,46 @@ class KineticStepper:
         sup_norm2 = nrm.copy()
         margin = np.full(batch, -np.inf)
         failures = {}
+        dead = np.zeros(batch, dtype=bool)
         rec_for_step = {}
         for i, k in enumerate(out_steps):
             rec_for_step.setdefault(int(k), []).append(i)
 
-        # the batch's segment table, the members' seg_states stacked in batch
-        # order; seg_end[row] is the jump that closes a row, inf on a member's
-        # last row, and cur is each member's current row
-        seg_states = np.concatenate([p.seg_states for p in paths])
-        seg_end = np.concatenate([np.r_[p.seg_times[1:-1], np.inf] for p in paths])
-        seg_values = noise.values(seg_states)
-        cur = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
-        dead = np.zeros(batch, dtype=bool)
+        def guard(k, nrm):
+            """Guard steps k - S + 1 .. k from the members' squared norms (B, S) there."""
+            first = k - nrm.shape[1] + 1
+            if failures:
+                nrm[dead] = 0.0
+            gap = np.log(nrm) - (log_norm0[:, None] + growth[first:k + 1])
+            # one test per guard and block; a nan max enters the exact loop too
+            if not (nrm.max() <= OVERFLOW_NORM ** 2 and gap.max() <= GRONWALL_SLACK):
+                over = ~(nrm <= OVERFLOW_NORM ** 2)
+                nrm[over], gap[over] = 0.0, -np.inf
+                bad = over | (gap > GRONWALL_SLACK)
+                for b in np.flatnonzero(bad.any(axis=1)):
+                    j = int(bad[b].argmax())
+                    t_macro = (first + j) * self.dt
+                    if over[b, j]:
+                        exc = TrajectoryOverflowError(
+                            f"||f||_L2 exceeded {OVERFLOW_NORM:g} at t={t_macro:.6g}")
+                    else:
+                        exc = GronwallViolationError(
+                            f"energy bound violated by exp({gap[b, j]:.3g}) at t={t_macro:.6g}")
+                    failures[int(b)], dead[b] = exc, True
+                    # its later steps are those of a zeroed member
+                    nrm[b, j + 1:], gap[b, j + 1:] = 0.0, -np.inf
+            np.maximum(sup_norm2, nrm.max(axis=1), out=sup_norm2)
+            np.maximum(margin, gap.max(axis=1), out=margin)
+            return nrm[:, -1]
 
-        def record(step):
-            outs = rec_for_step.get(step)
+        def record(k, fhat, states, nrm):
+            outs = rec_for_step.get(k)
             if outs is None:
                 return
+            # a failed member records zeros; its stepped rows may be inf or nan
+            fhat[dead] = 0.0
             f = np.moveaxis(self.to_fields(fhat), 1, -1)
             rho = f @ self.mu
-            states = seg_states[cur]
             if observer is not None:
                 f = np.ascontiguousarray(f)
             for i in outs:
@@ -321,35 +297,15 @@ class KineticStepper:
                 if observer is not None:
                     observer.observe(i, f, state_rec[:, i])
 
-        def fail(b, exc):
-            failures[b] = exc
-            dead[b] = True
-            fhat[b] = 0.0
-
-        record(0)
+        record(0, fhat[rows], np.array([p.seg_states[0] for p in paths]), nrm)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # an overflowing multiplier fails its member under the guards below
-            steps = self._plan_steps if self.planned else self._piece_steps
-            for k, fhat in enumerate(steps(fhat, seg_end, seg_values, cur)):
-                if failures:
-                    # a failed member stays zero: 0 x inf would fail it again
-                    fhat[dead] = 0.0
-                nrm = self.norm2(fhat)
-                t_macro = (k + 1) * self.dt
-                # one test per guard and step; a nan max enters the exact loop too
-                if not nrm.max() <= OVERFLOW_NORM ** 2:
-                    for b in np.flatnonzero(~(nrm <= OVERFLOW_NORM ** 2)):
-                        fail(int(b), TrajectoryOverflowError(
-                            f"||f||_L2 exceeded {OVERFLOW_NORM:g} at t={t_macro:.6g}"))
-                        nrm[b] = 0.0
-                np.maximum(sup_norm2, nrm, out=sup_norm2)
-                gap = np.log(nrm) - (log_norm0 + 2.0 * c_star * t_macro / eps)
-                np.maximum(margin, gap, out=margin)
-                if not gap.max() <= GRONWALL_SLACK:
-                    for b in np.flatnonzero(gap > GRONWALL_SLACK):
-                        fail(int(b), GronwallViolationError(
-                            f"energy bound violated by exp({gap[b]:.3g}) at t={t_macro:.6g}"))
-                record(k + 1)
+            # the steps at which the stepper yields: each output step and the last
+            stops = sorted({k for k in rec_for_step if k > 0} | {self.n_steps})
+            # an overflowing multiplier fails its member under the guards
+            steps = self._closed_steps(fhat, paths, rows, stops) if closed \
+                else self._field_steps(fhat, paths, stops)
+            for k, nrm, fhat, states in steps:
+                record(k, fhat, states, guard(k, nrm))
 
         return BatchResult(
             times=np.asarray(out_steps) * self.dt,
@@ -361,27 +317,72 @@ class KineticStepper:
             failures=failures,
         )
 
-    # ---- pieces, one round at a time ------------------------------------
+    # ---- noise constant in x: the closed form ----------------------------
 
-    def _piece_steps(self, fhat, seg_end, seg_values, cur):
-        """Yield the batch after each step; a step with jumps takes `_jump_step`."""
-        batch = fhat.shape[0]
+    def _closed_steps(self, fhat, paths, rows, stops):
+        """Yield (k, norms (B, S), spectra, states) at each step k of ``stops``.
+
+        ``fhat`` is f_det, one row per distinct initial field.  The norms are
+        exp(2 eps I_b) ||f_det[rows[b]]||^2 at the S steps since the last
+        yield, and the spectra exp(eps I_b) f_det[rows[b]] at step k.
+        """
+        n = self.n_steps
+        edges = np.arange(n + 1) * self.beta
+        modes = self.noise.modes.reshape(self.noise.n_modes, self.grid.npoints)[:, :1]
+        log_mult = np.empty((len(paths), n + 1))
+        states = np.empty((len(paths), len(stops), self.noise.n_modes), dtype=np.int64)
+        for b, path in enumerate(paths):
+            integrals, at = self.noise.edge_integrals(path, edges)
+            # eps I_b(k beta), the member's own (n + 1, J) @ (J, 1) product
+            log_mult[b] = self.eps * np.matmul(integrals, modes)[:, 0]
+            states[b] = at[stops]
+        det = np.empty((fhat.shape[0], n))  # ||f_det||^2 after each step
+        last = 0
+        for i, stop in enumerate(stops):
+            for k in range(last, stop):
+                fhat = self.piece(fhat, self._full_phase, self._full_theta, None)
+                det[:, k] = self.norm2(fhat)
+            nrm = np.exp(2.0 * log_mult[:, last + 1:stop + 1]) * det[rows, last:stop]
+            spectra = np.exp(log_mult[:, stop])[:, None, None] * fhat[rows]
+            yield stop, nrm, spectra, states[:, i]
+            last = stop
+
+    # ---- noise that varies in x: pieces, one round at a time -------------
+
+    def _field_steps(self, fhat, paths, stops):
+        """Yield (k, norms (B, S), spectra, states) at each step k of ``stops``.
+
+        The norms are the members' squared norms at the S steps since the
+        last yield.
+
+        The batch's segment table is the members' seg_states stacked in
+        batch order; seg_end[row] is the jump that closes a row, inf on a
+        member's last row, and cur is each member's current row.  A step
+        with jumps takes `_jump_step`.
+        """
+        seg_states = np.concatenate([p.seg_states for p in paths])
+        seg_end = np.concatenate([np.r_[p.seg_times[1:-1], np.inf] for p in paths])
+        seg_values = self.noise.values(seg_states)
+        cur = np.cumsum([0] + [p.n_jumps + 1 for p in paths[:-1]])
         # the earliest jump of any member still ahead; a step that ends
         # before it is one full piece, with no look at the cursors
         next_jump = float(seg_end[cur].min())
-        full_mult = None
-        if self.noise.n_modes:
-            full_mult = self._multiplier(seg_values[cur], np.full(batch, self.beta))
-        for k in range(self.n_steps):
-            if next_jump > (k + 1) * self.beta:
-                fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
-            else:
-                jump = (seg_end[cur] <= (k + 1) * self.beta).nonzero()[0]
-                fhat = self._jump_step(fhat, k, jump, cur, seg_end, seg_values, full_mult)
-                full_mult[jump] = self._multiplier(
-                    seg_values[cur[jump]], np.full(jump.size, self.beta))
-                next_jump = float(seg_end[cur].min())
-            yield fhat
+        full_mult = self._multiplier(seg_values[cur], np.full(len(paths), self.beta))
+        last = 0
+        for stop in stops:
+            norms = np.empty((len(paths), stop - last))
+            for k in range(last, stop):
+                if next_jump > (k + 1) * self.beta:
+                    fhat = self.piece(fhat, self._full_phase, self._full_theta, full_mult)
+                else:
+                    jump = (seg_end[cur] <= (k + 1) * self.beta).nonzero()[0]
+                    fhat = self._jump_step(fhat, k, jump, cur, seg_end, seg_values, full_mult)
+                    full_mult[jump] = self._multiplier(
+                        seg_values[cur[jump]], np.full(jump.size, self.beta))
+                    next_jump = float(seg_end[cur].min())
+                norms[:, k - last] = self.norm2(fhat)
+            yield stop, norms, fhat, seg_states[cur]
+            last = stop
 
     def _jump_step(self, fhat, k, sub, cur, seg_end, seg_values, full_mult):
         """Step k, in which members ``sub`` jump; advances their rows ``cur``.
@@ -418,91 +419,6 @@ class KineticStepper:
             more = (stop <= end).nonzero()[0]
             sub, rows, start = sub[more], rows[more], stop[more]
         return fhat
-
-    # ---- noise constant in x: propagators, planned in blocks ------------
-
-    def _plan_steps(self, fhat, seg_end, seg_values, cur):
-        """Yield the batch after each step, each step one propagator and one number.
-
-        Every row of the segment table that closes inside the run is owned
-        by the step k with k beta < seg_end <= (k+1) beta, and a (member,
-        step) pair with such rows is one run of consecutive rows.  The
-        pairs, sorted by step, are planned by `_plan` in blocks of at most
-        PLAN_BUDGET // (V V R) pairs, at least one.
-        """
-        n_steps, beta = self.n_steps, self.beta
-        V, R = self._expo.shape
-        eye = np.zeros((V, V, R), dtype=complex)
-        eye[np.arange(V), np.arange(V)] = 1.0
-        full = self.piece(eye, self._full_phase, self._full_theta, None)
-        full_num = self._multiplier(seg_values[cur], np.full(fhat.shape[0], beta))
-        owner = np.searchsorted(np.arange(1, n_steps + 1) * beta, seg_end)
-        closing = (owner < n_steps).nonzero()[0]
-        # a member's last row never closes, so rows of one run are consecutive
-        opens = np.ones(closing.size, dtype=bool)
-        opens[1:] = (np.diff(closing) != 1) | (np.diff(owner[closing]) != 0)
-        first = closing[opens]
-        last = closing[np.roll(opens, -1)]
-        order = np.argsort(owner[first], kind="stable")
-        first, last = first[order], last[order]
-        step = owner[first]
-        member = np.searchsorted(cur, first, side="right") - 1
-        step_ptr = np.searchsorted(step, np.arange(n_steps + 1))
-        per_block = max(1, PLAN_BUDGET // (V * V * R))
-        lo = hi = 0  # the pairs of the current block
-        for k in range(n_steps):
-            g = self.propagate(full, fhat)
-            a, b = step_ptr[k], step_ptr[k + 1]
-            mult = full_num.copy() if b > a else full_num
-            while a < b:
-                if a == hi:
-                    lo, hi = hi, min(first.size, hi + per_block)
-                    props, nums = self._plan(first[lo:hi], last[lo:hi], step[lo:hi],
-                                             seg_end, seg_values, eye)
-                    after = self._multiplier(seg_values[last[lo:hi] + 1],
-                                             np.full(hi - lo, beta))
-                c = min(b, hi)
-                m, s = member[a:c], slice(a - lo, c - lo)
-                g[m] = self.propagate(props[s], fhat[m])
-                mult[m] = nums[s]
-                full_num[m] = after[s]
-                cur[m] = last[a:c] + 1
-                a = c
-            if self.noise.n_modes:
-                g *= mult
-            fhat = g
-            yield fhat
-
-    def _plan(self, first, last, step, seg_end, seg_values, eye):
-        """Propagators (P, V, V, R) and numbers (P, 1, 1) of P (member, step) pairs.
-
-        Pair p owns rows first[p] .. last[p] in step step[p]: its pieces end
-        at each of their jumps and at the step's right edge, with the lengths
-        and chain values of `_jump_step`, and its zero-length pieces are
-        dropped.  Round j composes the j-th piece of every pair that has one,
-        with the phases of that round.
-        """
-        count = last - first + 2
-        pair = np.repeat(np.arange(first.size), count)
-        pos = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
-        rows = first[pair] + pos
-        k = step[pair]
-        start = np.where(pos == 0, k * self.beta, seg_end[rows - 1])
-        d = np.minimum(seg_end[rows], (k + 1) * self.beta) - start
-        live = (d > 0.0).nonzero()[0]
-        pair, rows, d = pair[live], rows[live], d[live]
-        pos = np.arange(pair.size) - np.searchsorted(pair, pair)
-        theta = np.exp(-0.5 * d)[:, None, None, None]
-        mult = self._multiplier(seg_values[rows], d)
-        at = (pos == 0).nonzero()[0]  # every pair, in order
-        props = self.piece(eye, self.phase(d[at])[:, None], theta[at], None)
-        nums = mult[at]
-        for j in range(1, int(pos.max(initial=0)) + 1):
-            at = (pos == j).nonzero()[0]
-            p = pair[at]
-            props[p] = self.piece(props[p], self.phase(d[at])[:, None], theta[at], None)
-            nums[p] *= mult[at]
-        return props, nums
 
 
 def solve_batch(f0, config: SolverConfig, model: VelocityModel, grid: TorusGrid,

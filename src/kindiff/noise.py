@@ -18,7 +18,8 @@ chain values for any array of state indices, and the generator's
 `ChainTables`, built at their first use, are read the same way;
 `NoiseModel.combine` maps chain values to fields.  A `NoisePath` holds the
 jumps of every chain and merges them into segments on which all states are
-frozen.
+frozen, and `NoiseModel.edge_integrals` reads a path's chain integrals and
+states at given times from those segments.
 
 The package builds only F (`NoiseModel.trace_field`); the kernel k, the
 covariance operator Q and the Poisson field M^{-1}I(n) are test oracles, in
@@ -389,6 +390,22 @@ class NoiseModel:
     def values(self, state_indices) -> np.ndarray:
         """Chain values (..., J) of the chain state indices (..., J)."""
         return self._state_values[self.state_offsets + np.asarray(state_indices, dtype=np.int64)]
+
+    def edge_integrals(self, path: "NoisePath", edges):
+        """Chain integrals and states of a path at the microscopic times ``edges``.
+
+        Returns (integrals, states), each (len(edges), J): integrals[e, j] =
+        int_0^{edges[e]} theta_j, the closed segments before edges[e] summed
+        in order plus the open one up to it, and states[e] the segment
+        holding edges[e], after a jump at it.
+        """
+        edges = np.asarray(edges, dtype=float)
+        t = path.seg_times
+        seg = np.searchsorted(t[1:-1], edges, side="right")
+        v = self.values(path.seg_states)
+        closed = np.zeros_like(v)
+        np.cumsum(v[:-1] * np.diff(t[:-1])[:, None], axis=0, out=closed[1:])
+        return closed[seg] + v[seg] * (edges - t[seg])[:, None], path.seg_states[seg]
 
     def trace_field(self) -> np.ndarray:
         """F(x) = k(x,x) = sum_j c_j eta_j(x)^2."""

@@ -8,7 +8,11 @@ literally, one sub-flow at a time on full complex spectra: transport by a
 spectral phase shift, relaxation by the explicit flow rho + e^{-t}(f - rho),
 and the multiplier by a pointwise exponential while the noise state is
 frozen.  `advance` splits a macroscopic step Strang-style at every noise jump
-inside it, and `kinetic.KineticStepper` is tested against it to 1e-12.
+inside it, and `kinetic.KineticStepper` is tested against it to 1e-12 where
+the noise varies in x.  Where it is constant in x, the multiplier commutes
+with the other two sub-flows, and the stepper is tested to 1e-12 against
+`closed_form`: the noise-free `advance` times exp(eps I), with the path
+integral I summed literally over the path's segments.
 
 The noise-path helpers are the sampler the package used before its
 Python-float loop, kept as the reference that loop must match bitwise.
@@ -201,6 +205,31 @@ def advance(f, dt, eps, model: VelocityModel, grid: TorusGrid,
         out = step_transport(out, 0.5 * h, eps, model, grid)
         out = step_collision(out, 0.5 * h, eps, model)
     return out
+
+
+def path_integral(noise: NoiseModel, path: NoisePath, b: float) -> np.ndarray:
+    """int_0^b m(s, x) ds, a field, summed over `segments_between`."""
+    return sum(((t1 - t0) * field(noise, path.seg_states[seg])
+                for t0, t1, seg in segments_between(path, 0.0, b)), np.zeros(noise.grid.shape))
+
+
+def noise_free(f0, n_steps, dt, eps, model: VelocityModel, grid: TorusGrid) -> list:
+    """f_det at the steps 0 .. n_steps: `advance` with no noise, one piece per step."""
+    calm = NoiseModel(grid, (), np.zeros((0,) + grid.shape))
+    still = NoisePath(n_steps * dt / (eps * eps), np.zeros(0, dtype=np.int64), (), ())
+    out = [np.asarray(f0, dtype=float)]
+    for k in range(n_steps):
+        out.append(advance(out[-1], dt, eps, model, grid, calm, still, t_start=k * dt))
+    return out
+
+
+def closed_form(f0, n_steps, dt, eps, model: VelocityModel, grid: TorusGrid,
+                noise: NoiseModel, path: NoisePath) -> list:
+    """f at the steps 0 .. n_steps for noise constant in x: exp(eps I(k dt)) f_det(k dt)."""
+    if not noise.constant_in_space:
+        raise ValueError("the closed form needs noise constant in x")
+    return [f * np.exp(eps * path_integral(noise, path, k * dt / (eps * eps)))[..., None]
+            for k, f in enumerate(noise_free(f0, n_steps, dt, eps, model, grid))]
 
 
 def finished(res: BatchResult) -> list:

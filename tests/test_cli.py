@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -257,7 +258,7 @@ FUZZ_LEAVES = {
 }
 
 
-@pytest.mark.parametrize("value", [1e308, 1e200, 1e6, 1e-308, 0, -1])
+@pytest.mark.parametrize("value", [1e308, 1e200, 1e6, 1e-6, 1e-308, 0, -1, -1e308])
 @pytest.mark.parametrize("leaf", list(FUZZ_LEAVES))
 @pytest.mark.parametrize("shipped", ["standard.json", "scalar_mode.json"])
 def test_extreme_leaf_exits_cleanly(tmp_path, shipped, leaf, value):
@@ -481,3 +482,22 @@ def test_worker_invariance_bitwise(tmp_path):
     for name in ("weak_error.csv", "ensemble_stats.csv", "mean_field_distance.csv",
                  "moment_bounds.csv", "run_manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_output_digest_compares_csv_cells(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(os.path.dirname(__file__), "..", "scripts",
+                                      "output_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("t,x\n0,1.0\n1,-2.0\n")
+    new.write_text("t,x\n0,1.0\n1,-2.5\n")
+    assert digest.compare(str(new), str(old)) == "max rel diff 0.2"
+    new.write_text("t,x\n0,1.0\n1,nan\n")
+    assert digest.compare(str(new), str(old)) == "max rel diff inf"
+    new.write_text("t,y\n0,1.0\n1,-2.0\n")
+    assert digest.compare(str(new), str(old)) == "text cell 'x' -> 'y'"
+    new.write_text("t,x\n0,1.0\n")
+    assert digest.compare(str(new), str(old)) == "cell count 6 -> 4"
+    assert digest.compare(str(new), str(tmp_path / "gone.csv")) == "missing under OLD"

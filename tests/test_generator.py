@@ -527,15 +527,9 @@ class TestMartingale:
 
 
 class TestBlocks:
-    """The kinetic plan's blocks and the instrument's queue change no bits."""
+    """The instrument's queue changes no bits."""
 
     EPS = 0.2
-
-    @pytest.fixture(autouse=True)
-    def _plan_always(self, monkeypatch):
-        # the default selection plans neither ring:4 nor these jump rates
-        monkeypatch.setattr(kinetic, "PLAN_MAX_VELOCITIES", np.inf)
-        monkeypatch.setattr(kinetic, "PLAN_MAX_JUMPS", np.inf)
 
     @staticmethod
     def _setup(dim):
@@ -573,34 +567,8 @@ class TestBlocks:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_one_step_and_one_output_per_block(self, monkeypatch, dim):
         default = self._run(dim)
-        monkeypatch.setattr(kinetic, "PLAN_BUDGET", 1)
         monkeypatch.setattr(gen, "OBSERVE_BUDGET", 1)
         self._assert_same(default, self._run(dim))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_plan_blocks_stay_within_budget(self, monkeypatch, dim):
-        grid, vm, _, _ = self._setup(dim)
-        # 16 propagators per block, so at most 16 V phases per round
-        budget = 16 * vm.n_velocities ** 2 * (grid.npoints // grid.n) * (grid.n // 2 + 1)
-        monkeypatch.setattr(kinetic, "PLAN_BUDGET", budget)
-        sizes = []
-        phase, plan = kinetic.KineticStepper.phase, kinetic.KineticStepper._plan
-
-        def sized_phase(self, delta):
-            out = phase(self, delta)
-            if np.ndim(delta):
-                sizes.append(("phases", out.size))
-            return out
-
-        def sized_plan(self, *args):
-            props, nums = plan(self, *args)
-            sizes.append(("propagators", props.size))
-            return props, nums
-        monkeypatch.setattr(kinetic.KineticStepper, "phase", sized_phase)
-        monkeypatch.setattr(kinetic.KineticStepper, "_plan", sized_plan)
-        self._run(dim)
-        assert sum(name == "propagators" for name, _ in sizes) > 1
-        assert all(0 < size <= budget for _, size in sizes)
 
     def test_reading_values_before_the_run_ends(self):
         def reading(ins):

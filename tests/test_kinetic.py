@@ -11,7 +11,7 @@ from kindiff import noise as nz
 from kindiff import velocity as vel
 from kindiff.config import parse_config
 from kindiff.grid import TorusGrid
-from kindiff.harness import kinetic_batch, make_stream
+from kindiff.harness import KIN_NS, kinetic_batch, make_stream
 
 import oracles
 
@@ -272,12 +272,6 @@ def _const_chains(grid, n_chains):
     return nz.NoiseModel(grid, chains, np.stack(modes))
 
 
-def _plan_always(monkeypatch):
-    """Step noise constant in x with planned propagators whatever V and the jump rate."""
-    monkeypatch.setattr(kinetic, "PLAN_MAX_VELOCITIES", np.inf)
-    monkeypatch.setattr(kinetic, "PLAN_MAX_JUMPS", np.inf)
-
-
 def _tie_path(horizon):
     """Two telegraph chains that both flip at 0.35; chain 0 flips back on the
     step edge 0.4, the second jump of that step."""
@@ -299,9 +293,33 @@ def _scripted_pair(draw):
                         tuple(np.arange(1, t.size + 1) % 2 for t in times))
 
 
+@given(st.lists(_scripted_pair(), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_edge_integrals_on_scripted_paths(paths):
+    # the 9 edges of an 8-step run at beta 0.1, inside the paths' horizon 1.2
+    nm = _two_chains(TorusGrid(1, 16))
+    edges = np.arange(9) * 0.1
+    for path in paths:
+        integrals, states = nm.edge_integrals(path, edges)
+        rows = np.searchsorted(path.seg_times[1:-1], edges, side="right")
+        assert np.array_equal(states, path.seg_states[rows])
+        steps = np.diff(integrals, axis=0)
+        for j, chain in enumerate(nm.chains):
+            t, s = path.jump_times[j], path.jump_states[j]
+            run = t < edges[-1]
+            whole = nz.chain_integral(chain, path.initial[j], t[run], s[run], edges[-1])
+            assert steps[:, j].sum() == pytest.approx(whole, rel=1e-12, abs=1e-12)
+        for e, edge in enumerate(edges):
+            literal = sum(((t1 - t0) * nm.values(path.seg_states[seg])
+                           for t0, t1, seg in oracles.segments_between(path, 0.0, edge)),
+                          np.zeros(2))
+            assert integrals[e] == pytest.approx(literal, rel=1e-12, abs=1e-12)
+
+
 def _check_rows(f0, cfg, vm, grid, nm, paths):
-    """Each row of the batch is bitwise its solo run and matches `advance` to 1e-12;
-    the state recorded at step k is the path's state at k beta, after a jump there."""
+    """Each row of the batch is bitwise its solo run and matches its oracle to 1e-12,
+    `advance` or, for noise constant in x, `closed_form`; the state recorded at
+    step k is the path's state at k beta, after a jump there."""
     dt, n_steps, eps = cfg.dt, cfg.n_steps, cfg.epsilon
     times = [k * dt for k in range(n_steps + 1)]
     res = kinetic.solve_batch(f0, cfg, vm, grid, nm, None, times, paths=paths)
@@ -310,10 +328,16 @@ def _check_rows(f0, cfg, vm, grid, nm, paths):
     for b, path in enumerate(paths):
         rows = np.searchsorted(path.seg_times[1:-1], edges, side="right")
         assert np.array_equal(res.state_indices[b], path.seg_states[rows])
-        f = f0[b]
+        if nm.constant_in_space:
+            series = oracles.closed_form(f0[b], n_steps, dt, eps, vm, grid, nm, path)
+        else:
+            series = [f0[b]]
+            for k in range(n_steps):
+                series.append(oracles.advance(series[-1], dt, eps, vm, grid, nm, path,
+                                              t_start=k * dt))
         for k in range(n_steps):
-            f = oracles.advance(f, dt, eps, vm, grid, nm, path, t_start=k * dt)
-            assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, f))) <= 1e-12
+            assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, series[k + 1]))) <= 1e-12
+        f = series[-1]
         assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
         solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
         assert np.array_equal(solo.rho[0], res.rho[b])
@@ -357,8 +381,8 @@ class TestBatchStepper:
         grid = TorusGrid(2, 16)
         self._compare_with_advance(grid, vel.ring(4), _two_chains(grid))
 
-    # noise constant in x: the multiplier is one number per member, applied
-    # to the half-spectrum
+    # noise constant in x: the closed form, each member one number times
+    # the noise-free solution
 
     def test_matches_advance_dim1_const(self):
         self._compare_with_advance(GRID, VM, _const_chains(GRID, 1))
@@ -370,82 +394,54 @@ class TestBatchStepper:
         grid = TorusGrid(2, 16)
         self._compare_with_advance(grid, vel.ring(4), _const_chains(grid, 2))
 
-    # the same paths stepped with planned propagators, which the default
-    # selection takes only for two velocities and rare jumps
-
-    @pytest.mark.parametrize("dim,n_chains", [(1, 1), (1, 2), (2, 2)])
-    def test_matches_advance_planned(self, monkeypatch, dim, n_chains):
-        _plan_always(monkeypatch)
-        grid, vm = (GRID, VM) if dim == 1 else (TorusGrid(2, 16), vel.ring(4))
-        self._compare_with_advance(grid, vm, _const_chains(grid, n_chains))
-
     def test_many_velocities_step_by_pieces(self, monkeypatch):
-        # ring:32 with noise constant in x: a planned propagator would be
-        # 32 x 32 per frequency, so the pieces step it, scaling the spectrum
-        # of every velocity by the member's number
+        # ring:32 with noise constant in x: the closed form steps f_det by
+        # full pieces and scales every velocity of a member by its number,
+        # with no pieces cut at jumps
+        def no_field_steps(*args):
+            raise AssertionError("stepped noise constant in x by pieces at its jumps")
+        monkeypatch.setattr(kinetic.KineticStepper, "_field_steps", no_field_steps)
         grid = TorusGrid(2, 8)
-        nm = _const_chains(grid, 2)
-        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
-        assert not kinetic.KineticStepper(vel.ring(32), grid, nm, cfg).planned
+        self._compare_with_advance(grid, vel.ring(32), _const_chains(grid, 2))
 
-        def no_plan(*args):
-            raise AssertionError("planned a many-velocity model")
-        monkeypatch.setattr(kinetic.KineticStepper, "_plan_steps", no_plan)
-        self._compare_with_advance(grid, vel.ring(32), nm)
+    @pytest.mark.parametrize("per_member", [False, True])
+    def test_closed_form_takes_one_piece_per_step(self, monkeypatch, per_member):
+        # one full piece per step on f_det, one row per distinct initial
+        # field, whatever the jumps: JUMPS, the tie and no jump at all
+        rows = []
+        piece = kinetic.KineticStepper.piece
+        monkeypatch.setattr(kinetic.KineticStepper, "piece",
+                            lambda self, fhat, *args: rows.append(fhat.shape[0])
+                            or piece(self, fhat, *args))
+        nm = _const_chains(GRID, 2)
+        cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
+        paths = [_scripted_path(nm, 0.8, self.JUMPS), _tie_path(0.8), _scripted_path(nm, 0.8, [])]
+        f0 = vel.lift(VM, np.ones(64))
+        if per_member:
+            f0 = np.stack([f0, 2.0 * f0, 3.0 * f0])
+        kinetic.solve_batch(f0, cfg, VM, GRID, nm, None, [cfg.final_time], paths=paths)
+        assert rows == [3 if per_member else 1] * cfg.n_steps
 
     def test_zero_length_pieces_are_dropped(self, monkeypatch):
+        # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
+        # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
+        # adds 1 and the jump on the edge 0.4 none.  Only the steps with a
+        # jump (1, 2, 4 and 6 of JUMPS, 3 of the tie) take more than one piece
         calls = []
         for name in ("piece", "_jump_step"):
             method = getattr(kinetic.KineticStepper, name)
             monkeypatch.setattr(kinetic.KineticStepper, name,
                                 lambda self, *args, name=name, method=method:
                                 calls.append(name) or method(self, *args))
-
-        def counts(run):
-            calls.clear()
-            run()
-            return calls.count("piece"), calls.count("_jump_step")
-        self._check_piece_counts(_two_chains(GRID), counts)
-
-    def test_zero_length_pieces_are_dropped_const(self, monkeypatch):
-        # the plan takes one phase per piece it composes, in one array call
-        # per round, and one propagator per (member, step) with a jump; each
-        # step without a jump is one full piece
-        _plan_always(monkeypatch)
-        seen = {"pieces": 0, "pairs": 0}
-        phase, plan = kinetic.KineticStepper.phase, kinetic.KineticStepper._plan
-
-        def counted_phase(self, delta):
-            seen["pieces"] += np.size(delta) if np.ndim(delta) else 0
-            return phase(self, delta)
-
-        def counted_plan(self, first, *args):
-            seen["pairs"] += first.size
-            return plan(self, first, *args)
-        monkeypatch.setattr(kinetic.KineticStepper, "phase", counted_phase)
-        monkeypatch.setattr(kinetic.KineticStepper, "_plan", counted_plan)
-
-        def counts(run):
-            seen.update(pieces=0, pairs=0)
-            n_steps = run().n_steps
-            return n_steps - seen["pairs"] + seen["pieces"], seen["pairs"]
-        self._check_piece_counts(_const_chains(GRID, 2), counts)
-
-    def _check_piece_counts(self, nm, counts):
-        # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
-        # 5 (its jump on step 4's right edge leaves no tail), the tie at 0.35
-        # adds 1 and the jump on the edge 0.4 none.  Only the steps with a
-        # jump (1, 2, 4 and 6 of JUMPS, 3 of the tie) take more than one piece
+        nm = _two_chains(GRID)
         cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
         f0 = vel.lift(VM, np.ones(64))
         for path, pieces, jump_steps in ((_scripted_path(nm, 0.8, self.JUMPS), 13, 4),
                                          (_tie_path(0.8), 9, 1),
                                          (_scripted_path(nm, 0.8, []), 8, 0)):
-            def run():
-                kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time],
-                                         path=path)
-                return cfg
-            assert counts(run) == (pieces, jump_steps)
+            calls.clear()
+            kinetic.solve_trajectory(f0, cfg, VM, GRID, nm, None, [cfg.final_time], path=path)
+            assert (calls.count("piece"), calls.count("_jump_step")) == (pieces, jump_steps)
 
     @pytest.mark.parametrize("label", ["const", "cos:1"])
     def test_fft_pairs_only_where_the_noise_varies_in_x(self, monkeypatch, label):
@@ -507,16 +503,37 @@ class TestBatchStepper:
             kinetic.solve_trajectory(f0, cfg, VM, grid, nm, None, times, path=paths[1])
 
 
+def _closed_form_failure_time(cfg):
+    """The first step time k dt at which member 0 of `kinetic_batch(cfg, 0, ...)`
+    has 2 eps I_0(k) + log||f_det(k)||^2 > 2 log OVERFLOW_NORM, by the oracles."""
+    scfg = kinetic.SolverConfig(cfg.epsilons[0], cfg.dt_factor, cfg.final_time)
+    eps, dt = scfg.epsilon, scfg.dt
+    path = cfg.noise.simulate_path(scfg.n_steps * scfg.dt_factor,
+                                   make_stream(cfg.base_seed, KIN_NS, 0, 0))
+    f0 = vel.lift(cfg.velocity, cfg.rho0)
+    dets = oracles.noise_free(f0, scfg.n_steps, dt, eps, cfg.velocity, cfg.grid)
+    for k in range(1, scfg.n_steps + 1):
+        integral = oracles.path_integral(cfg.noise, path, k * dt / (eps * eps)).flat[0]
+        log_norm2 = np.log(vel.inner_xv(cfg.velocity, cfg.grid, dets[k], dets[k]))
+        if 2.0 * eps * integral + log_norm2 > 2.0 * np.log(kinetic.OVERFLOW_NORM):
+            return f"{k * dt:.6g}"
+    raise AssertionError("member 0 does not overflow")
+
+
 @pytest.mark.parametrize("shipped,t_fail", [("standard.json", "0.004"),
-                                             ("scalar_mode.json", "0.00125")])
+                                             ("scalar_mode.json", None)])
 def test_a_failed_member_is_not_failed_again(shipped, t_fail):
     # at amplitude 1e6 a member's multiplier is inf once its chain state is
-    # positive, and its norm nan; the zeroed member must keep that failure,
-    # not be failed again by 0 x inf at every later step
+    # positive, and its norm nan; the failed member must keep that failure,
+    # not be failed again by 0 x inf at every later step.  With noise
+    # constant in x (t_fail None) the member overflows where the closed
+    # form's norm exp(2 eps I) ||f_det||^2 first exceeds the guard
     with open(os.path.join(CONFIG_DIR, shipped)) as fh:
         raw = json.load(fh)
     raw["noise"]["modes"][0]["amplitude"] = 1e6
     cfg = parse_config(raw)
+    if t_fail is None:
+        t_fail = _closed_form_failure_time(cfg)
     res = kinetic_batch(cfg, 0, [0, 1])
     assert sorted(res.failures) == [0, 1]
     assert all(isinstance(exc, kinetic.TrajectoryOverflowError)
@@ -526,27 +543,6 @@ def test_a_failed_member_is_not_failed_again(shipped, t_fail):
     # the values up to the failure: a member that fails at step 1 has margin -inf
     assert not np.any(np.isnan(res.sup_norm2)) and not np.any(np.isnan(res.gronwall_margin))
     assert not np.any(res.norm2[:, 1:]) and not np.any(res.rho[:, 1:])
-
-
-def test_plan_selection():
-    # planned: noise constant in x, at most two velocities, and at most
-    # PLAN_MAX_JUMPS stationary jumps per member and step (a telegraph chain
-    # at rate r jumps r beta times a step)
-    cfg = kinetic.SolverConfig(epsilon=0.2, dt_factor=0.1, final_time=8 * 0.1 * 0.2 ** 2)
-    grid = TorusGrid(2, 8)
-
-    def planned(vm, grid, rates, label="const"):
-        nm = nz.NoiseModel(grid, tuple(nz.telegraph(1.0, r) for r in rates),
-                           np.stack([nz.make_mode(grid, label) for _ in rates]))
-        return kinetic.KineticStepper(vm, grid, nm, cfg).planned
-    assert planned(VM, GRID, [1.0])
-    assert planned(VM, GRID, [0.5, 0.5])
-    assert kinetic.KineticStepper(VM, GRID, _no_noise(), cfg).planned
-    assert not planned(VM, GRID, [1.0, 0.5])
-    assert not planned(VM, GRID, [3.0])
-    assert not planned(VM, GRID, [1.0], "cos:1")
-    assert not planned(vel.ring(4), grid, [1.0])
-    assert not planned(vel.ring(256), grid, [1.0])
 
 
 def test_constant_in_space_predicate():
