@@ -22,8 +22,11 @@ the multiplier commutes with transport and relaxation, and member b's
 solution is exactly exp(eps I_b(t)) f_det(t): I_b is the integral of m along
 the member's path (`NoiseModel.edge_integrals`) and f_det the noise-free
 solution.  The stepper then steps f_det alone, one row per distinct initial
-field and one full piece per step, and each member costs one number per
-step.
+field, and each member costs one number per step.  The noise-free full step
+is linear and acts on each frequency as one V x V matrix P_r, so f_det
+advances by the powers P^1..P^S of that propagator, S steps per NumPy call,
+with S set by the model and the grid alone (`PROPAGATOR_BUDGET`); where S
+would be below 2, f_det takes one full piece per step.
 
 Otherwise the noise of a batch is one segment table, the members'
 `NoisePath.seg_states` stacked in batch order, whose chain values are read
@@ -52,6 +55,8 @@ from .velocity import VelocityModel
 
 OVERFLOW_NORM = 1e12
 GRONWALL_SLACK = 1e-8
+# complex values in the powers P^1..P^S of the closed form's full-step propagator
+PROPAGATOR_BUDGET = 2 ** 14
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -104,6 +109,18 @@ class BatchResult:
     failures: dict               # member -> TrajectoryOverflowError | GronwallViolationError
 
 
+def propagate(q, f):
+    """Per-frequency operators q (..., W, V, R) applied to spectra f (..., W, R).
+
+    q[..., w, v, r] is (Q_r)_{vw}.  The result is the sum over w of W
+    elementwise products, so each row of f keeps its bits whatever its batch.
+    """
+    out = q[..., 0, :, :] * f[..., 0, None, :]
+    for w in range(1, f.shape[-2]):
+        out += q[..., w, :, :] * f[..., w, None, :]
+    return out
+
+
 def snap_steps(times, dt, n_steps):
     """Indices k of the steps k * dt at which the requested times are recorded."""
     return [min(max(int(round(t / dt)), 0), n_steps) for t in times]
@@ -132,9 +149,11 @@ class KineticStepper:
       into the batch's segment table, its current row.  A step without a
       jump is one full piece whose phase is cached; members with jumps take
       further pieces with their own phases, one round at a time.
-    - `_closed_steps` (noise constant in x): f_det takes one full piece per
-      step without M, and member b is exp(eps I_b) f_det, formed as spectra
-      at output steps only.
+    - `_closed_steps` (noise constant in x): f_det advances without M, a
+      block of up to S = `block_steps` steps at a time by the powers of the
+      full-step propagator (`powers`), or by one full piece per step where
+      S < 2, and member b is exp(eps I_b) f_det, formed as spectra at output
+      steps only.
 
     Every product is per member, so a member's records do not depend on its
     batch.
@@ -163,6 +182,9 @@ class KineticStepper:
         self._nyq = (2.0 * np.pi * 0.5 * self.eps) * nyq[:, self._nyq_cols]
         self._full_phase = self.phase(self.beta)
         self._full_theta = np.exp(-0.5 * self.beta)
+        # steps per block of the closed form: from the model and the grid only
+        self.block_steps = min(self.n_steps,
+                               PROPAGATOR_BUDGET // (model.n_velocities ** 2 * self._expo.shape[1]))
         # Parseval: ||f||^2 = sum_{v,k} mu_v w_k |f_hat|^2 / N^2, w_k = 2 off the
         # self-conjugate planes of the last axis
         w = np.full(self.rshape, 2.0)
@@ -211,6 +233,24 @@ class KineticStepper:
         g *= theta
         g += (1.0 - theta) * rho
         return g
+
+    def powers(self, span):
+        """P^1..P^span (span, V, V, R) of the full noise-free step, by doubling.
+
+        Entry [j - 1, w, v, r] is (P_r^j)_{vw}: row w of P is `piece` on the
+        unit spectrum of velocity w, so C and T are defined in `piece` alone.
+        """
+        nv, nr = self._full_phase.shape
+        unit = np.repeat(np.eye(nv, dtype=complex)[:, :, None], nr, axis=2)
+        out = np.empty((span, nv, nv, nr), dtype=complex)
+        out[0] = self.piece(unit, self._full_phase, self._full_theta, None)
+        done = 1
+        while done < span:
+            more = min(done, span - done)
+            # P^(done + j) = P^done P^j
+            out[done:done + more] = propagate(out[done - 1], out[:more])
+            done += more
+        return out
 
     # ---- noise ---------------------------------------------------------
 
@@ -304,8 +344,12 @@ class KineticStepper:
             # an overflowing multiplier fails its member under the guards
             steps = self._closed_steps(fhat, paths, rows, stops) if closed \
                 else self._field_steps(fhat, paths, stops)
-            for k, nrm, fhat, states in steps:
-                record(k, fhat, states, guard(k, nrm))
+            # the generator holds the only reference to the state it steps,
+            # so no older spectrum stays alive while it does
+            del fhat
+            for k, nrm, spectra, states in steps:
+                record(k, spectra, states, guard(k, nrm))
+                del spectra
 
         return BatchResult(
             times=np.asarray(out_steps) * self.dt,
@@ -325,6 +369,12 @@ class KineticStepper:
         ``fhat`` is f_det, one row per distinct initial field.  The norms are
         exp(2 eps I_b) ||f_det[rows[b]]||^2 at the S steps since the last
         yield, and the spectra exp(eps I_b) f_det[rows[b]] at step k.
+
+        f_det at steps k + 1 .. k + s is P^1..P^s applied to f_det at step
+        k, one `propagate` and one `norm2` call per block; blocks of at most
+        `block_steps` restart at each step of ``stops``.  The exponents
+        eps I_b are held for the whole run, (B, n + 1), and f_det's norms
+        for one yield at a time.
         """
         n = self.n_steps
         edges = np.arange(n + 1) * self.beta
@@ -336,13 +386,21 @@ class KineticStepper:
             # eps I_b(k beta), the member's own (n + 1, J) @ (J, 1) product
             log_mult[b] = self.eps * np.matmul(integrals, modes)[:, 0]
             states[b] = at[stops]
-        det = np.empty((fhat.shape[0], n))  # ||f_det||^2 after each step
+        # below two steps a block is one `piece`, and no propagator is built
+        span = max(self.block_steps, 1)
+        powers = self.powers(span) if span > 1 else None
         last = 0
         for i, stop in enumerate(stops):
-            for k in range(last, stop):
-                fhat = self.piece(fhat, self._full_phase, self._full_theta, None)
-                det[:, k] = self.norm2(fhat)
-            nrm = np.exp(2.0 * log_mult[:, last + 1:stop + 1]) * det[rows, last:stop]
+            det = np.empty((stop - last, fhat.shape[0]))  # ||f_det||^2 after each step
+            for k in range(last, stop, span):
+                s = min(span, stop - k)
+                # f_det at steps k + 1 .. k + s, (s, rows, V, R)
+                block = self.piece(fhat, self._full_phase, self._full_theta, None)[None] \
+                    if powers is None else propagate(powers[:s, None], fhat)
+                det[k - last:k - last + s] = self.norm2(
+                    block.reshape((-1,) + fhat.shape[1:])).reshape(s, -1)
+                fhat = block[-1]
+            nrm = np.exp(2.0 * log_mult[:, last + 1:stop + 1]) * det.T[rows]
             spectra = np.exp(log_mult[:, stop])[:, None, None] * fhat[rows]
             yield stop, nrm, spectra, states[:, i]
             last = stop

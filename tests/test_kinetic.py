@@ -316,15 +316,17 @@ def test_edge_integrals_on_scripted_paths(paths):
             assert integrals[e] == pytest.approx(literal, rel=1e-12, abs=1e-12)
 
 
-def _check_rows(f0, cfg, vm, grid, nm, paths):
+def _check_rows(f0, cfg, vm, grid, nm, paths, out_steps=None):
     """Each row of the batch is bitwise its solo run and matches its oracle to 1e-12,
     `advance` or, for noise constant in x, `closed_form`; the state recorded at
-    step k is the path's state at k beta, after a jump there."""
+    step k is the path's state at k beta, after a jump there.  The records are
+    taken at ``out_steps``, by default every step."""
     dt, n_steps, eps = cfg.dt, cfg.n_steps, cfg.epsilon
-    times = [k * dt for k in range(n_steps + 1)]
+    steps = np.arange(n_steps + 1) if out_steps is None else np.asarray(out_steps)
+    times = list(steps * dt)
     res = kinetic.solve_batch(f0, cfg, vm, grid, nm, None, times, paths=paths)
     assert res.failures == {}
-    edges = np.arange(n_steps + 1) * cfg.dt_factor
+    edges = steps * cfg.dt_factor
     for b, path in enumerate(paths):
         rows = np.searchsorted(path.seg_times[1:-1], edges, side="right")
         assert np.array_equal(res.state_indices[b], path.seg_states[rows])
@@ -335,9 +337,9 @@ def _check_rows(f0, cfg, vm, grid, nm, paths):
             for k in range(n_steps):
                 series.append(oracles.advance(series[-1], dt, eps, vm, grid, nm, path,
                                               t_start=k * dt))
-        for k in range(n_steps):
-            assert np.max(np.abs(res.rho[b, k + 1] - vel.average(vm, series[k + 1]))) <= 1e-12
-        f = series[-1]
+        for i, k in enumerate(steps):
+            assert np.max(np.abs(res.rho[b, i] - vel.average(vm, series[k]))) <= 1e-12
+        f = series[steps[-1]]
         assert res.norm2[b, -1] == pytest.approx(vel.inner_xv(vm, grid, f, f), rel=1e-12)
         solo = kinetic.solve_trajectory(f0[b], cfg, vm, grid, nm, None, times, path=path)
         assert np.array_equal(solo.rho[0], res.rho[b])
@@ -404,10 +406,9 @@ class TestBatchStepper:
         grid = TorusGrid(2, 8)
         self._compare_with_advance(grid, vel.ring(32), _const_chains(grid, 2))
 
-    @pytest.mark.parametrize("per_member", [False, True])
-    def test_closed_form_takes_one_piece_per_step(self, monkeypatch, per_member):
-        # one full piece per step on f_det, one row per distinct initial
-        # field, whatever the jumps: JUMPS, the tie and no jump at all
+    def _closed_form_pieces(self, monkeypatch, per_member):
+        """The rows of each `piece` call of one closed-form run on JUMPS, the
+        tie and a path without jumps; f0 is shared or one per member."""
         rows = []
         piece = kinetic.KineticStepper.piece
         monkeypatch.setattr(kinetic.KineticStepper, "piece",
@@ -420,7 +421,79 @@ class TestBatchStepper:
         if per_member:
             f0 = np.stack([f0, 2.0 * f0, 3.0 * f0])
         kinetic.solve_batch(f0, cfg, VM, GRID, nm, None, [cfg.final_time], paths=paths)
-        assert rows == [3 if per_member else 1] * cfg.n_steps
+        return rows, cfg.n_steps
+
+    @pytest.mark.parametrize("per_member", [False, True])
+    def test_closed_form_builds_one_propagator_per_run(self, monkeypatch, per_member):
+        # f_det advances by powers of the full-step propagator, whose one
+        # `piece` call acts on the V unit spectra, whatever the jumps
+        rows, _ = self._closed_form_pieces(monkeypatch, per_member)
+        assert rows == [VM.n_velocities]
+
+    @pytest.mark.parametrize("per_member", [False, True])
+    def test_closed_form_takes_one_piece_per_step(self, monkeypatch, per_member):
+        # a budget below one propagator: one full piece per step on f_det,
+        # one row per distinct initial field
+        monkeypatch.setattr(kinetic, "PROPAGATOR_BUDGET", VM.n_velocities ** 2 * 33 - 1)
+        rows, n_steps = self._closed_form_pieces(monkeypatch, per_member)
+        assert rows == [3 if per_member else 1] * n_steps
+
+    @pytest.mark.parametrize("span, out_steps, vm", [
+        (2, [0, 1, 6, 17], VM),
+        (3, [0, 5, 16, 17], VM),
+        (7, [0, 17], VM),
+        (7, [0, 9, 17], VM),
+        (None, [0, 4, 17], VM),  # a budget for more steps than the run has
+        # unequal weights: C, and so the propagator, is not symmetric
+        (3, [0, 5, 16, 17], vel.VelocityModel(1, np.array([[-1.0], [0.0], [2.0]]),
+                                                 np.array([0.5, 0.25, 0.25]))),
+    ], ids=["2", "3", "7", "7-split", "run", "3-skew"])
+    def test_closed_form_blocks(self, monkeypatch, span, out_steps, vm):
+        # blocks of `span` steps restart at each output step: full blocks,
+        # short ones before an output, and one block for the whole run
+        spans = []
+        powers = kinetic.KineticStepper.powers
+        monkeypatch.setattr(kinetic.KineticStepper, "powers",
+                            lambda self, s: spans.append(s) or powers(self, s))
+        monkeypatch.setattr(kinetic, "PROPAGATOR_BUDGET",
+                            vm.n_velocities ** 2 * 33 * (span or 40))
+        eps = 0.2
+        cfg = kinetic.SolverConfig(epsilon=eps, dt_factor=0.1, final_time=17 * 0.1 * eps ** 2)
+        nm = _const_chains(GRID, 2)
+        horizon = cfg.n_steps * 0.1
+        paths = [_scripted_path(nm, horizon, self.JUMPS), _tie_path(horizon)]
+        paths += [nm.simulate_path(horizon, make_stream(13, 0, 0, i)) for i in range(2)]
+        f0 = np.random.default_rng(16).standard_normal((len(paths), 64, vm.n_velocities)) + 2.0
+        _check_rows(f0, cfg, vm, GRID, nm, paths, out_steps)
+        # the batch and each solo run
+        assert spans == [span or cfg.n_steps] * (1 + len(paths))
+
+    def test_block_steps_do_not_depend_on_the_batch(self, monkeypatch):
+        spans = []
+        powers = kinetic.KineticStepper.powers
+        monkeypatch.setattr(kinetic.KineticStepper, "powers",
+                            lambda self, s: spans.append(s) or powers(self, s))
+        nm = _const_noise()
+        cfg = kinetic.SolverConfig(epsilon=0.05, dt_factor=0.1, final_time=0.25)
+        f0 = vel.lift(VM, np.ones(64))
+        for batch in (1, 64):
+            kinetic.solve_batch(f0, cfg, VM, GRID, nm, [make_stream(17, 0, 0, i) for i in range(batch)],
+                                [cfg.final_time])
+        # 2^14 // (V^2 R) = 124 of the 1,000 steps on a 64-point grid
+        assert spans == [124, 124]
+
+    def test_propagator_matches_pieces_on_martingale(self, monkeypatch):
+        with open(os.path.join(CONFIG_DIR, "martingale.json")) as fh:
+            cfg = parse_config(json.load(fh))
+        blocks = kinetic_batch(cfg, 0, range(100))
+        monkeypatch.setattr(kinetic, "PROPAGATOR_BUDGET", 0)
+        pieces = kinetic_batch(cfg, 0, range(100))
+        assert blocks.failures == {} and pieces.failures == {}
+        for name in ("rho", "norm2", "sup_norm2"):
+            np.testing.assert_allclose(getattr(blocks, name), getattr(pieces, name), rtol=1e-13)
+        np.testing.assert_allclose(blocks.gronwall_margin, pieces.gronwall_margin,
+                                   rtol=0, atol=1e-13)
+        assert np.array_equal(blocks.state_indices, pieces.state_indices)
 
     def test_zero_length_pieces_are_dropped(self, monkeypatch):
         # 8 steps, one piece each, plus one per jump inside a step: JUMPS adds
