@@ -316,6 +316,15 @@ def test_edge_integrals_on_scripted_paths(paths):
             assert integrals[e] == pytest.approx(literal, rel=1e-12, abs=1e-12)
 
 
+def _record_spans(monkeypatch):
+    """The list that each `KineticStepper.powers` call appends its span to."""
+    spans = []
+    powers = kinetic.KineticStepper.powers
+    monkeypatch.setattr(kinetic.KineticStepper, "powers",
+                        lambda self, s: spans.append(s) or powers(self, s))
+    return spans
+
+
 def _check_rows(f0, cfg, vm, grid, nm, paths, out_steps=None):
     """Each row of the batch is bitwise its solo run and matches its oracle to 1e-12,
     `advance` or, for noise constant in x, `closed_form`; the state recorded at
@@ -451,10 +460,7 @@ class TestBatchStepper:
     def test_closed_form_blocks(self, monkeypatch, span, out_steps, vm):
         # blocks of `span` steps restart at each output step: full blocks,
         # short ones before an output, and one block for the whole run
-        spans = []
-        powers = kinetic.KineticStepper.powers
-        monkeypatch.setattr(kinetic.KineticStepper, "powers",
-                            lambda self, s: spans.append(s) or powers(self, s))
+        spans = _record_spans(monkeypatch)
         monkeypatch.setattr(kinetic, "PROPAGATOR_BUDGET",
                             vm.n_velocities ** 2 * 33 * (span or 40))
         eps = 0.2
@@ -469,16 +475,13 @@ class TestBatchStepper:
         assert spans == [span or cfg.n_steps] * (1 + len(paths))
 
     def test_block_steps_do_not_depend_on_the_batch(self, monkeypatch):
-        spans = []
-        powers = kinetic.KineticStepper.powers
-        monkeypatch.setattr(kinetic.KineticStepper, "powers",
-                            lambda self, s: spans.append(s) or powers(self, s))
+        spans = _record_spans(monkeypatch)
         nm = _const_noise()
         cfg = kinetic.SolverConfig(epsilon=0.05, dt_factor=0.1, final_time=0.25)
         f0 = vel.lift(VM, np.ones(64))
         for batch in (1, 64):
-            kinetic.solve_batch(f0, cfg, VM, GRID, nm, [make_stream(17, 0, 0, i) for i in range(batch)],
-                                [cfg.final_time])
+            rngs = [make_stream(17, 0, 0, i) for i in range(batch)]
+            kinetic.solve_batch(f0, cfg, VM, GRID, nm, rngs, [cfg.final_time])
         # 2^14 // (V^2 R) = 124 of the 1,000 steps on a 64-point grid
         assert spans == [124, 124]
 
