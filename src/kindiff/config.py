@@ -6,6 +6,7 @@ silently running a different experiment.
 
 import json
 import numbers
+import pickle
 import re
 from dataclasses import dataclass, field
 
@@ -243,8 +244,9 @@ class ExperimentConfig:
     """A validated experiment: the models it runs on and its run parameters.
 
     `parse_config` is the only reader of the JSON schema; every field except
-    ``raw`` (the JSON document, echoed into run manifests and sent to worker
-    processes) holds a validated value or a built model.
+    ``raw`` (the JSON document, echoed into run manifests) holds a validated
+    value or a built model.  A run's jobs carry the config itself, so a pool
+    worker gets a pickled copy, whose read-only arrays stay read-only.
     """
 
     grid: TorusGrid
@@ -263,6 +265,14 @@ class ExperimentConfig:
     moment_p2_factor: float
     moment_p4_factor: float
     raw: dict = field(default=None, repr=False)
+
+    def __reduce_ex__(self, protocol):
+        # a process pool pickles at pickle.DEFAULT_PROTOCOL (4 before Python
+        # 3.14), where a NumPy array comes back writeable; at protocol 5 a
+        # read-only array comes back read-only
+        if protocol >= 5:
+            return super().__reduce_ex__(protocol)
+        return pickle.loads, (pickle.dumps(self, protocol=5),)
 
     # ---- accessors of the built models --------------------------------
     # benchmark/workloads.py still calls these; new code reads the fields.

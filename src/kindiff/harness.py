@@ -20,7 +20,10 @@ rounding (about 2e-15 relative, see spde), so a limit part agrees with its
 chunk run alone to 1e-12; with noise modes that are all constant in x the
 limit equation is solved in closed form, and then bitwise.  The jobs are cut
 from the ensemble size and the job budgets alone, never from the worker
-count, so the outputs are bitwise the same for any number of workers.  With
+count, so the outputs are bitwise the same for any number of workers.  A job
+carries the run's built `ExperimentConfig`, the object itself with one worker
+and a pickled copy in a pool worker, so no job parses the JSON again and a
+run's members come from the config object it was given.  With
 diagnostics on, one `GeneratorInstrument` observes every functional of a
 kinetic job.  A functional's value at a density is `TestFunctional.value`.
 `kinetic_batch` and `limit_batch` set up every simulated member, so member i
@@ -36,7 +39,8 @@ import numpy as np
 
 from . import kinetic, spde
 from . import velocity as vel
-from .config import ConfigError, ExperimentConfig, parse_config
+# parse_config is unused here, but benchmark/tracing.py counts calls through this name
+from .config import ConfigError, ExperimentConfig, parse_config  # noqa: F401
 from .generator import GeneratorInstrument, PerturbedTestFunction
 from .grid import TorusGrid
 from .stats import RunningStats
@@ -257,12 +261,12 @@ def _job(cfg: ExperimentConfig, eps_index, chunks, with_diag: bool):
 def _chunk_job(args):
     """One job of run_ensemble: its list of chunks' EpsEnsemble parts, in chunk order.
 
-    ``args`` is (raw config, eps_index, chunks, with_diag); the chunks are
-    consecutive kinetic chunks of one epsilon, or consecutive limit chunks
-    when eps_index is None.
+    ``args`` is (config, eps_index, chunks, with_diag): the run's built
+    `ExperimentConfig`, itself with one worker and a pickled copy in a pool
+    worker; the chunks are consecutive kinetic chunks of one epsilon, or
+    consecutive limit chunks when eps_index is None.
     """
-    raw, eps_index, chunks, with_diag = args
-    return _job(parse_config(raw), eps_index, chunks, with_diag)
+    return _job(*args)
 
 
 @dataclass
@@ -308,7 +312,7 @@ def run_ensemble(cfg: ExperimentConfig, workers: int = 1,
         sizes[None] = cfg.ensemble_size if limit_size is None else limit_size
         if sizes[None] < 1:
             raise ValueError(f"limit_size must be at least 1, got {limit_size}")
-    jobs = [(cfg.raw, key, group, diagnostics) for key, size in sizes.items()
+    jobs = [(cfg, key, group, diagnostics) for key, size in sizes.items()
             for group in _job_groups(size, limit_job_chunks(cfg) if key is None
                                      else job_chunks(cfg))]
     folded = {}  # each ensemble reduced in chunk order, one part at a time

@@ -134,6 +134,7 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
     # step-major (n_steps, J, batch): no copy when the caller drew them so
     steps = np.ascontiguousarray(increments.transpose(1, 2, 0))
     factors = coeffs.root_factors.reshape(n_modes, grid.npoints).T
+    # with J = 0 the empty table passes too, so the step loop below has J >= 1
     if np.all(factors == factors[:1]):
         return _closed_form(rho0, dt, coeffs, steps, where)
     rho = np.moveaxis(np.broadcast_to(rho0, (batch,) + grid.shape), 0, -1).copy()
@@ -155,9 +156,8 @@ def solve_spde_batch(rho0, final_time, n_steps, coeffs: LimitCoefficients,
                 rho, spare = np.matmul(heat, rho, out=spare), rho
             else:
                 rho = _heat(rho, mult, grid)
-            if n_modes:
-                np.matmul(factors, steps[k], out=noise)
-                rho *= np.exp(noise, out=noise).reshape(rho.shape)
+            np.matmul(factors, steps[k], out=noise)
+            rho *= np.exp(noise, out=noise).reshape(rho.shape)
             if k + 1 in recorded:
                 out[:, where == k + 1] = np.moveaxis(rho, -1, 0)[:, None]
     return out

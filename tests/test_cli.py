@@ -255,10 +255,21 @@ FUZZ_LEAVES = {
     "initial_mean": ("initial", "mean"),
     "initial_mode_amplitude": ("initial", "modes", 0, "amplitude"),
     "weight_amplitude": ("functionals", 0, "weight", "amplitude"),
+    "last_noise_amplitude": ("noise", "modes", -1, "amplitude"),
+    "last_weight_amplitude": ("functionals", -1, "weight", "amplitude"),
+    "dt_factor": ("solver", "dt_factor"),
+    "spde_steps": ("solver", "spde_steps"),
+    "final_time": ("experiment", "final_time"),
+    "first_epsilon": ("experiment", "epsilons", 0),
+    "last_epsilon": ("experiment", "epsilons", -1),
+    "output_count": ("experiment", "output_times", "count"),
+    "grid_n": ("grid", "n"),
 }
 
 
-@pytest.mark.parametrize("value", [1e308, 1e200, 1e6, 1e-6, 1e-308, 0, -1, -1e308])
+# 0.5, 1, 2 and 3 are ordinary step factors, times, epsilons, counts and grid sizes
+@pytest.mark.parametrize("value", [1e308, 1e200, 1e6, 1e-6, 1e-308, 0, -1, -1e308,
+                                   0.5, 1, 2, 3])
 @pytest.mark.parametrize("leaf", list(FUZZ_LEAVES))
 @pytest.mark.parametrize("shipped", ["standard.json", "scalar_mode.json"])
 def test_extreme_leaf_exits_cleanly(tmp_path, shipped, leaf, value):

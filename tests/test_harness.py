@@ -1,15 +1,18 @@
 import copy
+import dataclasses
 import json
 import os
+import pickle
 import warnings
 from collections import Counter
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kindiff import cli, harness, kinetic, spde
+from kindiff import cli, config, harness, kinetic, spde
 from kindiff import noise as nz
 from kindiff import velocity as vel
 from kindiff.config import ConfigError, parse_config
@@ -161,16 +164,46 @@ class TestRunEnsemble:
         assert not np.array_equal(res.kinetic[0.4].times, cfg.output_times)
 
     def test_each_chunk_builds_each_model_once(self, monkeypatch):
+        # the config's models are built when it is parsed; a job builds none
         built = []
         init = NoiseModel.__post_init__
         monkeypatch.setattr(NoiseModel, "__post_init__",
                             lambda self: (built.append(self), init(self)))
         cfg = small_config(ensemble=4)
-        built.clear()
-        harness._chunk_job((cfg.raw, 0, [[0, 1], [2, 3]], True))
-        assert len(built) == 1
-        harness._chunk_job((cfg.raw, None, [[0, 1]], False))
-        assert len(built) == 2
+        assert built == [cfg.noise]
+        harness._chunk_job((cfg, 0, [[0, 1], [2, 3]], True))
+        harness._chunk_job((cfg, None, [[0, 1]], False))
+        assert built == [cfg.noise]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_follows_the_config_object(self, workers):
+        # a replaced field reaches every member: the run equals the run of the
+        # config parsed from the edited JSON, bitwise
+        cfg = small_config(ensemble=40)
+        for field, section, value in (("base_seed", "experiment", cfg.base_seed + 1),
+                                      ("dt_factor", "solver", 0.05)):
+            raw = copy.deepcopy(cfg.raw)
+            raw[section][field] = value
+            got = harness.run_ensemble(dataclasses.replace(cfg, **{field: value}),
+                                       workers=workers)
+            want = harness.run_ensemble(parse_config(raw), workers=1)
+            for eps in cfg.epsilons:
+                assert np.array_equal(got.kinetic[eps].times, want.kinetic[eps].times)
+                assert_parts_equal(got.kinetic[eps], want.kinetic[eps])
+            assert_parts_close(got.limit, want.limit, rtol=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_job_parses_the_config(self, monkeypatch, workers):
+        cfg = small_config(ensemble=40)
+
+        def refuse(raw):
+            raise AssertionError("a job parsed the config")
+
+        monkeypatch.setattr(harness, "parse_config", refuse)
+        monkeypatch.setattr(config, "parse_config", refuse)
+        res = harness.run_ensemble(cfg, workers=workers, diagnostics=True)
+        assert res.failure_counts == {0.4: 0, 0.2: 0, "limit": 0}
+        assert res.limit.attempted == 40
 
     def test_pool_never_larger_than_the_job_list(self, monkeypatch):
         # a fake executor records its size and starts no process
@@ -303,10 +336,10 @@ class TestKineticJobs:
                                      dim2_config(ensemble=100)], ids=["1d", "2d"])
     def test_each_part_equals_its_chunk_run_alone(self, cfg):
         chunks = harness._chunks(100)  # three chunks and a tail of 4
-        parts = harness._chunk_job((cfg.raw, 0, chunks, True))
+        parts = harness._chunk_job((cfg, 0, chunks, True))
         assert len(parts) == len(chunks) == 4
         for chunk, part in zip(chunks, parts):
-            alone, = harness._chunk_job((cfg.raw, 0, [chunk], True))
+            alone, = harness._chunk_job((cfg, 0, [chunk], True))
             assert_parts_equal(part, alone)
 
     @pytest.mark.parametrize("cfg", [small_config(ensemble=97, epsilons=(0.4,), n=32),
@@ -315,8 +348,8 @@ class TestKineticJobs:
         # the Parseval norm is one product per member, so a one-row batch rounds
         # its norms like the same row in a batch of 97
         chunks = harness._chunks(97)
-        parts = harness._chunk_job((cfg.raw, 0, chunks, False))
-        alone, = harness._chunk_job((cfg.raw, 0, chunks[-1:], False))
+        parts = harness._chunk_job((cfg, 0, chunks, False))
+        alone, = harness._chunk_job((cfg, 0, chunks[-1:], False))
         assert_parts_equal(parts[-1], alone)
 
     def test_a_failure_stays_in_its_chunk(self, monkeypatch):
@@ -327,13 +360,13 @@ class TestKineticJobs:
         loud = int(np.argmax(sup))
         assert loud == 33
         # the chunks run alone under the shipped overflow guard
-        clean = [harness._chunk_job((cfg.raw, 0, [c], False))[0] for c in chunks]
+        clean = [harness._chunk_job((cfg, 0, [c], False))[0] for c in chunks]
         # an overflow guard between the loudest member and all the others
         monkeypatch.setattr(kinetic, "OVERFLOW_NORM",
                             np.sqrt(0.5 * (sup[loud] + np.max(np.delete(sup, loud)))))
-        parts = harness._chunk_job((cfg.raw, 0, chunks, False))
+        parts = harness._chunk_job((cfg, 0, chunks, False))
         assert_parts_equal(parts[0], clean[0])
-        assert_parts_equal(parts[1], harness._chunk_job((cfg.raw, 0, [chunks[1]], False))[0])
+        assert_parts_equal(parts[1], harness._chunk_job((cfg, 0, [chunks[1]], False))[0])
         (index, message), = parts[1].failures
         assert index == 33
         assert message.startswith("TrajectoryOverflowError: ||f||_L2 exceeded")
@@ -377,10 +410,10 @@ class TestLimitJobs:
     def test_each_part_matches_its_chunk_run_alone(self, cfg):
         chunks = harness._chunks(100)  # three chunks and a tail of 4
         assert harness.limit_job_chunks(cfg) >= len(chunks)
-        parts = harness._chunk_job((cfg.raw, None, chunks, False))
+        parts = harness._chunk_job((cfg, None, chunks, False))
         assert len(parts) == len(chunks) == 4
         for chunk, part in zip(chunks, parts):
-            alone, = harness._chunk_job((cfg.raw, None, [chunk], False))
+            alone, = harness._chunk_job((cfg, None, [chunk], False))
             assert part.attempted == len(chunk) and part.rho_mean.count == len(chunk)
             assert_parts_close(part, alone)
 
@@ -397,9 +430,9 @@ class TestLimitJobs:
         # member 33 is row 33 of the job and row 1 of its second chunk
         cfg = small_config(ensemble=70)
         chunks = harness._chunks(70)
-        clean = harness._chunk_job((cfg.raw, None, chunks, False))
+        clean = harness._chunk_job((cfg, None, chunks, False))
         TestLimitFailures._poison(monkeypatch, 70, 33, np.nan)
-        parts = harness._chunk_job((cfg.raw, None, chunks, False))
+        parts = harness._chunk_job((cfg, None, chunks, False))
         assert [p.failures for p in parts] == [[], [(33, TestLimitFailures.MESSAGE)], []]
         # the same job, so the other chunks' parts are bitwise the clean ones
         assert_parts_close(parts[0], clean[0], rtol=0.0)
@@ -727,6 +760,21 @@ class TestConfigValidation:
         assert cfg.rho0 == pytest.approx(1.0 + 0.5 * np.cos(2 * np.pi * cfg.grid.coords()[0]))
         assert not cfg.rho0.flags.writeable
 
+    def test_arrays_stay_read_only_through_a_pool_pickle(self):
+        # a process pool pickles a job's config at pickle.DEFAULT_PROTOCOL
+        cfg = small_config()
+        copied = pickle.loads(ForkingPickler.dumps(cfg))
+        ch, got = cfg.noise.chains[0], copied.noise.chains[0]
+        pairs = [(cfg.rho0, copied.rho0), (cfg.noise.modes, copied.noise.modes),
+                 (cfg.velocity.velocities, copied.velocity.velocities),
+                 (cfg.velocity.weights, copied.velocity.weights)]
+        pairs += [(getattr(ch, name), getattr(got, name)) for name in (
+            "states", "rates", "stationary", "stationary_cdf", "exit_rates", "jump_cdf")]
+        for before, after in pairs:
+            assert not before.flags.writeable and not after.flags.writeable
+            assert np.array_equal(before, after)
+        assert copied.raw == cfg.raw
+
     def test_chain_key_only_in_noise_modes(self):
         raw = self.base()
         raw["initial"]["modes"][0]["chain"] = {"kind": "telegraph"}
@@ -771,8 +819,8 @@ class TestChainTables:
             harness._job(cfg, 0, [[0, 1], [2, 3]], True)
         assert calls == once
         calls.clear()
-        harness._chunk_job((cfg.raw, 0, [[0, 1]], True))  # a job parses its own model
-        assert calls == once
+        harness._chunk_job((cfg, 0, [[0, 1]], True))  # a job reuses the run's tables
+        assert calls == {}
 
     def test_an_over_budget_mode_pair_runs_without_diagnostics(self):
         n = 70  # two 70-state chains: a product chain over noise.MAX_PAIR_STATES
